@@ -68,6 +68,7 @@ from .zernike import (
     index_to_nm,
     nm_to_index,
     radial_poly,
+    zernike_matrix,
     zernike_polar,
     zernike_xy,
 )

@@ -106,9 +106,7 @@ def assemble(basis, nodes):
             f"node set ({nodes.scheme}, n={nodes.order}) has points outside "
             f"the {basis.domain} domain"
         )
-    entries = np.empty((basis.size, len(nodes)))
-    for j in range(basis.size):
-        entries[j] = basis.node_values(j, nodes)
+    entries = basis.matrix(nodes)
     if not np.all(np.isfinite(entries)):
         raise NonFiniteError("collocation matrix has non-finite entries")
     entries.setflags(write=False)
@@ -186,15 +184,10 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("collocation matrix is exactly singular")
     if basis.map is None:
-        grid_rho, grid_theta = rho, ang
-        grid_vals = np.empty((basis.size, rho.size))
-        for j in range(basis.size):
-            grid_vals[j] = basis.eval_polar(j, grid_rho, grid_theta)
+        grid_vals = basis.matrix_polar(rho, ang)
     else:
         x, y = (rho * np.cos(ang), rho * np.sin(ang))
         fx, fy = basis.map.forward_xy(x, y)
-        grid_vals = np.empty((basis.size, rho.size))
-        for j in range(basis.size):
-            grid_vals[j] = basis.eval_xy(j, fx, fy, check=False)
-    lagrange = scipy.linalg.lu_solve((lu, piv), grid_vals)
-    return float(np.max(np.sum(np.abs(lagrange), axis=0)))
+        grid_vals = basis.matrix_xy(fx, fy, check=False)
+    lagrange = scipy.linalg.lu_solve((lu, piv), grid_vals, overwrite_b=True)
+    return float(np.max(np.sum(np.abs(lagrange, out=lagrange), axis=0)))

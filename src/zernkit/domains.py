@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .samplings import NodeSet
-from .zernike import basis_size, zernike_polar, zernike_xy
+from .zernike import basis_size, cartesian_to_polar, zernike_matrix, zernike_polar
 
 __all__ = [
     "HEXAGON_HALF_ANGLE",
@@ -314,7 +315,38 @@ def transfer_nodes(domain_map, nodeset, inner_eps=0.01):
     raise ValueError(f"unsupported domain map {domain_map!r}")
 
 
-class HexagonBasis:
+class _RadialMapBasis:
+    """Row and batched evaluation of a basis transferred by an
+    angle-preserving map, evaluated in polar coordinates.
+
+    Subclasses define ``_values(zernike, rho, theta, check)``: pull the
+    points back to the disk (raising DomainError outside the domain when
+    ``check``), call ``zernike(u, theta)`` there and apply the weight.  The
+    row evaluators pass one polynomial, the batched ones the whole basis.
+    """
+
+    def eval_polar(self, j, rho, theta, check=True):
+        return self._values(partial(zernike_polar, j), rho, theta, check)
+
+    def matrix_polar(self, rho, theta, check=True):
+        """Every basis function at polar points, one row per function."""
+        return self._values(partial(zernike_matrix, self.order), rho, theta, check)
+
+    def eval_xy(self, j, x, y, check=True):
+        return self.eval_polar(j, np.hypot(x, y), np.arctan2(y, x), check=check)
+
+    def matrix_xy(self, x, y, check=True):
+        return self.matrix_polar(np.hypot(x, y), np.arctan2(y, x), check=check)
+
+    def matrix(self, nodes):
+        """The collocation matrix at a NodeSet on this basis' domain."""
+        return self.matrix_polar(nodes.rho, nodes.theta)
+
+    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
+        return self.map.contains_xy(x, y, tol)
+
+
+class HexagonBasis(_RadialMapBasis):
     """Transferred families on the hexagon.
 
     family "K": Z_j composed with the inverse map (weight 1);
@@ -332,26 +364,17 @@ class HexagonBasis:
         self.map = map if map is not None else HexagonMap()
         self.size = basis_size(order)
 
-    def eval_polar(self, j, rho, theta, check=True):
+    def _values(self, zernike, rho, theta, check):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         scale = self.map.boundary_radius(theta)
         u = rho / scale
         if check and np.any(u > 1.0 + _CONTAIN_TOL):
             raise DomainError("point outside the hexagon")
-        val = zernike_polar(j, u, theta)
+        val = zernike(u, theta)
         if self.family == "H":
-            val = val / scale
+            val /= scale
         return val
-
-    def eval_xy(self, j, x, y, check=True):
-        return self.eval_polar(j, np.hypot(x, y), np.arctan2(y, x), check=check)
-
-    def node_values(self, j, nodes):
-        return self.eval_polar(j, nodes.rho, nodes.theta)
-
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        return self.map.contains_xy(x, y, tol)
 
     def __repr__(self):
         return f"HexagonBasis(order={self.order}, family={self.family!r})"
@@ -373,17 +396,27 @@ class EllipseBasis:
         self.size = basis_size(order)
         self.prefactor = 1.0 / math.sqrt(map.semi_major * map.semi_minor)
 
-    def eval_xy(self, j, x, y, check=True):
+    def _values(self, zernike, x, y, check):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         u = x / self.map.semi_major
         v = y / self.map.semi_minor
         if check and np.any(u * u + v * v > 1.0 + _CONTAIN_TOL):
             raise DomainError("point outside the ellipse")
-        return self.prefactor * zernike_xy(j, u, v)
+        val = zernike(*cartesian_to_polar(u, v))
+        val *= self.prefactor
+        return val
 
-    def node_values(self, j, nodes):
-        return self.eval_xy(j, nodes.x, nodes.y)
+    def eval_xy(self, j, x, y, check=True):
+        return self._values(partial(zernike_polar, j), x, y, check)
+
+    def matrix_xy(self, x, y, check=True):
+        """Every basis function at Cartesian points, one row per function."""
+        return self._values(partial(zernike_matrix, self.order), x, y, check)
+
+    def matrix(self, nodes):
+        """The collocation matrix at a NodeSet on the ellipse."""
+        return self.matrix_xy(nodes.x, nodes.y)
 
     def contains_xy(self, x, y, tol=_CONTAIN_TOL):
         return self.map.contains_xy(x, y, tol)
@@ -395,7 +428,7 @@ class EllipseBasis:
         )
 
 
-class AnnulusBasis:
+class AnnulusBasis(_RadialMapBasis):
     """Transferred families on the annulus a <= r <= A.
 
     family "C": Z_j composed with the inverse radial map (weight 1),
@@ -416,26 +449,17 @@ class AnnulusBasis:
         self.map = map
         self.size = basis_size(order)
 
-    def eval_polar(self, j, rho, theta, check=True):
+    def _values(self, zernike, rho, theta, check):
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         a, span = self.map.inner, self.map.outer - self.map.inner
         t = (rho - a) / span
         if check and (np.any(t > 1.0 + _CONTAIN_TOL) or np.any(t < -_CONTAIN_TOL)):
             raise DomainError("point outside the annulus")
-        val = zernike_polar(j, np.maximum(t, 0.0), theta)
+        val = zernike(np.maximum(t, 0.0), theta)
         if self.family == "O":
-            val = val * (np.sqrt(np.maximum(rho - a, 0.0) / rho) / span)
+            val *= np.sqrt(np.maximum(rho - a, 0.0) / rho) / span
         return val
-
-    def eval_xy(self, j, x, y, check=True):
-        return self.eval_polar(j, np.hypot(x, y), np.arctan2(y, x), check=check)
-
-    def node_values(self, j, nodes):
-        return self.eval_polar(j, nodes.rho, nodes.theta)
-
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        return self.map.contains_xy(x, y, tol)
 
     def __repr__(self):
         return (

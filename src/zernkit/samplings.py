@@ -22,7 +22,7 @@ from .errors import (
     NodeParseError,
     RankDeficiencyError,
 )
-from .zernike import DiskZernikeBasis, basis_size
+from .zernike import basis_size, zernike_matrix
 
 __all__ = [
     "Scheme",
@@ -60,6 +60,7 @@ class Scheme(str, Enum):
     BOS_CUSTOM = "bos"
     SPIRAL = "spiral"
     RANDOM_THINNED = "random"
+    APPROX_FEKETE = "approx-fekete"
     FILE_LOADED = "file"
 
     def __str__(self):
@@ -395,10 +396,7 @@ def approximate_fekete(n, mesh_density):
     ang = np.tile(t, n_r)
     rho = np.concatenate([[0.0], rho])
     ang = np.concatenate([[0.0], ang])
-    basis = DiskZernikeBasis(n)
-    vand = np.empty((count, rho.size))
-    for j in range(count):
-        vand[j] = basis.eval_polar(j, rho, ang)
+    vand = zernike_matrix(n, rho, ang)
     _, rfac, piv = scipy.linalg.qr(vand, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rfac))
     if diag.min() <= diag.max() * 1e-13:
@@ -409,7 +407,7 @@ def approximate_fekete(n, mesh_density):
     nodes = np.column_stack([rho[keep] * np.cos(ang[keep]), rho[keep] * np.sin(ang[keep])])
     return NodeSet(
         n,
-        Scheme.FILE_LOADED,
+        Scheme.APPROX_FEKETE,
         nodes,
         metadata=f"approximate-fekete mesh={rho.size}",
     )

@@ -23,7 +23,8 @@ from .collocation import assemble
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
 from .errors import SingularMatrixError, ZeroDenominatorError
 from .samplings import generate_nodes
-from .zernike import zernike_xy
+# zernike_xy stays importable from this module for tools that wrap it here
+from .zernike import cartesian_to_polar, zernike_polar, zernike_xy  # noqa: F401
 
 __all__ = [
     "WAVEFRONT_MODES",
@@ -77,9 +78,10 @@ class Wavefront:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
+        rho, theta = cartesian_to_polar(x, y)
         for j, a in enumerate(self.coefficients):
             if a != 0.0:
-                out += a * zernike_xy(j, x, y)
+                out += a * zernike_polar(j, rho, theta)
         return out if out.shape else float(out)
 
 
@@ -260,11 +262,7 @@ class ZonalInterpolator:
             )
         self._lu = scipy.linalg.lu_factor(matrix.entries.T)
         grid = hexagon_grid()
-        self._grid_values = np.empty((self.basis.size, len(grid)))
-        for j in range(self.basis.size):
-            self._grid_values[j] = self.basis.eval_xy(
-                j, grid[:, 0], grid[:, 1], check=False
-            )
+        self._grid_values = self.basis.matrix_xy(grid[:, 0], grid[:, 1], check=False)
         # sample/evaluation positions per segment: local layout + center
         self.sample_points = (
             aperture.centers[:, None, :] + self.local_nodes.nodes[None, :, :]
@@ -340,9 +338,13 @@ class ExperimentCell:
         return f"{self.order},{self.scheme},{self.basis},{value},{self.trials}"
 
 
+# Trial seeds are master_seed * _SEED_STRIDE + trial, distinct across
+# master seeds only while trials < _SEED_STRIDE; run_experiment enforces it.
+_SEED_STRIDE = 1_000_003
+
+
 def _trial_seed(master_seed, trial):
-    # simple documented derivation; distinct per trial for trials < 1e6
-    return master_seed * 1_000_003 + trial
+    return master_seed * _SEED_STRIDE + trial
 
 
 def run_experiment(
@@ -368,6 +370,11 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials >= _SEED_STRIDE:
+        raise ValueError(
+            f"trials must be < {_SEED_STRIDE}, or trial seeds of adjacent "
+            "master seeds coincide"
+        )
     if aperture is None:
         aperture = build_aperture()
     if node_provider is None:

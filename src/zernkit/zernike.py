@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +25,9 @@ __all__ = [
     "index_to_nm",
     "normalization",
     "radial_poly",
-    "radial_poly_sum",
     "zernike_polar",
     "zernike_xy",
+    "zernike_matrix",
     "cartesian_to_polar",
     "polar_to_cartesian",
     "DiskZernikeBasis",
@@ -62,10 +61,6 @@ class ZernikeIndex:
     def from_nm(cls, n, m):
         return cls(n, m, nm_to_index(n, m))
 
-    @classmethod
-    def from_single(cls, j):
-        return index_to_nm(j)
-
 
 def nm_to_index(n, m):
     """Single index j = (n(n+2) + m)/2 in exact integer arithmetic."""
@@ -91,24 +86,23 @@ def normalization(n, m):
     return math.sqrt((2 * (n + 1)) / (2.0 if m == 0 else 1.0))
 
 
-@lru_cache(maxsize=None)
-def _radial_coefficients(n, m_abs):
-    """Integer coefficients of the radial polynomial, highest power first.
-
-    Coefficient i multiplies rho^(n - 2i):
-        (-1)^i (n-i)! / (i! ((n+m)/2 - i)! ((n-m)/2 - i)!)
-    The ratio is an exact integer (a product of two binomials), so the
-    coefficients carry no rounding error.
-    """
-    coeffs = []
-    for i in range((n - m_abs) // 2 + 1):
-        c = math.factorial(n - i) // (
-            math.factorial(i)
-            * math.factorial((n + m_abs) // 2 - i)
-            * math.factorial((n - m_abs) // 2 - i)
-        )
-        coeffs.append(-c if i % 2 else c)
-    return tuple(coeffs)
+def _radial_family(m_abs, rho, k_max):
+    """Yield R_{m+2k}^m(rho) for k = 0 .. k_max from one pass of the
+    Jacobi recurrence behind ``radial_poly`` (rho an array)."""
+    x = 1.0 - 2.0 * rho * rho
+    rho_m = rho**m_abs if m_abs > 0 else None
+    p_prev = p = np.ones_like(x)
+    for k in range(k_max + 1):
+        if k == 1:
+            p = ((m_abs + 2) * x + m_abs) / 2.0
+        elif k > 1:
+            c = 2 * k + m_abs
+            a1 = 2 * k * (k + m_abs) * (c - 2)
+            a2 = (c - 1) * (c * (c - 2) * x + m_abs * m_abs)
+            a3 = 2 * (k + m_abs - 1) * (k - 1) * c
+            p_prev, p = p, (a2 * p - a3 * p_prev) / a1
+        out = p if k % 2 == 0 else -p
+        yield out if rho_m is None else out * rho_m
 
 
 def radial_poly(n, m, rho):
@@ -116,57 +110,18 @@ def radial_poly(n, m, rho):
 
     Uses the identity R_n^m = (-1)^k rho^m P_k^{(m,0)}(1 - 2 rho^2) with
     k = (n - m)/2 and evaluates the Jacobi polynomial by its three-term
-    recurrence.  Unlike the explicit factorial sum (``radial_poly_sum``)
-    the recurrence keeps intermediates of order one: against exact rational
-    evaluation it stays below 1e-14 up to n = 30, where the sum has lost
-    seven digits to cancellation.  Valid for any rho >= 0; rho may be a
-    scalar or an array.
+    recurrence.  Unlike the explicit factorial sum the recurrence keeps
+    intermediates of order one: against exact rational evaluation it stays
+    below 1e-14 up to n = 30, where the sum has lost seven digits to
+    cancellation.  Valid for any rho >= 0; rho may be a scalar or an array.
     """
     m_abs = abs(m)
     if n < 0 or m_abs > n or (n - m_abs) % 2 != 0:
         raise ValueError(f"invalid index pair n={n}, m={m}")
     rho = np.asarray(rho, dtype=float)
-    k = (n - m_abs) // 2
-    x = 1.0 - 2.0 * rho * rho
-    p_prev = np.ones_like(x)
-    if k == 0:
-        p = p_prev
-    else:
-        p = ((m_abs + 2) * x + m_abs) / 2.0
-        for i in range(2, k + 1):
-            c = 2 * i + m_abs
-            a1 = 2 * i * (i + m_abs) * (c - 2)
-            a2 = (c - 1) * (c * (c - 2) * x + m_abs * m_abs)
-            a3 = 2 * (i + m_abs - 1) * (i - 1) * c
-            p_prev, p = p, (a2 * p - a3 * p_prev) / a1
-    out = p if k % 2 == 0 else -p
-    if m_abs > 0:
-        out = out * rho**m_abs
+    for out in _radial_family(m_abs, rho, (n - m_abs) // 2):
+        pass
     return out if out.shape else float(out)
-
-
-def radial_poly_sum(n, m, rho):
-    """Reference form of the radial component: the explicit sum
-
-        sum_i (-1)^i (n-i)! / (i! ((n+|m|)/2-i)! ((n-|m|)/2-i)!) rho^{n-2i}
-
-    as rho^{|m|} times a Horner polynomial in rho^2 with exact integer
-    coefficients.  Cancellation grows with n (1e-9 of error around n = 22,
-    about 6e-7 by n = 30), so ``radial_poly`` is the production path; this
-    form stays as the independent cross-check.
-    """
-    m_abs = abs(m)
-    if n < 0 or m_abs > n or (n - m_abs) % 2 != 0:
-        raise ValueError(f"invalid index pair n={n}, m={m}")
-    rho = np.asarray(rho, dtype=float)
-    u = rho * rho
-    coeffs = _radial_coefficients(n, m_abs)
-    acc = np.full(rho.shape, float(coeffs[0]))
-    for c in coeffs[1:]:
-        acc = acc * u + c
-    if m_abs > 0:
-        acc = acc * rho**m_abs
-    return acc if acc.shape else float(acc)
 
 
 def zernike_polar(j, rho, theta):
@@ -184,6 +139,31 @@ def zernike_polar(j, rho, theta):
     else:
         out = radial * np.sin(-idx.m * theta)
     return out if out.shape else float(out)
+
+
+def zernike_matrix(order, rho, theta):
+    """Every Zernike polynomial of total degree <= order at (rho, theta).
+
+    Returns the array of shape (basis_size(order),) + the broadcast shape
+    of rho and theta whose row j equals ``zernike_polar(j, rho, theta)``
+    bit for bit: the radial recurrence runs once per |m| and writes the
+    (n, +m) and (n, -m) rows as it passes each n, with the same operations
+    in the same order as the one-row path.
+    """
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty((basis_size(order),) + np.broadcast_shapes(rho.shape, theta.shape))
+    for m_abs in range(order + 1):
+        cos_m = np.cos(m_abs * theta)
+        sin_m = np.sin(m_abs * theta) if m_abs else None
+        family = _radial_family(m_abs, rho, (order - m_abs) // 2)
+        for k, radial in enumerate(family):
+            n = m_abs + 2 * k
+            radial = normalization(n, m_abs) * radial
+            out[nm_to_index(n, m_abs)] = radial * cos_m
+            if m_abs:
+                out[nm_to_index(n, -m_abs)] = radial * sin_m
+    return out
 
 
 def zernike_xy(j, x, y):
@@ -229,9 +209,16 @@ class DiskZernikeBasis:
     def eval_xy(self, j, x, y):
         return zernike_xy(j, x, y)
 
-    def node_values(self, j, nodes):
-        """Row j of the collocation matrix for a NodeSet on the disk."""
-        return zernike_polar(j, nodes.rho, nodes.theta)
+    def matrix_polar(self, rho, theta):
+        """All basis functions at polar points, one row per function."""
+        return zernike_matrix(self.order, rho, theta)
+
+    def matrix_xy(self, x, y):
+        return zernike_matrix(self.order, *cartesian_to_polar(x, y))
+
+    def matrix(self, nodes):
+        """The collocation matrix of a NodeSet on the disk."""
+        return zernike_matrix(self.order, nodes.rho, nodes.theta)
 
     def contains_xy(self, x, y, tol=1e-9):
         x = np.asarray(x, dtype=float)

@@ -87,6 +87,49 @@ def transferred_gram(basis, n_radial=64, n_angular=512):
     return (values * weights) @ values.T / np.pi
 
 
+def _radial_coefficients(n, m_abs):
+    """Integer coefficients of the radial polynomial, highest power first.
+
+    Coefficient i multiplies rho^(n - 2i):
+        (-1)^i (n-i)! / (i! ((n+m)/2 - i)! ((n-m)/2 - i)!)
+    The ratio is an exact integer (a product of two binomials), so the
+    coefficients carry no rounding error.
+    """
+    coeffs = []
+    for i in range((n - m_abs) // 2 + 1):
+        c = math.factorial(n - i) // (
+            math.factorial(i)
+            * math.factorial((n + m_abs) // 2 - i)
+            * math.factorial((n - m_abs) // 2 - i)
+        )
+        coeffs.append(-c if i % 2 else c)
+    return coeffs
+
+
+def radial_poly_sum(n, m, rho):
+    """Reference form of the radial component: the explicit sum
+
+        sum_i (-1)^i (n-i)! / (i! ((n+|m|)/2-i)! ((n-|m|)/2-i)!) rho^{n-2i}
+
+    as rho^{|m|} times a Horner polynomial in rho^2 with exact integer
+    coefficients.  Cancellation grows with n (1e-9 of error around n = 22,
+    about 6e-7 by n = 30), so the library evaluates the Jacobi recurrence;
+    this form is the independent cross-check.
+    """
+    m_abs = abs(m)
+    if n < 0 or m_abs > n or (n - m_abs) % 2 != 0:
+        raise ValueError(f"invalid index pair n={n}, m={m}")
+    rho = np.asarray(rho, dtype=float)
+    u = rho * rho
+    coeffs = _radial_coefficients(n, m_abs)
+    acc = np.full(rho.shape, float(coeffs[0]))
+    for c in coeffs[1:]:
+        acc = acc * u + c
+    if m_abs > 0:
+        acc = acc * rho**m_abs
+    return acc if acc.shape else float(acc)
+
+
 # classic low-order Zernike polynomials in Cartesian form, unit-RMS
 # normalization, single-index order (n rows, m from -n to n in steps of 2)
 CLASSIC_ZERNIKES = {

@@ -104,6 +104,14 @@ class TestConditionTable:
         assert lines[1] == "1,lebesgue,Z,disk,missing,,"
         assert lines[2].startswith("1,ocs,Z,disk,")
 
+    def test_approx_fekete_row_names_its_scheme(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "condition-table", "--schemes", "approx-fekete", "--orders", "2",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("2,approx-fekete,Z,disk,")
+
     def test_basis_domain_mismatch(self, capsys):
         code, _, err = run(
             capsys,
@@ -161,6 +169,17 @@ class TestWavefrontCommand:
         lines = out.splitlines()
         assert "error" in lines[1]
         assert "error" not in lines[2]
+
+
+    def test_trial_count_with_colliding_seeds_is_hard_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "wavefront", "--orders", "2", "--trials", "1000003",
+            "--schemes", "ocs", "--bases", "K",
+        )
+        assert code == 1
+        assert out == ""
+        assert "trials must be < 1000003" in err
 
 
 class TestLebesgueCommand:

@@ -20,7 +20,7 @@ from zernkit.domains import (
     transfer_nodes,
 )
 from zernkit.errors import DomainError
-from zernkit.samplings import carnicer_nodes, ocs_nodes
+from zernkit.samplings import carnicer_nodes, generate_nodes, ocs_nodes
 
 ALPHA = math.pi / 6
 
@@ -231,6 +231,97 @@ class TestBasisValues:
             AnnulusBasis(3, "K", AnnulusMap(0.5, 1.0))
         with pytest.raises(ValueError):
             make_basis("Q", 3)
+
+
+FAMILY_MAPS = {
+    "Z": None,
+    "K": HexagonMap(),
+    "H": HexagonMap(),
+    "E": EllipseMap(2.0, 1.0),
+    "O": AnnulusMap(0.5, 1.0),
+    "C": AnnulusMap(0.5, 1.0),
+}
+
+
+def _row_by_row(basis, nodes):
+    """The collocation matrix one eval_* call per row, as an oracle."""
+    if basis.family == "E":
+        rows = [basis.eval_xy(j, nodes.x, nodes.y) for j in range(basis.size)]
+    else:
+        rows = [basis.eval_polar(j, nodes.rho, nodes.theta) for j in range(basis.size)]
+    return np.array(rows)
+
+
+def _outside_point(domain_map, theta, factor):
+    """A point ``factor`` > 1 beyond the boundary of the map's image along
+    angle theta (for the annulus alternately inside the hole)."""
+    c, s = math.cos(theta), math.sin(theta)
+    if isinstance(domain_map, HexagonMap):
+        r = factor * float(domain_map.boundary_radius(theta))
+        return r * c, r * s
+    if isinstance(domain_map, EllipseMap):
+        return factor * domain_map.semi_major * c, factor * domain_map.semi_minor * s
+    r = domain_map.outer * factor if factor > 1.5 else domain_map.inner / factor
+    return r * c, r * s
+
+
+class TestBatchedEvaluation:
+    @given(
+        st.sampled_from(sorted(FAMILY_MAPS)),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from(["ocs", "carnicer", "cuyt", "spiral", "random"]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=80)
+    def test_matrix_equals_row_evaluators(self, family, order, scheme, seed):
+        dm = FAMILY_MAPS[family]
+        nodes = generate_nodes(scheme, order, seed)
+        if dm is not None:
+            nodes = transfer_nodes(dm, nodes, inner_eps=0.01 if family == "O" else None)
+        basis = make_basis(family, order, dm)
+        assert np.array_equal(basis.matrix(nodes), _row_by_row(basis, nodes))
+
+    @given(
+        st.sampled_from(sorted(FAMILY_MAPS)),
+        st.integers(min_value=0, max_value=12),
+        st.lists(
+            st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)), min_size=1, max_size=20
+        ),
+    )
+    @settings(max_examples=80)
+    def test_unchecked_xy_matrix_equals_row_evaluators(self, family, order, points):
+        basis = make_basis(family, order, FAMILY_MAPS[family])
+        x, y = (np.array(c) for c in zip(*points))
+        kwargs = {} if family == "Z" else {"check": False}
+        # the O weight is 0/0 at the origin, NaN on both paths
+        with np.errstate(invalid="ignore"):
+            values = basis.matrix_xy(x, y, **kwargs)
+            rows = [basis.eval_xy(j, x, y, **kwargs) for j in range(basis.size)]
+        for j, row in enumerate(rows):
+            assert np.array_equal(values[j], row, equal_nan=True), j
+
+    @given(
+        st.sampled_from(["K", "H", "E", "O", "C"]),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.floats(min_value=1.01, max_value=3.0),
+    )
+    @settings(max_examples=80)
+    def test_outside_point_raises_like_row_path(self, family, theta, factor):
+        dm = FAMILY_MAPS[family]
+        basis = make_basis(family, 3, dm)
+        px, py = _outside_point(dm, theta, factor)
+        inside_x = 0.75 if family in "OC" else 0.0  # the annulus has a hole
+        x = np.array([inside_x, px])
+        y = np.array([0.0, py])
+        with pytest.raises(DomainError) as row:
+            basis.eval_xy(0, x, y)
+        with pytest.raises(DomainError) as batched:
+            basis.matrix_xy(x, y)
+        assert str(batched.value) == str(row.value)
+        if family != "E":
+            rho, ang = np.hypot(x, y), np.arctan2(y, x)
+            with pytest.raises(DomainError, match=str(row.value)):
+                basis.matrix_polar(rho, ang)
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,11 @@ class TestApproximateFekete:
         ]
         assert k[1] < 2.0 * k[0]
 
+    def test_labelled_with_its_own_scheme(self):
+        nodes = approximate_fekete(3, mesh_density=100)
+        assert nodes.scheme is Scheme.APPROX_FEKETE
+        assert str(nodes.scheme) == "approx-fekete"
+
     def test_density_precondition(self):
         with pytest.raises(ValueError):
             approximate_fekete(8, mesh_density=100)

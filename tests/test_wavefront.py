@@ -7,6 +7,7 @@ from zernkit.errors import SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import ocs_nodes
 from zernkit.wavefront import (
     ExperimentCell,
+    _trial_seed,
     Wavefront,
     ZonalInterpolator,
     build_aperture,
@@ -236,6 +237,15 @@ class TestExperiment:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_experiment([3], 0)
+
+    def test_trial_counts_with_colliding_seeds_rejected(self):
+        # the derivation is pinned: published tables depend on these seeds
+        assert _trial_seed(0, 5) == 5
+        assert _trial_seed(7, 99) == 7 * 1_000_003 + 99
+        # master seed 0, trial 1_000_003 would replay master seed 1, trial 0
+        assert _trial_seed(0, 1_000_003) == _trial_seed(1, 0)
+        with pytest.raises(ValueError, match="trials must be < 1000003"):
+            run_experiment([3], 1_000_003)
 
     def test_csv_shape(self):
         cells = [ExperimentCell(3, "ocs", "K", 0.015, 2)]

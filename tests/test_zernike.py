@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CLASSIC_ZERNIKES, disk_gram
+from oracles import CLASSIC_ZERNIKES, disk_gram, radial_poly_sum
 from zernkit.zernike import (
     DiskZernikeBasis,
     ZernikeIndex,
@@ -16,10 +16,14 @@ from zernkit.zernike import (
     normalization,
     polar_to_cartesian,
     radial_poly,
-    radial_poly_sum,
+    zernike_matrix,
     zernike_polar,
     zernike_xy,
 )
+
+# radii up to 6.5 cover the wavefront's global plane (rho up to about 6.2)
+RADII = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=6.5))
+ANGLES = st.floats(min_value=-10.0, max_value=10.0)
 
 
 class TestIndexing:
@@ -121,6 +125,42 @@ class TestEvaluation:
 
     def test_evaluation_beyond_disk_allowed(self):
         assert np.isfinite(zernike_xy(7, 4.0, -3.0))
+
+
+class TestBatchedKernel:
+    @given(
+        st.integers(min_value=0, max_value=30),
+        st.lists(st.tuples(RADII, ANGLES), min_size=1, max_size=20),
+    )
+    @settings(max_examples=60)
+    def test_rows_equal_single_polynomials(self, order, points):
+        rho, theta = (np.array(c) for c in zip(*points))
+        rho = np.concatenate([rho, [0.0, 1.0]])
+        theta = np.concatenate([theta, [0.7, -2.0]])
+        values = zernike_matrix(order, rho, theta)
+        assert values.shape == (basis_size(order), rho.size)
+        for j in range(basis_size(order)):
+            assert np.array_equal(values[j], zernike_polar(j, rho, theta)), j
+
+    @given(st.integers(min_value=0, max_value=30), RADII, ANGLES)
+    @settings(max_examples=60)
+    def test_scalar_points(self, order, rho, theta):
+        values = zernike_matrix(order, rho, theta)
+        assert values.shape == (basis_size(order),)
+        for j in range(basis_size(order)):
+            assert np.array_equal(values[j], zernike_polar(j, rho, theta)), j
+
+    def test_broadcasts_like_single_polynomials(self):
+        rho = np.linspace(0.0, 1.0, 4)[:, None]
+        theta = np.linspace(-3.0, 3.0, 5)
+        values = zernike_matrix(6, rho, theta)
+        assert values.shape == (28, 4, 5)
+        for j in range(28):
+            assert np.array_equal(values[j], zernike_polar(j, rho, theta))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            zernike_matrix(-1, 0.5, 0.0)
 
 
 class TestCoordinates:
