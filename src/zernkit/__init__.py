@@ -25,6 +25,7 @@ from .domains import (
     EllipseMap,
     HexagonBasis,
     HexagonMap,
+    TransferredBasis,
     make_basis,
     make_map,
     polygon_boundary_radius,

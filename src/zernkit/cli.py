@@ -166,9 +166,8 @@ def _resolve_nodes(cfg, scheme, order, seed=0):
         return samplings.load_nodes(
             os.path.join(directory, f"{scheme}_n{order}.txt"), order
         )
-    if scheme == "approx-fekete":
-        density = cfg.mesh_density or 30 * samplings.basis_size(order)
-        return samplings.approximate_fekete(order, density)
+    if scheme == "approx-fekete" and cfg.mesh_density:
+        return samplings.approximate_fekete(order, cfg.mesh_density)
     return samplings.generate_nodes(scheme, order, seed)
 
 
@@ -210,35 +209,45 @@ def _transfer_eps(cfg, basis_code):
     return cfg.eps if basis_code == "O" else None
 
 
-def cmd_condition_table(cfg):
-    basis_code = cfg.basis or {"disk": "Z", "hexagon": "H", "ellipse": "E",
-                               "annulus": "O"}[cfg.domain]
+def _sweep(cfg, default_basis, header, measure):
+    """One CSV row per (order, scheme): ``measure(basis, nodes, prefix)``
+    with prefix "n,scheme,basis,domain", or a ``missing`` row when the node
+    set cannot be resolved."""
+    basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     dom = _domain_map(cfg)
+    blanks = "," * (header.count(",") - 4)  # the columns after the marker
     rows = []
     for order in cfg.orders:
         basis = domains.make_basis(basis_code, order, dom)
         for scheme in cfg.schemes:
-            _log(f"condition-table n={order} scheme={scheme}")
+            _log(f"{cfg.command} n={order} scheme={scheme}")
+            prefix = f"{order},{scheme},{basis_code},{cfg.domain}"
             try:
                 nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
             except (FileNotFoundError, ZernkitError):
-                rows.append(
-                    f"{order},{scheme},{basis_code},{cfg.domain},missing,,"
-                )
+                rows.append(f"{prefix},missing{blanks}")
                 continue
             if dom is not None:
                 nodes = domains.transfer_nodes(
                     dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
                 )
-            report = collocation.condition_number(
-                collocation.assemble(basis, nodes)
-            )
-            rows.append(report.csv_row())
+            rows.append(measure(basis, nodes, prefix))
     with open_output(cfg.output) as fh:
-        fh.write(collocation.CONDITION_CSV_HEADER + "\n")
+        fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")
     return 0
+
+
+def cmd_condition_table(cfg):
+    return _sweep(
+        cfg,
+        {"disk": "Z", "hexagon": "H", "ellipse": "E", "annulus": "O"},
+        collocation.CONDITION_CSV_HEADER,
+        lambda basis, nodes, prefix: collocation.condition_number(
+            collocation.assemble(basis, nodes)
+        ).csv_row(),
+    )
 
 
 def cmd_wavefront(cfg):
@@ -264,30 +273,14 @@ def cmd_wavefront(cfg):
 
 
 def cmd_lebesgue(cfg):
-    basis_code = cfg.basis or {"disk": "Z", "hexagon": "K", "ellipse": "E",
-                               "annulus": "C"}[cfg.domain]
-    _check_basis_domain(basis_code, cfg.domain)
-    dom = _domain_map(cfg)
-    rows = []
-    for order in cfg.orders:
-        basis = domains.make_basis(basis_code, order, dom)
-        for scheme in cfg.schemes:
-            _log(f"lebesgue n={order} scheme={scheme}")
-            try:
-                nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
-            except (FileNotFoundError, ZernkitError):
-                rows.append(f"{order},{scheme},{basis_code},{cfg.domain},missing")
-                continue
-            if dom is not None:
-                nodes = domains.transfer_nodes(
-                    dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
-                )
-            value = collocation.lebesgue_constant(nodes, basis)
-            rows.append(f"{order},{scheme},{basis_code},{cfg.domain},{value:.6e}")
-    with open_output(cfg.output) as fh:
-        fh.write(_LEBESGUE_CSV_HEADER + "\n")
-        fh.write("\n".join(rows) + "\n")
-    return 0
+    return _sweep(
+        cfg,
+        {"disk": "Z", "hexagon": "K", "ellipse": "E", "annulus": "C"},
+        _LEBESGUE_CSV_HEADER,
+        lambda basis, nodes, prefix: (
+            f"{prefix},{collocation.lebesgue_constant(nodes, basis):.6e}"
+        ),
+    )
 
 
 def build_parser():
@@ -305,33 +298,35 @@ def build_parser():
                        help=f"directory of node files (or ${NODE_DIR_ENV})")
         p.add_argument("--seed", type=int, default=None)
 
+    def domain_flags(p):
+        p.add_argument("--domain", default=None,
+                       choices=["disk", "hexagon", "ellipse", "annulus"])
+        p.add_argument("--A", dest="semi_major", type=float, default=None)
+        p.add_argument("--B", dest="semi_minor", type=float, default=None)
+        p.add_argument("--a", dest="inner", type=float, default=None)
+        p.add_argument("--eps", type=float, default=None)
+
     p = sub.add_parser("nodes", help="emit one node set as a text file")
     common(p)
     p.add_argument("--scheme", required=True,
                    choices=GENERABLE_SCHEMES + FILE_SCHEMES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--domain", default=None,
-                   choices=["disk", "hexagon", "ellipse", "annulus"])
-    p.add_argument("--A", dest="semi_major", type=float, default=None)
-    p.add_argument("--B", dest="semi_minor", type=float, default=None)
-    p.add_argument("--a", dest="inner", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    domain_flags(p)
     p.add_argument("--from-file", dest="from_file", default=None)
     p.add_argument("--mesh-density", dest="mesh_density", type=int, default=None)
     p.set_defaults(func=cmd_nodes)
 
-    p = sub.add_parser("condition-table", help="kappa_2 sweep as CSV")
-    common(p)
-    p.add_argument("--domain", default=None,
-                   choices=["disk", "hexagon", "ellipse", "annulus"])
-    p.add_argument("--basis", default=None, choices=list("ZKHEOC"))
-    p.add_argument("--schemes", type=parse_list, default=None)
-    p.add_argument("--orders", type=parse_orders, default=None)
-    p.add_argument("--A", dest="semi_major", type=float, default=None)
-    p.add_argument("--B", dest="semi_minor", type=float, default=None)
-    p.add_argument("--a", dest="inner", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.set_defaults(func=cmd_condition_table)
+    for command, help_text, func in (
+        ("condition-table", "kappa_2 sweep as CSV", cmd_condition_table),
+        ("lebesgue", "Lebesgue constant estimates as CSV", cmd_lebesgue),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        common(p)
+        domain_flags(p)
+        p.add_argument("--basis", default=None, choices=list("ZKHEOC"))
+        p.add_argument("--schemes", type=parse_list, default=None)
+        p.add_argument("--orders", type=parse_orders, default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("wavefront", help="zonal reconstruction error table")
     common(p)
@@ -345,19 +340,6 @@ def build_parser():
                    help="accepted for config-file compatibility; unused on "
                         "the hexagonal aperture")
     p.set_defaults(func=cmd_wavefront)
-
-    p = sub.add_parser("lebesgue", help="Lebesgue constant estimates as CSV")
-    common(p)
-    p.add_argument("--domain", default=None,
-                   choices=["disk", "hexagon", "ellipse", "annulus"])
-    p.add_argument("--basis", default=None, choices=list("ZKHEOC"))
-    p.add_argument("--schemes", type=parse_list, default=None)
-    p.add_argument("--orders", type=parse_orders, default=None)
-    p.add_argument("--A", dest="semi_major", type=float, default=None)
-    p.add_argument("--B", dest="semi_minor", type=float, default=None)
-    p.add_argument("--a", dest="inner", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.set_defaults(func=cmd_lebesgue)
 
     return parser
 

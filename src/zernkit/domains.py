@@ -14,7 +14,11 @@ q, yields families orthonormal on M:
 
 (all inner products carry the disk convention's 1/pi prefactor), where
 R(theta) is the hexagon boundary radius and J the Jacobian of the inverse
-map.
+map.  Every weight that is not 1 is sqrt(|J|).
+
+One TransferredBasis implements this construction, Z_j o phi^-1 times q,
+for every map.  Each map names its families (and which carry the weight)
+and owns its pull-back to the disk, its weight and its node transfer.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ import numpy as np
 
 from .errors import DomainError
 from .samplings import NodeSet
-from .zernike import basis_size, cartesian_to_polar, zernike_matrix, zernike_polar
+from .zernike import (
+    DiskZernikeBasis,
+    basis_size,
+    cartesian_to_polar,
+    polar_to_cartesian,
+    zernike_matrix,
+    zernike_polar,
+)
 
 __all__ = [
     "HEXAGON_HALF_ANGLE",
@@ -39,6 +50,7 @@ __all__ = [
     "AnnulusMap",
     "make_map",
     "transfer_nodes",
+    "TransferredBasis",
     "HexagonBasis",
     "EllipseBasis",
     "AnnulusBasis",
@@ -47,16 +59,6 @@ __all__ = [
 ]
 
 HEXAGON_HALF_ANGLE = math.pi / 6
-
-# CLI/CSV codes of the transferred families and the domain each lives on.
-BASIS_DOMAINS = {
-    "Z": "disk",
-    "K": "hexagon",
-    "H": "hexagon",
-    "E": "ellipse",
-    "O": "annulus",
-    "C": "annulus",
-}
 
 _CONTAIN_TOL = 1e-9  # closed-domain slack, admits nodes on the boundary
 
@@ -83,6 +85,8 @@ def _invertible_forward_radius(rho, forward, inverse):
     inverse image is the source radius; snapping onto that float keeps
     transfer-then-evaluate numerically identical to evaluating on the
     disk, which makes the condition-number invariance exact in practice.
+    Where neither neighbour maps back exactly (the image radii are a
+    coarser float grid than the source radii), the naive value stays.
     """
     out = np.array(forward(rho, slice(None)))
     for i in np.flatnonzero(inverse(out, slice(None)) != rho):
@@ -93,8 +97,26 @@ def _invertible_forward_radius(rho, forward, inverse):
     return out
 
 
+def _polar_nodes(rho, theta):
+    """Cartesian and polar node columns of an angle-preserving transfer."""
+    return (
+        np.column_stack([rho * np.cos(theta), rho * np.sin(theta)]),
+        np.column_stack([rho, theta]),
+    )
+
+
+class _RadialMap:
+    """A map that scales the radius and keeps the angle.  Its pull-back is
+    ``inverse_polar``, so transferred bases evaluate it in polar coordinates."""
+
+    coordinates = "polar"
+
+    def inverse_xy(self, x, y, check=True):
+        return polar_to_cartesian(*self.inverse_polar(*cartesian_to_polar(x, y), check))
+
+
 @dataclass(frozen=True)
-class HexagonMap:
+class HexagonMap(_RadialMap):
     """Disk onto the regular hexagon of side 1 inscribed in the unit circle.
 
     In polar coordinates the forward map scales the radius by the boundary
@@ -106,6 +128,7 @@ class HexagonMap:
     half_angle: float = HEXAGON_HALF_ANGLE
 
     kind = "hexagon"
+    families = {"K": False, "H": True}  # family -> carries the weight 1/R
 
     def boundary_radius(self, theta):
         return polygon_boundary_radius(theta, self.half_angle)
@@ -113,22 +136,30 @@ class HexagonMap:
     def forward_polar(self, rho, theta):
         return rho * self.boundary_radius(theta), theta
 
-    def inverse_polar(self, rho, theta):
-        scale = self.boundary_radius(theta)
-        if np.any(rho > scale * (1.0 + _CONTAIN_TOL)):
+    def inverse_polar(self, rho, theta, check=True):
+        u = rho / self.boundary_radius(theta)
+        if check and np.any(u > 1.0 + _CONTAIN_TOL):
             raise DomainError("point outside the hexagon")
-        return rho / scale, theta
+        return u, theta
+
+    pull_back = inverse_polar
+
+    def weigh(self, values, rho, theta):
+        """Multiply values in place by sqrt|J| = 1/R(theta)."""
+        values /= self.boundary_radius(theta)
+        return values
+
+    def transfer(self, nodeset, inner_eps):
+        theta = nodeset.theta
+        scale = self.boundary_radius(theta)
+        rho = _invertible_forward_radius(
+            nodeset.rho, lambda r, i: r * scale[i], lambda s, i: s / scale[i]
+        )
+        return _polar_nodes(rho, theta)
 
     def forward_xy(self, x, y):
         scale = self.boundary_radius(np.arctan2(y, x))
         return x * scale, y * scale
-
-    def inverse_xy(self, x, y):
-        theta = np.arctan2(y, x)
-        scale = self.boundary_radius(theta)
-        if np.any(np.hypot(x, y) > scale * (1.0 + _CONTAIN_TOL)):
-            raise DomainError("point outside the hexagon")
-        return x / scale, y / scale
 
     def contains_xy(self, x, y, tol=_CONTAIN_TOL):
         return np.hypot(x, y) <= self.boundary_radius(np.arctan2(y, x)) * (1.0 + tol)
@@ -141,12 +172,18 @@ class HexagonMap:
 @dataclass(frozen=True)
 class EllipseMap:
     """Disk onto the axis-aligned ellipse x^2/A^2 + y^2/B^2 <= 1 by the
-    affine scaling (u, v) -> (A u, B v)."""
+    affine scaling (u, v) -> (A u, B v).
+
+    Its pull-back is ``inverse_xy``, so transferred bases evaluate it in
+    Cartesian coordinates; polar points are converted first.
+    """
 
     semi_major: float
     semi_minor: float
 
     kind = "ellipse"
+    families = {"E": True}  # family -> carries the weight 1/sqrt(AB)
+    coordinates = "xy"
 
     def __post_init__(self):
         if not self.semi_major >= self.semi_minor > 0:
@@ -157,12 +194,23 @@ class EllipseMap:
     def forward_xy(self, x, y):
         return self.semi_major * x, self.semi_minor * y
 
-    def inverse_xy(self, x, y):
+    def inverse_xy(self, x, y, check=True):
         u = x / self.semi_major
         v = y / self.semi_minor
-        if np.any(u * u + v * v > 1.0 + _CONTAIN_TOL):
+        if check and np.any(u * u + v * v > 1.0 + _CONTAIN_TOL):
             raise DomainError("point outside the ellipse")
         return u, v
+
+    def pull_back(self, x, y, check=True):
+        return cartesian_to_polar(*self.inverse_xy(x, y, check))
+
+    def weigh(self, values, x, y):
+        """Multiply values in place by sqrt|J| = 1/sqrt(AB)."""
+        values *= 1.0 / math.sqrt(self.semi_major * self.semi_minor)
+        return values
+
+    def transfer(self, nodeset, inner_eps):
+        return np.column_stack(self.forward_xy(nodeset.x, nodeset.y)), None
 
     def contains_xy(self, x, y, tol=_CONTAIN_TOL):
         u = x / self.semi_major
@@ -175,7 +223,7 @@ class EllipseMap:
 
 
 @dataclass(frozen=True)
-class AnnulusMap:
+class AnnulusMap(_RadialMap):
     """Disk onto the annulus a <= r <= A.
 
     The source radius rho in [0, 1] maps affinely onto [a, A]; angles are
@@ -190,6 +238,7 @@ class AnnulusMap:
     outer: float
 
     kind = "annulus"
+    families = {"O": True, "C": False}  # family -> carries the weight sqrt|J|
 
     def __post_init__(self):
         if not 0 < self.inner < self.outer:
@@ -210,23 +259,41 @@ class AnnulusMap:
     def forward_polar(self, rho, theta):
         return self.inner + (self.outer - self.inner) * np.asarray(rho, float), theta
 
-    def inverse_polar(self, rho, theta):
+    def inverse_polar(self, rho, theta, check=True):
+        """Disk polar coordinates; radii below the inner circle (within the
+        tolerance, or any when ``check`` is off) go to the disk center."""
         t = (np.asarray(rho, float) - self.inner) / (self.outer - self.inner)
-        if np.any(t > 1.0 + _CONTAIN_TOL) or np.any(t < -_CONTAIN_TOL):
+        if check and (np.any(t > 1.0 + _CONTAIN_TOL) or np.any(t < -_CONTAIN_TOL)):
             raise DomainError("point outside the annulus")
-        return t, theta
+        return np.maximum(t, 0.0), theta
+
+    pull_back = inverse_polar
+
+    def weigh(self, values, rho, theta):
+        """Multiply values in place by sqrt|J| = sqrt((r - a)/r) / (A - a).
+        It vanishes on the inner circle, so an O collocation node there
+        makes the matrix singular."""
+        values *= np.sqrt(np.maximum(rho - self.inner, 0.0) / rho) / (
+            self.outer - self.inner
+        )
+        return values
+
+    def transfer(self, nodeset, inner_eps):
+        """Source nodes at the disk center go to radius a + inner_eps when
+        inner_eps is set, off the circle where the O weight vanishes."""
+        a, span = self.inner, self.outer - self.inner
+        rho = _invertible_forward_radius(
+            nodeset.rho, lambda r, i: a + span * r, lambda s, i: (s - a) / span
+        )
+        if inner_eps:
+            rho[nodeset.rho == 0.0] = a + inner_eps
+        return _polar_nodes(rho, nodeset.theta)
 
     def forward_xy(self, x, y):
         rho = np.hypot(x, y)
         theta = np.arctan2(y, x)
         s = self.inner + (self.outer - self.inner) * rho
         return s * np.cos(theta), s * np.sin(theta)
-
-    def inverse_xy(self, x, y):
-        s = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        t, _ = self.inverse_polar(s, theta)
-        return t * np.cos(theta), t * np.sin(theta)
 
     def contains_xy(self, x, y, tol=_CONTAIN_TOL):
         s = np.hypot(x, y)
@@ -237,6 +304,13 @@ class AnnulusMap:
         """|J| of the inverse map: (r - a) / (r (A - a)^2) at image radius r."""
         s = np.hypot(x, y)
         return (s - self.inner) / (s * (self.outer - self.inner) ** 2)
+
+
+# CLI/CSV codes of the basis families and the domain each lives on.
+BASIS_DOMAINS = {
+    "Z": "disk",
+    **{f: m.kind for m in (HexagonMap, EllipseMap, AnnulusMap) for f in m.families},
+}
 
 
 def make_map(kind, semi_major=None, semi_minor=None, inner=None, outer=None):
@@ -259,163 +333,82 @@ def transfer_nodes(domain_map, nodeset, inner_eps=0.01):
     None to disable, e.g. when studying the plain composed family C, for
     which the inner circle is harmless).
 
-    For the radial maps (hexagon, annulus) the transferred radius is nudged
-    by at most one ulp onto the float whose inverse image is exactly the
-    source radius, so evaluating a transferred basis at transferred nodes
-    reproduces the disk collocation matrix bit for bit.
+    For the radial maps (hexagon, annulus) angles are kept and each
+    transferred radius is nudged by at most one ulp onto a float whose
+    pull-back is exactly the source radius, where such a float exists, so
+    evaluating a transferred basis at transferred nodes reproduces the disk
+    collocation matrix bit for bit on those nodes.  Elsewhere the pull-back
+    is off by at most two steps of the image's float grid.
     """
     if nodeset.domain != "disk":
         raise DomainError(f"can only transfer disk node sets, got {nodeset.domain}")
-    rho, theta = nodeset.rho, nodeset.theta
-    if isinstance(domain_map, HexagonMap):
-        scale = domain_map.boundary_radius(theta)
-        new_rho = _invertible_forward_radius(
-            rho, lambda r, i: r * scale[i], lambda s, i: s / scale[i]
-        )
-        polar = np.column_stack([new_rho, theta])
-        nodes = np.column_stack([new_rho * np.cos(theta), new_rho * np.sin(theta)])
-        return NodeSet(
-            nodeset.order,
-            nodeset.scheme,
-            nodes,
-            metadata=f"{nodeset.metadata} -> hexagon".strip(),
-            domain="hexagon",
-            polar=polar,
-        )
-    if isinstance(domain_map, EllipseMap):
-        nodes = np.column_stack(
-            [domain_map.semi_major * nodeset.x, domain_map.semi_minor * nodeset.y]
-        )
-        return NodeSet(
-            nodeset.order,
-            nodeset.scheme,
-            nodes,
-            metadata=f"{nodeset.metadata} -> ellipse".strip(),
-            domain="ellipse",
-            polar=None,
-        )
-    if isinstance(domain_map, AnnulusMap):
-        a, span = domain_map.inner, domain_map.outer - domain_map.inner
-        new_rho = _invertible_forward_radius(
-            rho, lambda r, i: a + span * r, lambda s, i: (s - a) / span
-        )
-        if inner_eps:
-            at_center = rho == 0.0
-            new_rho[at_center] = a + inner_eps
-        polar = np.column_stack([new_rho, theta])
-        nodes = np.column_stack([new_rho * np.cos(theta), new_rho * np.sin(theta)])
-        return NodeSet(
-            nodeset.order,
-            nodeset.scheme,
-            nodes,
-            metadata=f"{nodeset.metadata} -> annulus".strip(),
-            domain="annulus",
-            polar=polar,
-        )
-    raise ValueError(f"unsupported domain map {domain_map!r}")
+    nodes, polar = domain_map.transfer(nodeset, inner_eps)
+    return NodeSet(
+        nodeset.order,
+        nodeset.scheme,
+        nodes,
+        metadata=f"{nodeset.metadata} -> {domain_map.kind}".strip(),
+        domain=domain_map.kind,
+        polar=polar,
+    )
 
 
-class _RadialMapBasis:
-    """Row and batched evaluation of a basis transferred by an
-    angle-preserving map, evaluated in polar coordinates.
+class TransferredBasis:
+    """A disk Zernike basis carried onto a map's image: Z_j o phi^-1, times
+    the weight q = sqrt|J| for the map's weighted families.
 
-    Subclasses define ``_values(zernike, rho, theta, check)``: pull the
-    points back to the disk (raising DomainError outside the domain when
-    ``check``), call ``zernike(u, theta)`` there and apply the weight.  The
-    row evaluators pass one polynomial, the batched ones the whole basis.
+    The map supplies the pull-back to disk polar coordinates (with the
+    domain check), the weight and the coordinates it takes them in: polar
+    for the angle-preserving hexagon and annulus maps, Cartesian for the
+    ellipse.  Points given in the other coordinates are converted first.  A
+    point is inside the domain when its pull-back lies in the closed unit
+    disk (a pulled-back radius in [0, 1], or u^2 + v^2 <= 1 for the
+    ellipse) with 1e-9 of slack; ``check=False`` skips the test.
     """
 
+    def __init__(self, order, family, map):
+        if map is None or family not in map.families:
+            domain = BASIS_DOMAINS.get(family, "disk")
+            if domain == "disk":
+                raise ValueError(f"unknown transferred basis family {family!r}")
+            raise ValueError(f"family {family!r} needs the {domain} map, got {map!r}")
+        self.order = order
+        self.family = family
+        self.map = map
+        self.domain = map.kind
+        self.size = basis_size(order)
+        self.weighted = map.families[family]
+
+    def _values(self, zernike, a, b, coordinates, check):
+        """``zernike(rho, theta)`` at the pull-back of points (a, b) given
+        in ``coordinates`` ("polar" or "xy"), times the weight."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if coordinates != self.map.coordinates:
+            convert = polar_to_cartesian if coordinates == "polar" else cartesian_to_polar
+            a, b = convert(a, b)
+        val = zernike(*self.map.pull_back(a, b, check))
+        return self.map.weigh(val, a, b) if self.weighted else val
+
     def eval_polar(self, j, rho, theta, check=True):
-        return self._values(partial(zernike_polar, j), rho, theta, check)
+        return self._values(partial(zernike_polar, j), rho, theta, "polar", check)
+
+    def eval_xy(self, j, x, y, check=True):
+        return self._values(partial(zernike_polar, j), x, y, "xy", check)
 
     def matrix_polar(self, rho, theta, check=True):
         """Every basis function at polar points, one row per function."""
-        return self._values(partial(zernike_matrix, self.order), rho, theta, check)
-
-    def eval_xy(self, j, x, y, check=True):
-        return self.eval_polar(j, np.hypot(x, y), np.arctan2(y, x), check=check)
-
-    def matrix_xy(self, x, y, check=True):
-        return self.matrix_polar(np.hypot(x, y), np.arctan2(y, x), check=check)
-
-    def matrix(self, nodes):
-        """The collocation matrix at a NodeSet on this basis' domain."""
-        return self.matrix_polar(nodes.rho, nodes.theta)
-
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        return self.map.contains_xy(x, y, tol)
-
-
-class HexagonBasis(_RadialMapBasis):
-    """Transferred families on the hexagon.
-
-    family "K": Z_j composed with the inverse map (weight 1);
-    family "H": the same divided by R(theta) (weight 1/R).
-    Neither family is polynomial on the hexagon.
-    """
-
-    domain = "hexagon"
-
-    def __init__(self, order, family="K", map=None):
-        if family not in ("K", "H"):
-            raise ValueError(f"hexagon families are K and H, got {family!r}")
-        self.order = order
-        self.family = family
-        self.map = map if map is not None else HexagonMap()
-        self.size = basis_size(order)
-
-    def _values(self, zernike, rho, theta, check):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        scale = self.map.boundary_radius(theta)
-        u = rho / scale
-        if check and np.any(u > 1.0 + _CONTAIN_TOL):
-            raise DomainError("point outside the hexagon")
-        val = zernike(u, theta)
-        if self.family == "H":
-            val /= scale
-        return val
-
-    def __repr__(self):
-        return f"HexagonBasis(order={self.order}, family={self.family!r})"
-
-
-class EllipseBasis:
-    """Transferred polynomials on the ellipse: Z_j(x/A, y/B)/sqrt(AB).
-
-    The constant weight keeps the family orthonormal against the plain
-    (1/pi) dx dy measure on the ellipse.
-    """
-
-    domain = "ellipse"
-    family = "E"
-
-    def __init__(self, order, map):
-        self.order = order
-        self.map = map
-        self.size = basis_size(order)
-        self.prefactor = 1.0 / math.sqrt(map.semi_major * map.semi_minor)
-
-    def _values(self, zernike, x, y, check):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        u = x / self.map.semi_major
-        v = y / self.map.semi_minor
-        if check and np.any(u * u + v * v > 1.0 + _CONTAIN_TOL):
-            raise DomainError("point outside the ellipse")
-        val = zernike(*cartesian_to_polar(u, v))
-        val *= self.prefactor
-        return val
-
-    def eval_xy(self, j, x, y, check=True):
-        return self._values(partial(zernike_polar, j), x, y, check)
+        whole = partial(zernike_matrix, self.order)
+        return self._values(whole, rho, theta, "polar", check)
 
     def matrix_xy(self, x, y, check=True):
         """Every basis function at Cartesian points, one row per function."""
-        return self._values(partial(zernike_matrix, self.order), x, y, check)
+        return self._values(partial(zernike_matrix, self.order), x, y, "xy", check)
 
     def matrix(self, nodes):
-        """The collocation matrix at a NodeSet on the ellipse."""
+        """The collocation matrix at a NodeSet, in the map's coordinates."""
+        if self.map.coordinates == "polar":
+            return self.matrix_polar(nodes.rho, nodes.theta)
         return self.matrix_xy(nodes.x, nodes.y)
 
     def contains_xy(self, x, y, tol=_CONTAIN_TOL):
@@ -423,63 +416,31 @@ class EllipseBasis:
 
     def __repr__(self):
         return (
-            f"EllipseBasis(order={self.order}, A={self.map.semi_major}, "
-            f"B={self.map.semi_minor})"
+            f"{type(self).__name__}(order={self.order}, family={self.family!r}, "
+            f"map={self.map!r})"
         )
 
 
-class AnnulusBasis(_RadialMapBasis):
-    """Transferred families on the annulus a <= r <= A.
+class HexagonBasis(TransferredBasis):
+    def __init__(self, order, family="K", map=None):
+        super().__init__(order, family, HexagonMap() if map is None else map)
 
-    family "C": Z_j composed with the inverse radial map (weight 1),
-    orthonormal against the Jacobian-weighted measure;
-    family "O": the same times sqrt((r - a)/(r (A - a)^2)), orthonormal
-    against the plain measure.  The O weight vanishes on the inner circle,
-    so O values there are exactly zero and a collocation node on the inner
-    circle makes the matrix singular.
-    """
 
-    domain = "annulus"
+class EllipseBasis(TransferredBasis):
+    def __init__(self, order, map):
+        super().__init__(order, "E", map)
 
+
+class AnnulusBasis(TransferredBasis):
     def __init__(self, order, family="C", map=None):
-        if family not in ("O", "C"):
-            raise ValueError(f"annulus families are O and C, got {family!r}")
-        self.order = order
-        self.family = family
-        self.map = map
-        self.size = basis_size(order)
-
-    def _values(self, zernike, rho, theta, check):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        a, span = self.map.inner, self.map.outer - self.map.inner
-        t = (rho - a) / span
-        if check and (np.any(t > 1.0 + _CONTAIN_TOL) or np.any(t < -_CONTAIN_TOL)):
-            raise DomainError("point outside the annulus")
-        val = zernike(np.maximum(t, 0.0), theta)
-        if self.family == "O":
-            val *= np.sqrt(np.maximum(rho - a, 0.0) / rho) / span
-        return val
-
-    def __repr__(self):
-        return (
-            f"AnnulusBasis(order={self.order}, family={self.family!r}, "
-            f"a={self.map.inner}, A={self.map.outer})"
-        )
+        super().__init__(order, family, map)
 
 
 def make_basis(family, order, domain_map=None):
-    """Build a basis object from its one-letter family code."""
-    from .zernike import DiskZernikeBasis
-
+    """Build a basis object from its one-letter family code.  The hexagon
+    families default to the side-1 hexagon; the others need their map."""
     if family == "Z":
         return DiskZernikeBasis(order)
-    if family in ("K", "H"):
-        if domain_map is None:
-            domain_map = HexagonMap()
-        return HexagonBasis(order, family=family, map=domain_map)
-    if family == "E":
-        return EllipseBasis(order, domain_map)
-    if family in ("O", "C"):
-        return AnnulusBasis(order, family=family, map=domain_map)
-    raise ValueError(f"unknown basis family {family!r}")
+    if domain_map is None and family in HexagonMap.families:
+        domain_map = HexagonMap()
+    return TransferredBasis(order, family, domain_map)

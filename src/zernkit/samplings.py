@@ -462,7 +462,10 @@ def save_nodes(path_or_handle, nodeset):
 
 
 def generate_nodes(scheme, n, seed=0):
-    """Dispatch on scheme name for the generable disk samplings."""
+    """Dispatch on scheme name for the generable disk samplings.
+
+    Approximate Fekete points come from a mesh of 30 points per node.
+    """
     scheme = Scheme(scheme)
     if scheme is Scheme.OCS:
         return ocs_nodes(n)
@@ -474,4 +477,6 @@ def generate_nodes(scheme, n, seed=0):
         return spiral_nodes(n)
     if scheme is Scheme.RANDOM_THINNED:
         return random_thinned_nodes(n, seed)
+    if scheme is Scheme.APPROX_FEKETE:
+        return approximate_fekete(n, 30 * basis_size(n))
     raise ValueError(f"scheme {scheme} cannot be generated (load it from a file)")

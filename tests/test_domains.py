@@ -318,10 +318,101 @@ class TestBatchedEvaluation:
         with pytest.raises(DomainError) as batched:
             basis.matrix_xy(x, y)
         assert str(batched.value) == str(row.value)
-        if family != "E":
-            rho, ang = np.hypot(x, y), np.arctan2(y, x)
-            with pytest.raises(DomainError, match=str(row.value)):
-                basis.matrix_polar(rho, ang)
+        rho, ang = np.hypot(x, y), np.arctan2(y, x)
+        with pytest.raises(DomainError, match=str(row.value)):
+            basis.matrix_polar(rho, ang)
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=80)
+    def test_ellipse_polar_forms_match_xy(self, order, points):
+        basis = make_basis("E", order, FAMILY_MAPS["E"])
+        r, t = (np.array(c) for c in zip(*points))
+        x, y = 2.0 * r * np.cos(t), 1.0 * r * np.sin(t)
+        rho, theta = np.hypot(x, y), np.arctan2(y, x)
+        expected = basis.matrix_xy(x, y)
+        assert np.max(np.abs(basis.matrix_polar(rho, theta) - expected)) <= 1e-13
+        for j in range(basis.size):
+            assert np.max(np.abs(basis.eval_polar(j, rho, theta) - expected[j])) <= 1e-13
+
+
+def _ulp_neighbours(values, k):
+    """The floats within k ulps of each value, as 2k + 1 arrays."""
+    out, up, down = [values], values, values
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+class TestTransferRoundTrip:
+    @given(
+        st.sampled_from([HexagonMap(), AnnulusMap(0.5, 1.0), AnnulusMap(0.2, 1.5)]),
+        st.integers(min_value=1, max_value=20),
+        st.sampled_from(["ocs", "carnicer", "cuyt", "spiral", "random"]),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([None, 0.01]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_radial_pull_back_returns_the_source(self, dm, order, scheme, seed, eps):
+        """Angles come back exactly.  A radius comes back exactly unless no
+        float within two ulps of the transferred radius pulls back onto it
+        (the image radii are a coarser float grid); then it is off by at
+        most two steps of that grid, pulled back."""
+        nodes = generate_nodes(scheme, order, seed)
+        moved = transfer_nodes(dm, nodes, inner_eps=eps)
+        back, theta = dm.inverse_polar(moved.rho, moved.theta)
+        assert np.array_equal(theta, nodes.theta)
+        shifted = np.zeros(len(nodes), bool)
+        if eps and isinstance(dm, AnnulusMap):
+            shifted = nodes.rho == 0.0
+            assert np.all(moved.rho[shifted] == dm.inner + eps)
+        src, img, back, theta = (a[~shifted] for a in (nodes.rho, moved.rho, back, theta))
+        off = back != src
+        for cand in _ulp_neighbours(img[off], 2):
+            assert not np.any(dm.inverse_polar(cand, theta[off], check=False)[0] == src[off])
+        slope = dm.forward_polar(1.0, theta)[0] - dm.forward_polar(0.0, theta)[0]
+        assert np.all(np.abs(back - src) <= 2.0 * np.spacing(img) / slope)
+
+    @given(
+        st.floats(min_value=0.2, max_value=1.0),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.integers(min_value=1, max_value=20),
+        st.sampled_from(["ocs", "carnicer", "cuyt", "spiral", "random"]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ellipse_pull_back_returns_the_source(self, minor, stretch, order, scheme, seed):
+        dm = EllipseMap(minor * stretch, minor)
+        nodes = generate_nodes(scheme, order, seed)
+        moved = transfer_nodes(dm, nodes)
+        u, v = dm.inverse_xy(moved.x, moved.y)
+        assert np.max(np.hypot(u - nodes.x, v - nodes.y)) <= 1e-15
+        rho, theta = dm.pull_back(moved.x, moved.y)
+        assert np.max(np.abs(rho - nodes.rho)) <= 1e-15
+        arc = np.abs(rho * np.exp(1j * theta) - nodes.rho * np.exp(1j * nodes.theta))
+        assert np.max(arc) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "family,domain_map,needs",
+    [
+        ("O", None, "annulus"),
+        ("E", None, "ellipse"),
+        ("K", AnnulusMap(0.5, 1.0), "hexagon"),
+        ("C", HexagonMap(), "annulus"),
+        ("H", EllipseMap(2.0, 1.0), "hexagon"),
+    ],
+)
+def test_basis_without_its_map_rejected(family, domain_map, needs):
+    with pytest.raises(ValueError, match=f"family '{family}' needs the {needs} map"):
+        make_basis(family, 3, domain_map)
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,11 @@ class TestExperiment:
         assert cells[0].error is not None
         assert "error" in cells[0].csv_row()
 
+    def test_approx_fekete_cell_with_default_nodes(self):
+        cells = run_experiment([2], 1, schemes=["approx-fekete"], bases=["K"])
+        assert cells[0].error is None
+        assert math.isfinite(cells[0].mean_rrmse)
+
     def test_error_decreases_with_order(self):
         cells = run_experiment(
             range(5, 16, 5), 3, schemes=["ocs"], bases=["K"], master_seed=2
