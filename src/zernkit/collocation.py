@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NodeCountError, NonFiniteError, SingularMatrixError
+from .errors import NodeCountError, NonFiniteError, SingularMatrixError
 
 __all__ = [
     "CollocationMatrix",
@@ -23,6 +23,7 @@ __all__ = [
     "CONDITION_CSV_HEADER",
     "assemble",
     "condition_number",
+    "require_nonsingular",
     "solve_interpolation",
     "lebesgue_constant",
     "format_kappa",
@@ -94,17 +95,13 @@ def assemble(basis, nodes):
     """Collocation matrix of ``basis`` at ``nodes``: row i is basis
     function i at all nodes, in node order.
 
-    Raises DomainError if any node lies outside the basis domain and
-    NonFiniteError if an evaluation produces NaN or infinity.
+    Raises DomainError, from ``basis.matrix``, if any node lies outside the
+    basis domain and NonFiniteError if an evaluation produces NaN or
+    infinity.
     """
     if len(nodes) != basis.size:
         raise NodeCountError(
             f"basis of size {basis.size} needs {basis.size} nodes, got {len(nodes)}"
-        )
-    if not np.all(basis.contains_xy(nodes.x, nodes.y)):
-        raise DomainError(
-            f"node set ({nodes.scheme}, n={nodes.order}) has points outside "
-            f"the {basis.domain} domain"
         )
     entries = basis.matrix(nodes)
     if not np.all(np.isfinite(entries)):
@@ -140,25 +137,31 @@ def condition_number(matrix):
     )
 
 
+def require_nonsingular(sigma, name):
+    """Raise SingularMatrixError, carrying sigma_min, when the N x N matrix
+    with descending singular values ``sigma`` is singular to working
+    precision: sigma_min <= N eps sigma_max.  ``name`` describes the matrix
+    in the message."""
+    if sigma[-1] <= sigma.size * np.finfo(float).eps * sigma[0]:
+        raise SingularMatrixError(
+            f"{name} is singular to working precision", sigma_min=float(sigma[-1])
+        )
+
+
 def solve_interpolation(matrix, values):
     """Coefficients c with matrix.T @ c = values, plus the max-norm residual.
 
     Uses the singular value decomposition; a matrix singular to working
-    precision (sigma_min <= N eps sigma_max) raises SingularMatrixError
-    carrying sigma_min.
+    precision raises SingularMatrixError (see ``require_nonsingular``).
     """
     values = np.asarray(values, dtype=float)
     a = matrix.entries.T
     if values.shape != (a.shape[0],):
         raise ValueError(f"values must have length {a.shape[0]}")
     u, sigma, vt = np.linalg.svd(a)
-    eps = np.finfo(float).eps
-    if sigma[-1] <= a.shape[0] * eps * sigma[0]:
-        raise SingularMatrixError(
-            f"collocation matrix ({matrix.scheme}, {matrix.basis}, "
-            f"n={matrix.order}) is singular to working precision",
-            sigma_min=float(sigma[-1]),
-        )
+    require_nonsingular(
+        sigma, f"collocation matrix ({matrix.scheme}, {matrix.basis}, n={matrix.order})"
+    )
     coeffs = vt.T @ ((u.T @ values) / sigma)
     residual = float(np.max(np.abs(a @ coeffs - values)))
     return InterpolationResult(coefficients=coeffs, residual=residual)

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .samplings import NodeSet
 from .zernike import (
+    CONTAIN_TOL,
     DiskZernikeBasis,
     basis_size,
     cartesian_to_polar,
@@ -59,8 +60,6 @@ __all__ = [
 ]
 
 HEXAGON_HALF_ANGLE = math.pi / 6
-
-_CONTAIN_TOL = 1e-9  # closed-domain slack, admits nodes on the boundary
 
 
 def polygon_fold(theta, half_angle):
@@ -138,7 +137,7 @@ class HexagonMap(_RadialMap):
 
     def inverse_polar(self, rho, theta, check=True):
         u = rho / self.boundary_radius(theta)
-        if check and np.any(u > 1.0 + _CONTAIN_TOL):
+        if check and np.any(u > 1.0 + CONTAIN_TOL):
             raise DomainError("point outside the hexagon")
         return u, theta
 
@@ -160,13 +159,6 @@ class HexagonMap(_RadialMap):
     def forward_xy(self, x, y):
         scale = self.boundary_radius(np.arctan2(y, x))
         return x * scale, y * scale
-
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        return np.hypot(x, y) <= self.boundary_radius(np.arctan2(y, x)) * (1.0 + tol)
-
-    def inverse_jacobian_xy(self, x, y):
-        """|J| of the inverse map: 1/R(theta)^2."""
-        return self.boundary_radius(np.arctan2(y, x)) ** -2.0
 
 
 @dataclass(frozen=True)
@@ -197,7 +189,7 @@ class EllipseMap:
     def inverse_xy(self, x, y, check=True):
         u = x / self.semi_major
         v = y / self.semi_minor
-        if check and np.any(u * u + v * v > 1.0 + _CONTAIN_TOL):
+        if check and np.any(u * u + v * v > 1.0 + CONTAIN_TOL):
             raise DomainError("point outside the ellipse")
         return u, v
 
@@ -211,15 +203,6 @@ class EllipseMap:
 
     def transfer(self, nodeset, inner_eps):
         return np.column_stack(self.forward_xy(nodeset.x, nodeset.y)), None
-
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        u = x / self.semi_major
-        v = y / self.semi_minor
-        return u * u + v * v <= 1.0 + tol
-
-    def inverse_jacobian_xy(self, x, y):
-        """|J| of the inverse map: the constant 1/(AB)."""
-        return np.full(np.broadcast(x, y).shape, 1.0 / (self.semi_major * self.semi_minor))
 
 
 @dataclass(frozen=True)
@@ -252,10 +235,6 @@ class AnnulusMap(_RadialMap):
                 stacklevel=2,
             )
 
-    @property
-    def radius_ratio(self):
-        return self.inner / self.outer
-
     def forward_polar(self, rho, theta):
         return self.inner + (self.outer - self.inner) * np.asarray(rho, float), theta
 
@@ -263,7 +242,7 @@ class AnnulusMap(_RadialMap):
         """Disk polar coordinates; radii below the inner circle (within the
         tolerance, or any when ``check`` is off) go to the disk center."""
         t = (np.asarray(rho, float) - self.inner) / (self.outer - self.inner)
-        if check and (np.any(t > 1.0 + _CONTAIN_TOL) or np.any(t < -_CONTAIN_TOL)):
+        if check and (np.any(t > 1.0 + CONTAIN_TOL) or np.any(t < -CONTAIN_TOL)):
             raise DomainError("point outside the annulus")
         return np.maximum(t, 0.0), theta
 
@@ -294,16 +273,6 @@ class AnnulusMap(_RadialMap):
         theta = np.arctan2(y, x)
         s = self.inner + (self.outer - self.inner) * rho
         return s * np.cos(theta), s * np.sin(theta)
-
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        s = np.hypot(x, y)
-        span = self.outer - self.inner
-        return (s >= self.inner - tol * span) & (s <= self.outer + tol * span)
-
-    def inverse_jacobian_xy(self, x, y):
-        """|J| of the inverse map: (r - a) / (r (A - a)^2) at image radius r."""
-        s = np.hypot(x, y)
-        return (s - self.inner) / (s * (self.outer - self.inner) ** 2)
 
 
 # CLI/CSV codes of the basis families and the domain each lives on.
@@ -363,7 +332,9 @@ class TransferredBasis:
     ellipse.  Points given in the other coordinates are converted first.  A
     point is inside the domain when its pull-back lies in the closed unit
     disk (a pulled-back radius in [0, 1], or u^2 + v^2 <= 1 for the
-    ellipse) with 1e-9 of slack; ``check=False`` skips the test.
+    ellipse) with ``CONTAIN_TOL`` of slack; ``check=False`` skips the test.
+    That test is the domain's only statement, and ``matrix(nodes)``, which
+    ``assemble`` calls, always makes it.
     """
 
     def __init__(self, order, family, map):
@@ -411,9 +382,6 @@ class TransferredBasis:
             return self.matrix_polar(nodes.rho, nodes.theta)
         return self.matrix_xy(nodes.x, nodes.y)
 
-    def contains_xy(self, x, y, tol=_CONTAIN_TOL):
-        return self.map.contains_xy(x, y, tol)
-
     def __repr__(self):
         return (
             f"{type(self).__name__}(order={self.order}, family={self.family!r}, "
@@ -440,6 +408,8 @@ def make_basis(family, order, domain_map=None):
     """Build a basis object from its one-letter family code.  The hexagon
     families default to the side-1 hexagon; the others need their map."""
     if family == "Z":
+        if domain_map is not None:
+            raise ValueError(f"family 'Z' needs the disk map, got {domain_map!r}")
         return DiskZernikeBasis(order)
     if domain_map is None and family in HexagonMap.families:
         domain_map = HexagonMap()

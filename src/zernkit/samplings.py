@@ -22,7 +22,7 @@ from .errors import (
     NodeParseError,
     RankDeficiencyError,
 )
-from .zernike import basis_size, zernike_matrix
+from .zernike import CONTAIN_TOL, basis_size, zernike_matrix
 
 __all__ = [
     "Scheme",
@@ -417,7 +417,7 @@ def load_nodes(path, n):
     """Read a node file: one ``x y`` pair per line, ``#`` comments allowed.
 
     Validates the point count against basis_size(n) and containment in the
-    closed unit disk (tolerance 1e-9 on rho^2).
+    closed unit disk (tolerance ``CONTAIN_TOL`` on rho^2).
     """
     pts = []
     with open(path, "r", encoding="ascii") as fh:
@@ -442,7 +442,7 @@ def load_nodes(path, n):
     nodes = np.asarray(pts, dtype=float)
     r2 = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
     worst = int(np.argmax(r2))
-    if r2[worst] > 1.0 + 1e-9:
+    if r2[worst] > 1.0 + CONTAIN_TOL:
         raise NodeContainmentError(
             f"{path}: node {worst} at radius {math.sqrt(r2[worst]):.12f} "
             "lies outside the closed unit disk"

@@ -4,9 +4,9 @@ The aperture is 36 regular hexagons of side 1 in three rings of 6, 12, and
 18 segments around a vacant center, edge to edge on a triangular lattice of
 spacing sqrt(3).  A wavefront is a 14-coefficient Zernike combination
 evaluated in the global plane (radius up to about 6.2 at the outermost
-vertices; the polynomials are defined for any radius).  Reconstruction is
+corners; the polynomials are defined for any radius).  Reconstruction is
 zonal: an independent critical interpolation on every hexagon with the
-transferred basis translated to the segment center, so segment k depends
+transferred basis shifted to the segment center, so segment k depends
 only on samples inside segment k.
 """
 
@@ -19,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .collocation import assemble
+from .collocation import assemble, require_nonsingular
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
-from .errors import SingularMatrixError, ZeroDenominatorError
+from .errors import ZeroDenominatorError
 from .samplings import generate_nodes
 # zernike_xy stays importable from this module for tools that wrap it here
 from .zernike import cartesian_to_polar, zernike_polar, zernike_xy  # noqa: F401
@@ -155,22 +155,6 @@ class SegmentedAperture:
     def __len__(self):
         return len(self.centers)
 
-    def segment_contains(self, k, x, y, tol=0.0):
-        """Characteristic function of segment k (strict interior for tol=0)."""
-        cx, cy = self.centers[k]
-        rho = np.hypot(x - cx, y - cy)
-        bound = HexagonMap().boundary_radius(np.arctan2(y - cy, x - cx))
-        if tol:
-            return rho <= bound * (1.0 + tol)
-        return rho < bound
-
-    def vertices(self, k):
-        ang = np.pi / 6 + np.pi / 3 * np.arange(6)
-        return self.centers[k] + np.column_stack([np.cos(ang), np.sin(ang)])
-
-    def translated(self, dx, dy):
-        return SegmentedAperture(self.centers + np.array([dx, dy]))
-
 
 def build_aperture():
     """The 36-segment aperture: rings of 6, 12, 18 hexagons around a vacant
@@ -241,7 +225,7 @@ class ZonalInterpolator:
     """Per-segment critical interpolation machinery for one node layout.
 
     The disk node set is transferred to the unit hexagon once; because the
-    basis is translated together with the nodes, every segment shares the
+    basis shifts together with the nodes, every segment shares the
     same local collocation matrix, factored a single time.
     """
 
@@ -252,14 +236,11 @@ class ZonalInterpolator:
         self.basis = HexagonBasis(disk_nodes.order, basis_family)
         self.local_nodes = transfer_nodes(HexagonMap(), disk_nodes)
         matrix = assemble(self.basis, self.local_nodes)
-        sigma = np.linalg.svd(matrix.entries, compute_uv=False)
-        if sigma[-1] <= matrix.size * np.finfo(float).eps * sigma[0]:
-            raise SingularMatrixError(
-                f"local collocation matrix is singular to working precision "
-                f"for ({self.scheme}, {basis_family}, n={self.order}); every "
-                "segment shares this matrix",
-                sigma_min=float(sigma[-1]),
-            )
+        require_nonsingular(
+            np.linalg.svd(matrix.entries, compute_uv=False),
+            f"local collocation matrix ({self.scheme}, {basis_family}, "
+            f"n={self.order}), which every segment shares,",
+        )
         self._lu = scipy.linalg.lu_factor(matrix.entries.T)
         grid = hexagon_grid()
         self._grid_values = self.basis.matrix_xy(grid[:, 0], grid[:, 1], check=False)

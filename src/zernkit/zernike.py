@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "ZernikeIndex",
     "basis_size",
@@ -32,6 +34,12 @@ __all__ = [
     "polar_to_cartesian",
     "DiskZernikeBasis",
 ]
+
+# The one containment slack: a point is inside its domain when its pull-back
+# lies within it of the closed unit disk (on x^2 + y^2 for the disk and the
+# ellipse, on the pulled-back radius for the hexagon and the annulus), so
+# nodes on a domain's boundary are admitted.
+CONTAIN_TOL = 1e-9
 
 
 def basis_size(n):
@@ -56,10 +64,6 @@ class ZernikeIndex:
             raise ValueError(
                 f"j={self.j} inconsistent with (n={self.n}, m={self.m})"
             )
-
-    @classmethod
-    def from_nm(cls, n, m):
-        return cls(n, m, nm_to_index(n, m))
 
 
 def nm_to_index(n, m):
@@ -217,13 +221,11 @@ class DiskZernikeBasis:
         return zernike_matrix(self.order, *cartesian_to_polar(x, y))
 
     def matrix(self, nodes):
-        """The collocation matrix of a NodeSet on the disk."""
+        """The collocation matrix of a NodeSet; a node outside the closed
+        unit disk raises DomainError."""
+        if np.any(nodes.x * nodes.x + nodes.y * nodes.y > 1.0 + CONTAIN_TOL):
+            raise DomainError("point outside the disk")
         return zernike_matrix(self.order, nodes.rho, nodes.theta)
-
-    def contains_xy(self, x, y, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x * x + y * y <= 1.0 + tol
 
     def __repr__(self):
         return f"DiskZernikeBasis(order={self.order})"

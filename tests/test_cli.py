@@ -171,6 +171,23 @@ class TestWavefrontCommand:
         assert "error" not in lines[2]
 
 
+    def test_eps_accepted_and_unused(self, tmp_path):
+        # kept so config files that set eps still load; the hexagonal
+        # aperture has no inner circle to shift nodes off
+        args = [
+            "wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
+            "--bases", "K", "--seed", "7",
+        ]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps=0.5\n")
+        outputs = []
+        for extra in ([], ["--eps", "0.5"], ["--config", str(cfg)]):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(args + extra + ["--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
     def test_trial_count_with_colliding_seeds_is_hard_error(self, capsys):
         code, out, err = run(
             capsys,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zernkit.collocation import (
     CollocationMatrix,
@@ -9,6 +11,7 @@ from zernkit.collocation import (
     condition_number,
     format_kappa,
     lebesgue_constant,
+    require_nonsingular,
     solve_interpolation,
 )
 from zernkit.domains import (
@@ -18,6 +21,7 @@ from zernkit.domains import (
     EllipseMap,
     HexagonBasis,
     HexagonMap,
+    make_basis,
     polygon_boundary_radius,
     transfer_nodes,
 )
@@ -30,7 +34,7 @@ from zernkit.samplings import (
     ocs_nodes,
     random_thinned_nodes,
 )
-from zernkit.zernike import DiskZernikeBasis, zernike_xy
+from zernkit.zernike import CONTAIN_TOL, DiskZernikeBasis, zernike_xy
 
 
 def _single_node_set():
@@ -59,6 +63,53 @@ class TestAssemble:
     def test_provenance(self):
         mat = assemble(DiskZernikeBasis(2), ocs_nodes(2))
         assert (mat.order, mat.scheme, mat.basis, mat.domain) == (2, "ocs", "Z", "disk")
+
+
+_FAMILY_MAPS = {
+    "Z": None,
+    "K": HexagonMap(),
+    "H": HexagonMap(),
+    "E": EllipseMap(2.0, 1.0),
+    "O": AnnulusMap(0.5, 1.0),
+    "C": AnnulusMap(0.5, 1.0),
+}
+
+
+def _pulling_back_to(family, t, theta):
+    """Order-1 node set on the family's domain whose last node pulls back
+    to disk radius t at angle theta.  On the annulus t is the node's
+    affine radius (r - a)/(A - a), so t < 0 lies inside the inner circle."""
+    dmap = _FAMILY_MAPS[family]
+    rho = np.array([0.0, 0.3, t])
+    ang = np.array([0.0, 1.0, theta])
+    domain = "disk"
+    if family in "OC":
+        rho = dmap.inner + (dmap.outer - dmap.inner) * rho
+        domain = "annulus"
+    xy = np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
+    nodes = NodeSet(1, Scheme.BOS_CUSTOM, xy, domain=domain)
+    return transfer_nodes(dmap, nodes) if family in "KHE" else nodes
+
+
+class TestContainmentTolerance:
+    """``assemble`` admits a node whose pull-back lies within CONTAIN_TOL
+    of the closed unit disk and rejects one beyond it, for every family."""
+
+    angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+    @given(family=st.sampled_from(sorted(_FAMILY_MAPS)), theta=angles)
+    def test_outer_boundary(self, family, theta):
+        basis = make_basis(family, 1, _FAMILY_MAPS[family])
+        assemble(basis, _pulling_back_to(family, 1.0 + CONTAIN_TOL / 4, theta))
+        with pytest.raises(DomainError):
+            assemble(basis, _pulling_back_to(family, 1.0 + 4 * CONTAIN_TOL, theta))
+
+    @given(family=st.sampled_from(["O", "C"]), theta=angles)
+    def test_annulus_inner_boundary(self, family, theta):
+        basis = make_basis(family, 1, _FAMILY_MAPS[family])
+        assemble(basis, _pulling_back_to(family, -CONTAIN_TOL / 4, theta))
+        with pytest.raises(DomainError):
+            assemble(basis, _pulling_back_to(family, -4 * CONTAIN_TOL, theta))
 
 
 class TestConstantFactorTransfer:
@@ -196,6 +247,13 @@ class TestSolve:
         recon = sum(c * zernike_xy(j, x, y) for j, c in enumerate(sol.coefficients))
         scale = np.max(np.abs(truth))
         assert np.max(np.abs(recon - truth)) < 1e-6 * scale
+
+    def test_working_precision_rule(self):
+        eps = np.finfo(float).eps
+        require_nonsingular(np.array([1.0, 1.0, 6.0 * eps]), "m")
+        with pytest.raises(SingularMatrixError, match="m is singular") as err:
+            require_nonsingular(np.array([2.0, 1.0, 6.0 * eps]), "m")
+        assert err.value.sigma_min == 6.0 * eps
 
     def test_singular_carries_sigma_min(self):
         amap = AnnulusMap(0.5, 1.0)

