@@ -3,8 +3,9 @@
 
 Produces the two error-versus-order curves: the stable schemes with both
 hexagon bases, and the unstable spiral/random baselines with the weighted
-basis.  With default settings (orders 2..20, 100 trials) the run takes a
-few minutes.
+basis.  With default settings (orders 2..20, 100 trials, 95 cells) the run
+took 24 s on a shared 2-vCPU host with OPENBLAS_NUM_THREADS=1, and 44 s
+with OpenBLAS's default two threads.
 """
 
 import argparse

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NodeCountError, NonFiniteError, SingularMatrixError
+from .errors import DomainError, NodeCountError, NonFiniteError, SingularMatrixError
 
 __all__ = [
     "CollocationMatrix",
@@ -95,10 +95,15 @@ def assemble(basis, nodes):
     """Collocation matrix of ``basis`` at ``nodes``: row i is basis
     function i at all nodes, in node order.
 
-    Raises DomainError, from ``basis.matrix``, if any node lies outside the
-    basis domain and NonFiniteError if an evaluation produces NaN or
-    infinity.
+    Raises DomainError if the node set is labelled with another domain than
+    the basis (a disk set that was never transferred, say) or, from
+    ``basis.matrix``, if any node lies outside the basis domain, and
+    NonFiniteError if an evaluation produces NaN or infinity.
     """
+    if nodes.domain != basis.domain:
+        raise DomainError(
+            f"{basis.domain} basis needs {basis.domain} nodes, got {nodes.domain} nodes"
+        )
     if len(nodes) != basis.size:
         raise NodeCountError(
             f"basis of size {basis.size} needs {basis.size} nodes, got {len(nodes)}"
@@ -188,6 +193,8 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
         raise SingularMatrixError("collocation matrix is exactly singular")
     if basis.map is None:
         grid_vals = basis.matrix_polar(rho, ang)
+    elif basis.map.coordinates == "polar":
+        grid_vals = basis.matrix_polar(*basis.map.forward_polar(rho, ang), check=False)
     else:
         x, y = (rho * np.cos(ang), rho * np.sin(ang))
         fx, fy = basis.map.forward_xy(x, y)

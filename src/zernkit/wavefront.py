@@ -21,13 +21,15 @@ import scipy.linalg
 
 from .collocation import assemble, require_nonsingular
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
-from .errors import ZeroDenominatorError
+from .errors import ZeroDenominatorError, ZernkitError
 from .samplings import generate_nodes
 # zernike_xy stays importable from this module for tools that wrap it here
-from .zernike import cartesian_to_polar, zernike_polar, zernike_xy  # noqa: F401
+from .zernike import cartesian_to_polar, zernike_matrix, zernike_xy  # noqa: F401
 
 __all__ = [
     "WAVEFRONT_MODES",
+    "TRIAL_BLOCK",
+    "wavefront_modes",
     "Wavefront",
     "kolmogorov_covariance",
     "kolmogorov_wavefront",
@@ -54,6 +56,18 @@ GRID_NY = 61
 
 EXPERIMENT_CSV_HEADER = "n,scheme,basis,mean_rrmse,trials"
 
+# run_experiment reconstructs this many trials at a time, so the arrays of a
+# cell scale with it, not with the trial count: TRIAL_BLOCK x (grid points of
+# one segment) and TRIAL_BLOCK x segments x (nodes per segment).
+TRIAL_BLOCK = 32
+
+
+def wavefront_modes(x, y):
+    """The WAVEFRONT_MODES Zernike modes at points (x, y), shape (14,) + the
+    broadcast shape of x and y; row j is Z_j.  Modes 0..13 have degree <= 4."""
+    rho, theta = cartesian_to_polar(x, y)
+    return zernike_matrix(4, rho, theta)[:WAVEFRONT_MODES]
+
 
 @dataclass(frozen=True)
 class Wavefront:
@@ -75,13 +89,7 @@ class Wavefront:
         object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        rho, theta = cartesian_to_polar(x, y)
-        for j, a in enumerate(self.coefficients):
-            if a != 0.0:
-                out += a * zernike_polar(j, rho, theta)
+        out = np.tensordot(self.coefficients, wavefront_modes(x, y), axes=1)
         return out if out.shape else float(out)
 
 
@@ -197,36 +205,45 @@ def hexagon_grid():
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Zonal reconstruction outcome: one coefficient vector per segment and
-    the squared-error pieces of the relative root mean square error."""
+    the squared-error pieces of the relative root mean square error.  The
+    reconstruction of a coefficient stack puts its trial axis first in every
+    array, and the errors are then one value per trial."""
 
     order: int
     scheme: str
     basis: str
-    coefficients: np.ndarray  # (segments, N)
+    coefficients: np.ndarray  # ([trials,] segments, N)
     error_sq: np.ndarray  # per-segment sum |approx - truth|^2 on the grid
     truth_sq: np.ndarray  # per-segment sum |truth|^2 on the grid
 
     @property
     def rrmse(self):
-        denom = float(np.sum(self.truth_sq))
-        if denom == 0.0:
+        denom = np.sum(self.truth_sq, axis=-1)
+        if np.any(denom == 0.0):
             raise ZeroDenominatorError(
                 "wavefront is identically zero on the evaluation grid"
             )
-        return math.sqrt(float(np.sum(self.error_sq)) / denom)
+        value = np.sqrt(np.sum(self.error_sq, axis=-1) / denom)
+        return value if value.shape else float(value)
 
     def segment_rrmse(self, k):
-        if self.truth_sq[k] == 0.0:
+        if np.any(self.truth_sq[..., k] == 0.0):
             raise ZeroDenominatorError(f"wavefront vanishes on segment {k}")
-        return math.sqrt(self.error_sq[k] / self.truth_sq[k])
+        value = np.sqrt(self.error_sq[..., k] / self.truth_sq[..., k])
+        return value if value.shape else float(value)
 
 
 class ZonalInterpolator:
     """Per-segment critical interpolation machinery for one node layout.
 
     The disk node set is transferred to the unit hexagon once; because the
-    basis shifts together with the nodes, every segment shares the
-    same local collocation matrix, factored a single time.
+    basis shifts together with the nodes, every segment shares the same
+    local collocation matrix, factored a single time, and the same basis
+    values on the local evaluation grid.
+
+    A wavefront is a callable f(x, y), such as a ``Wavefront``, or a
+    (T, 14) stack of ``Wavefront`` coefficients, which puts a trial axis
+    first in every array computed from it.
     """
 
     def __init__(self, aperture, disk_nodes, basis_family="K"):
@@ -244,44 +261,58 @@ class ZonalInterpolator:
         self._lu = scipy.linalg.lu_factor(matrix.entries.T)
         grid = hexagon_grid()
         self._grid_values = self.basis.matrix_xy(grid[:, 0], grid[:, 1], check=False)
-        # sample/evaluation positions per segment: local layout + center
-        self.sample_points = (
-            aperture.centers[:, None, :] + self.local_nodes.nodes[None, :, :]
-        )
-        self.grid_points = aperture.centers[:, None, :] + grid[None, :, :]
 
-    def sample(self, func):
-        """func at every segment's node positions, shape (segments, N)."""
-        pts = self.sample_points
-        return np.asarray(
-            func(pts[..., 0].ravel(), pts[..., 1].ravel())
-        ).reshape(pts.shape[:2])
+    def _at(self, wavefront, local, segment):
+        """``wavefront`` at the local points ``local`` (P, 2) of ``segment``,
+        or of every segment, on an axis before the points, if it is None."""
+        centers = self.aperture.centers
+        pts = (centers[:, None, :] if segment is None else centers[segment]) + local
+        x, y = pts[..., 0], pts[..., 1]
+        if callable(wavefront):
+            values = wavefront(x.ravel(), y.ravel())
+            return np.array(values, dtype=float).reshape(x.shape)
+        return np.tensordot(wavefront, wavefront_modes(x, y), axes=1)
+
+    def sample(self, wavefront):
+        """The wavefront at every segment's nodes, ([T,] segments, N)."""
+        return self._at(wavefront, self.local_nodes.nodes, None)
 
     def solve(self, samples):
-        """Per-segment interpolation coefficients from sampled values."""
-        return scipy.linalg.lu_solve(self._lu, np.asarray(samples, float).T).T
+        """Interpolation coefficients for every row of samples (..., N), all
+        with one LU solve."""
+        samples = np.asarray(samples, float)
+        rows = samples.reshape(-1, samples.shape[-1])
+        return scipy.linalg.lu_solve(self._lu, rows.T).T.reshape(samples.shape)
 
     def approximate(self, coefficients):
-        """Reconstructed values on the evaluation grid, (segments, M)."""
+        """Reconstructed values on the evaluation grid, (..., M)."""
         return np.asarray(coefficients) @ self._grid_values
 
-    def truth(self, func):
-        pts = self.grid_points
-        return np.asarray(
-            func(pts[..., 0].ravel(), pts[..., 1].ravel())
-        ).reshape(pts.shape[:2])
+    def truth(self, wavefront, segment=None):
+        """The wavefront on the evaluation grid of one segment, ([T,] M), or
+        of all, ([T,] segments, M)."""
+        return self._at(wavefront, hexagon_grid(), segment)
 
-    def reconstruct(self, func):
-        coeffs = self.solve(self.sample(func))
-        approx = self.approximate(coeffs)
-        truth = self.truth(func)
+    def reconstruct(self, wavefront):
+        """Interpolate the wavefront on every segment with one LU solve, then
+        measure the error on the grid one segment at a time, so grid-sized
+        arrays hold one segment's values per trial."""
+        coeffs = self.solve(self.sample(wavefront))
+        error_sq = np.empty(coeffs.shape[:-1])
+        truth_sq = np.empty(coeffs.shape[:-1])
+        for k in range(len(self.aperture)):
+            approx = self.approximate(coeffs[..., k, :])
+            truth = self.truth(wavefront, k)
+            approx -= truth
+            error_sq[..., k] = np.sum(np.square(approx, out=approx), axis=-1)
+            truth_sq[..., k] = np.sum(np.square(truth, out=truth), axis=-1)
         return ReconstructionResult(
             order=self.order,
             scheme=self.scheme,
             basis=self.basis.family,
             coefficients=coeffs,
-            error_sq=np.sum((approx - truth) ** 2, axis=1),
-            truth_sq=np.sum(truth**2, axis=1),
+            error_sq=error_sq,
+            truth_sq=truth_sq,
         )
 
 
@@ -344,10 +375,14 @@ def run_experiment(
 
     Each trial draws one Kolmogorov wavefront (seed derived from the master
     seed and the trial index, so the same wavefronts are reused across all
-    cells) and reconstructs it zonally.  A failing cell (for example a
-    singular local system or a missing node file) is recorded as an error
-    marker, not raised.  ``node_provider(scheme, order, seed)`` overrides
-    how disk node sets are obtained, e.g. to load file-based schemes.
+    cells) and reconstructs it zonally.  The trials' coefficients are
+    stacked once, and each cell reconstructs them TRIAL_BLOCK at a time.
+    A cell that fails with a ZernkitError, OSError or ValueError (for
+    example a singular local system or a missing node file) is recorded as
+    an error marker, not raised, and its reason goes to ``progress``; any
+    other exception propagates.  ``node_provider(scheme, order, seed)``
+    overrides how disk node sets are obtained, e.g. to load file-based
+    schemes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -360,26 +395,31 @@ def run_experiment(
         aperture = build_aperture()
     if node_provider is None:
         node_provider = generate_nodes
-    fronts = [
-        kolmogorov_wavefront(_trial_seed(master_seed, t), strength)
+    stack = np.array([
+        kolmogorov_wavefront(_trial_seed(master_seed, t), strength).coefficients
         for t in range(trials)
-    ]
+    ])
     cells = []
     for order in orders:
         for scheme in schemes:
             for basis in bases:
+                label = f"n={order} scheme={scheme} basis={basis}"
                 if progress:
-                    progress(f"n={order} scheme={scheme} basis={basis}")
+                    progress(label)
                 try:
                     nodes = node_provider(scheme, order, node_seed)
                     zi = ZonalInterpolator(aperture, nodes, basis)
-                    mean = float(
-                        np.mean([zi.reconstruct(w).rrmse for w in fronts])
-                    )
+                    errors = [
+                        zi.reconstruct(stack[start : start + TRIAL_BLOCK]).rrmse
+                        for start in range(0, trials, TRIAL_BLOCK)
+                    ]
+                    mean = float(np.mean(np.concatenate(errors)))
                     cells.append(
                         ExperimentCell(order, str(scheme), basis, mean, trials)
                     )
-                except Exception as exc:  # per-cell soft failure
+                except (ZernkitError, OSError, ValueError) as exc:
+                    if progress:
+                        progress(f"{label}: {type(exc).__name__}: {exc}")
                     cells.append(
                         ExperimentCell(
                             order,

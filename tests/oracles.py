@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from zernkit.zernike import DiskZernikeBasis
+from zernkit.zernike import DiskZernikeBasis, zernike_polar
 
 
 def disk_gram(basis, n_radial=64, n_angular=256):
@@ -170,6 +170,16 @@ def brute_force_thinning(points, count):
         chosen.append(best)
         rest.remove(best)
     return points[chosen]
+
+
+def wavefront_sum(coefficients, x, y):
+    """sum_j a_j Z_j(x, y) of a wavefront's coefficients, one
+    ``zernike_polar`` row at a time instead of the batched mode matrix."""
+    rho, theta = np.hypot(x, y), np.arctan2(y, x)
+    total = np.zeros(np.broadcast(rho, theta).shape)
+    for j, a in enumerate(coefficients):
+        total = total + a * zernike_polar(j, rho, theta)
+    return total
 
 
 def make_disk_basis(order):

@@ -1,9 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from zernkit.cli import main, parse_orders
 from zernkit.errors import ConfigError
 from zernkit.samplings import ocs_nodes, save_nodes
+
+
+BENCHMARK_WAVEFRONT = (
+    Path(__file__).resolve().parents[1]
+    / "perfbench" / "reference" / "wavefront-zonal" / "wavefront.csv"
+)
+
+
+def _last_place(text):
+    """One unit in the last printed digit of a decimal literal."""
+    mantissa, _, exponent = text.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
 
 
 def run(capsys, *argv):
@@ -187,6 +201,24 @@ class TestWavefrontCommand:
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+    def test_matches_benchmark_reference(self, tmp_path):
+        # the benchmark's wavefront sweep, gated by its own rule: text columns
+        # exact, mean_rrmse within one unit of its last printed digit
+        out = tmp_path / "wavefront.csv"
+        assert main([
+            "wavefront", "--orders", "16..20", "--trials", "8", "--schemes", "ocs",
+            "--bases", "K,H", "--seed", "7", "--output", str(out),
+        ]) == 0
+        got = [line.split(",") for line in out.read_text().splitlines()]
+        want = [
+            line.split(",") for line in BENCHMARK_WAVEFRONT.read_text().splitlines()
+        ]
+        assert got[0] == want[0]
+        assert len(got) == len(want) == 11
+        for g, w in zip(got[1:], want[1:]):
+            assert g[:3] + g[4:] == w[:3] + w[4:]
+            assert abs(float(g[3]) - float(w[3])) <= _last_place(w[3]) * (1.0 + 1e-9), g
 
     def test_trial_count_with_colliding_seeds_is_hard_error(self, capsys):
         code, out, err = run(

@@ -60,6 +60,12 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(HexagonBasis(3, "K"), ocs_nodes(3))  # disk nodes, not transferred
 
+    def test_mislabelled_nodes_rejected(self):
+        # disk nodes small enough to lie inside the hexagon, never transferred
+        nodes = NodeSet(4, Scheme.OCS, 0.5 * ocs_nodes(4).nodes)
+        with pytest.raises(DomainError, match="got disk nodes"):
+            assemble(HexagonBasis(4, "K"), nodes)
+
     def test_provenance(self):
         mat = assemble(DiskZernikeBasis(2), ocs_nodes(2))
         assert (mat.order, mat.scheme, mat.basis, mat.domain) == (2, "ocs", "Z", "disk")
@@ -320,6 +326,30 @@ class TestLebesgue:
                 random_thinned_nodes(n, seed), basis, grid_shape=(100, 256)
             )
             assert lam_ocs < lam_rand
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            HexagonBasis(4, "K"),
+            HexagonBasis(4, "H"),
+            AnnulusBasis(4, "C", AnnulusMap(0.5, 1.0)),
+            AnnulusBasis(4, "O", AnnulusMap(0.5, 1.0)),
+        ],
+    )
+    def test_polar_grid_matches_cartesian_mapping(self, basis):
+        # the grid goes through forward_polar; mapping it through forward_xy
+        # and evaluating in Cartesian coordinates gives the same constant
+        nodes = transfer_nodes(basis.map, ocs_nodes(4))
+        n_r, n_t = 30, 64
+        rho = np.repeat((np.arange(n_r) + 1.0) / n_r, n_t)
+        ang = np.tile(2.0 * np.pi * np.arange(n_t) / n_t, n_r)
+        fx, fy = basis.map.forward_xy(rho * np.cos(ang), rho * np.sin(ang))
+        lagrange = np.linalg.solve(
+            assemble(basis, nodes).entries, basis.matrix_xy(fx, fy, check=False)
+        )
+        want = np.max(np.sum(np.abs(lagrange), axis=0))
+        got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_transferred_domain_grid(self):
         nodes = transfer_nodes(HexagonMap(), ocs_nodes(4))

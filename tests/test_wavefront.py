@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import wavefront_sum
 from zernkit.domains import polygon_boundary_radius
-from zernkit.errors import SingularMatrixError, ZeroDenominatorError
-from zernkit.samplings import ocs_nodes
+from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
+from zernkit.samplings import generate_nodes, ocs_nodes
 from zernkit.wavefront import (
+    TRIAL_BLOCK,
     ExperimentCell,
     SegmentedAperture,
     _trial_seed,
@@ -67,6 +71,28 @@ class TestKolmogorov:
     def test_strength_validated(self):
         with pytest.raises(ValueError):
             kolmogorov_wavefront(0, strength=0.0)
+
+
+class TestWavefrontEvaluation:
+    @given(
+        seed=st.integers(0, 10_000),
+        strength=st.floats(0.1, 10.0),
+        radius=st.floats(0.0, 6.5),
+    )
+    @settings(max_examples=50)
+    def test_equals_sum_of_single_modes(self, seed, strength, radius):
+        w = kolmogorov_wavefront(seed, strength)
+        ang = np.linspace(-np.pi, np.pi, 9)
+        x = np.outer(np.linspace(0.0, radius, 5), np.cos(ang))
+        y = np.outer(np.linspace(0.0, radius, 5), np.sin(ang))
+        want = wavefront_sum(w.coefficients, x, y)
+        scale = np.max(np.abs(want))
+        got = w(x, y)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        scalar = w(x[-1, 2], y[-1, 2])
+        assert isinstance(scalar, float)
+        assert abs(scalar - want[-1, 2]) <= 1e-12 * scale
 
 
 class TestAperture:
@@ -224,6 +250,48 @@ class TestExperiment:
         assert len(cells) == 1
         assert cells[0].error is not None
         assert "error" in cells[0].csv_row()
+
+    def test_programming_error_in_provider_raises(self):
+        def broken(scheme, order, seed):
+            raise TypeError("provider takes no order")
+
+        with pytest.raises(TypeError, match="provider takes no order"):
+            run_experiment([2], 1, node_provider=broken)
+
+    def test_unreadable_nodes_are_error_cell_with_reason(self):
+        def unreadable(scheme, order, seed):
+            raise NodeParseError("line 3: expected two numbers")
+
+        messages = []
+        cells = run_experiment(
+            [2], 1, node_provider=unreadable, progress=messages.append
+        )
+        assert cells[0].error == "NodeParseError"
+        assert messages == [
+            "n=2 scheme=ocs basis=K",
+            "n=2 scheme=ocs basis=K: NodeParseError: line 3: expected two numbers",
+        ]
+
+    @given(
+        basis=st.sampled_from(["K", "H"]),
+        order=st.integers(1, 5),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=3)
+    def test_blocked_cells_equal_single_reconstructions(self, basis, order, seed):
+        # trial counts on both sides of the block size; trial t's wavefront
+        # does not depend on the count, so one list of singles serves all
+        counts = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1]
+        zi = ZonalInterpolator(build_aperture(), generate_nodes("ocs", order), basis)
+        single = [
+            zi.reconstruct(kolmogorov_wavefront(_trial_seed(seed, t))).rrmse
+            for t in range(max(counts))
+        ]
+        for trials in counts:
+            (cell,) = run_experiment([order], trials, bases=[basis], master_seed=seed)
+            assert cell.mean_rrmse == pytest.approx(
+                np.mean(single[:trials]), rel=1e-12, abs=0.0
+            )
 
     def test_approx_fekete_cell_with_default_nodes(self):
         cells = run_experiment([2], 1, schemes=["approx-fekete"], bases=["K"])
