@@ -10,7 +10,8 @@ lebesgue         grid estimates of the Lebesgue constant as CSV
 
 File-based schemes (lebesgue, fekete) are read from --node-dir (or the
 ZERNKIT_NODE_DIR environment variable) as <scheme>_n<order>.txt, or from an
-explicit --from-file.  A missing file marks the affected row and the sweep
+explicit --from-file.  A missing file marks the affected row ``missing``, a
+malformed one ``invalid``, with the reason on standard error, and the sweep
 continues; only hard errors exit nonzero.  All output is deterministic for
 a fixed configuration; progress goes to standard error, data to --output
 (default standard output via '-').
@@ -211,8 +212,10 @@ def _transfer_eps(cfg, basis_code):
 
 def _sweep(cfg, default_basis, header, measure):
     """One CSV row per (order, scheme): ``measure(basis, nodes, prefix)``
-    with prefix "n,scheme,basis,domain", or a ``missing`` row when the node
-    set cannot be resolved."""
+    with prefix "n,scheme,basis,domain", or a marked row when the node set
+    cannot be resolved: ``missing`` when its file does not exist, ``invalid``
+    when it cannot be read or built (a parse, count or containment error).
+    The reason for a marker goes to standard error."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     dom = _domain_map(cfg)
@@ -221,12 +224,15 @@ def _sweep(cfg, default_basis, header, measure):
     for order in cfg.orders:
         basis = domains.make_basis(basis_code, order, dom)
         for scheme in cfg.schemes:
-            _log(f"{cfg.command} n={order} scheme={scheme}")
+            label = f"{cfg.command} n={order} scheme={scheme}"
+            _log(label)
             prefix = f"{order},{scheme},{basis_code},{cfg.domain}"
             try:
                 nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
-            except (FileNotFoundError, ZernkitError):
-                rows.append(f"{prefix},missing{blanks}")
+            except (FileNotFoundError, ZernkitError) as exc:
+                marker = "missing" if isinstance(exc, FileNotFoundError) else "invalid"
+                _log(f"{label}: {marker}: {type(exc).__name__}: {exc}")
+                rows.append(f"{prefix},{marker}{blanks}")
                 continue
             if dom is not None:
                 nodes = domains.transfer_nodes(

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NodeCountError, NonFiniteError, SingularMatrixError
+from .zernike import index_to_nm, nm_to_index, zernike_matrix
 
 __all__ = [
     "CollocationMatrix",
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 CONDITION_CSV_HEADER = "n,scheme,basis,domain,kappa2,sigma_max,sigma_min"
+
+# lebesgue_constant forms the Lagrange functions this many grid radii at a
+# time
+RADIAL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -175,15 +180,28 @@ def solve_interpolation(matrix, values):
 def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     """Grid approximation (a lower bound) of the Lebesgue constant.
 
-    Maximizes the sum of absolute Lagrange functions over a polar tensor
-    grid of grid_shape = (radial, angular) points mapped onto the basis
-    domain through the basis map (identity for the disk).
+    Maximizes the sum of absolute Lagrange functions over the image, under
+    the basis map (the identity for the disk), of the polar disk grid of
+    grid_shape = (n_r, n_t) points: radii k/n_r for k = 1 .. n_r crossed
+    with the angles 2 pi l/n_t.  On that grid each basis function is
+    separable, N_n^m R_n^|m|(r) trig_m(t) times the map's weight sqrt|J| at
+    the image for a weighted family, so the map enters only through that
+    weight.  With C = A^-1 for the N x N collocation matrix A, the Lagrange
+    functions at radius
+    r are sum over signed m of D_m(r) trig_m(t), where D_m contracts C's
+    columns with the radial table of the rows of frequency m.  They are
+    formed ``RADIAL_BLOCK`` radii at a time, so the largest temporaries are
+    that block's N x RADIAL_BLOCK x n_t values and the n_r x N x (2n + 1)
+    contraction; the N x (n_r n_t) grid matrix is never built.
+
+    A collocation matrix with an exactly zero pivot raises
+    SingularMatrixError, a grid without points ValueError.
     """
     n_r, n_t = grid_shape
+    if n_r < 1 or n_t < 1:
+        raise ValueError(f"grid_shape needs positive sizes, got {grid_shape}")
     r = (np.arange(n_r) + 1.0) / n_r
     t = 2.0 * np.pi * np.arange(n_t) / n_t
-    rho = np.repeat(r, n_t)
-    ang = np.tile(t, n_r)
     matrix = assemble(basis, nodes)
     try:
         lu, piv = scipy.linalg.lu_factor(matrix.entries)
@@ -191,13 +209,31 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
         raise SingularMatrixError(str(exc)) from exc
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("collocation matrix is exactly singular")
-    if basis.map is None:
-        grid_vals = basis.matrix_polar(rho, ang)
-    elif basis.map.coordinates == "polar":
-        grid_vals = basis.matrix_polar(*basis.map.forward_polar(rho, ang), check=False)
-    else:
-        x, y = (rho * np.cos(ang), rho * np.sin(ang))
-        fx, fy = basis.map.forward_xy(x, y)
-        grid_vals = basis.matrix_xy(fx, fy, check=False)
-    lagrange = scipy.linalg.lu_solve((lu, piv), grid_vals, overwrite_b=True)
-    return float(np.max(np.sum(np.abs(lagrange, out=lagrange), axis=0)))
+    inverse = scipy.linalg.lu_solve((lu, piv), np.eye(basis.size))
+    order = basis.order
+    index = [index_to_nm(j) for j in range(basis.size)]
+    ms = np.array([idx.m for idx in index])
+    # at theta = 0 the row of (n, |m|) is N R_n^|m|(r) exactly
+    at_zero = zernike_matrix(order, r, 0.0)
+    radial = at_zero[[nm_to_index(idx.n, abs(idx.m)) for idx in index]]
+    freqs = np.arange(-order, order + 1)
+    trig = np.where(
+        freqs[:, None] >= 0, np.cos(freqs[:, None] * t), np.sin(-freqs[:, None] * t)
+    )
+    # contracted[a, j, k]: Lagrange function j at radius r[a], coefficient
+    # of trig row k (frequency freqs[k])
+    contracted = np.empty((n_r, basis.size, freqs.size))
+    for k, m in enumerate(freqs):
+        rows = ms == m
+        contracted[:, :, k] = (inverse[:, rows] @ radial[rows]).T
+    weight = basis.map.image_weight(r[:, None], t) if basis.weighted else None
+    best = 0.0
+    for start in range(0, n_r, RADIAL_BLOCK):
+        block = contracted[start : start + RADIAL_BLOCK]
+        lagrange = block.reshape(-1, freqs.size) @ trig
+        np.abs(lagrange, out=lagrange)
+        total = lagrange.reshape(len(block), basis.size, n_t).sum(axis=1)
+        if weight is not None:
+            total *= weight[start : start + RADIAL_BLOCK]
+        best = max(best, float(total.max()))
+    return best

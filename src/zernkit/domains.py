@@ -113,6 +113,12 @@ class _RadialMap:
     def inverse_xy(self, x, y, check=True):
         return polar_to_cartesian(*self.inverse_polar(*cartesian_to_polar(x, y), check))
 
+    def image_weight(self, rho, theta):
+        """sqrt|J| at the images of disk polar points (rho, theta), as a
+        new array of their broadcast shape."""
+        s, t = self.forward_polar(rho, theta)
+        return self.weigh(np.ones(np.broadcast_shapes(np.shape(s), np.shape(t))), s, t)
+
 
 @dataclass(frozen=True)
 class HexagonMap(_RadialMap):
@@ -200,6 +206,12 @@ class EllipseMap:
         """Multiply values in place by sqrt|J| = 1/sqrt(AB)."""
         values *= 1.0 / math.sqrt(self.semi_major * self.semi_minor)
         return values
+
+    def image_weight(self, rho, theta):
+        """sqrt|J| at the images of disk polar points (rho, theta), as a
+        new array of their broadcast shape."""
+        x, y = self.forward_xy(*polar_to_cartesian(rho, theta))
+        return self.weigh(np.ones(np.broadcast_shapes(x.shape, y.shape)), x, y)
 
     def transfer(self, nodeset, inner_eps):
         return np.column_stack(self.forward_xy(nodeset.x, nodeset.y)), None

@@ -420,20 +420,24 @@ def load_nodes(path, n):
     closed unit disk (tolerance ``CONTAIN_TOL`` on rho^2).
     """
     pts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            fields = body.split()
-            if len(fields) != 2:
-                raise NodeParseError(
-                    f"{path}:{lineno}: expected two columns, got {len(fields)}"
-                )
-            try:
-                pts.append((float(fields[0]), float(fields[1])))
-            except ValueError as exc:
-                raise NodeParseError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise NodeParseError(f"{path}: not ASCII text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        fields = body.split()
+        if len(fields) != 2:
+            raise NodeParseError(
+                f"{path}:{lineno}: expected two columns, got {len(fields)}"
+            )
+        try:
+            pts.append((float(fields[0]), float(fields[1])))
+        except ValueError as exc:
+            raise NodeParseError(f"{path}:{lineno}: {exc}") from exc
     expected = basis_size(n)
     if len(pts) != expected:
         raise NodeCountError(

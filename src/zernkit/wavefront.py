@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 WAVEFRONT_MODES = 14
-SUPPORT_RADIUS = 6.0
 
 # Shared per-hexagon evaluation lattice (cell-centered over the bounding
 # box); 55 x 61 leaves 2515 points strictly inside the unit hexagon.

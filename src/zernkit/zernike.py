@@ -202,6 +202,7 @@ class DiskZernikeBasis:
     domain = "disk"
     family = "Z"
     map = None
+    weighted = False
 
     def __init__(self, order):
         self.order = order

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from zernkit.zernike import DiskZernikeBasis, zernike_polar
+from zernkit.zernike import DiskZernikeBasis, basis_size, zernike_polar
 
 
 def disk_gram(basis, n_radial=64, n_angular=256):
@@ -180,6 +180,71 @@ def wavefront_sum(coefficients, x, y):
     for j, a in enumerate(coefficients):
         total = total + a * zernike_polar(j, rho, theta)
     return total
+
+
+def _hexagon_radius(theta):
+    """Boundary radius of the side-1 hexagon with an edge midpoint at
+    theta = 0: its apothem over the largest cosine to the six edge normals."""
+    normals = np.arange(6) * (np.pi / 3.0)
+    cosines = np.cos(np.asarray(theta, float)[..., None] - normals)
+    return (math.sqrt(3.0) / 2.0) / np.max(cosines, axis=-1)
+
+
+def _image_points(family, domain_map, rho, theta):
+    """Cartesian image of disk polar points under the family's map."""
+    if family == "E":
+        big_a, big_b = domain_map.semi_major, domain_map.semi_minor
+        return big_a * rho * np.cos(theta), big_b * rho * np.sin(theta)
+    if family in "KH":
+        rho = rho * _hexagon_radius(theta)
+    elif family in "OC":
+        rho = domain_map.inner + (domain_map.outer - domain_map.inner) * rho
+    return rho * np.cos(theta), rho * np.sin(theta)
+
+
+def _dense_rows(order, family, domain_map, x, y):
+    """Every function of the family at image points (x, y), one
+    ``zernike_polar`` row at a time: pull the points back to the disk,
+    evaluate, multiply by the family's weight."""
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    weight = 1.0
+    if family in "KH":
+        scale = _hexagon_radius(theta)
+        u = r / scale
+        if family == "H":
+            weight = 1.0 / scale
+    elif family == "E":
+        big_a, big_b = domain_map.semi_major, domain_map.semi_minor
+        u, theta = np.hypot(x / big_a, y / big_b), np.arctan2(y / big_b, x / big_a)
+        weight = 1.0 / math.sqrt(big_a * big_b)
+    elif family in "OC":
+        a, big_a = domain_map.inner, domain_map.outer
+        u = np.maximum(r - a, 0.0) / (big_a - a)
+        if family == "O":
+            weight = np.sqrt(np.maximum(r - a, 0.0) / r) / (big_a - a)
+    else:
+        u = r
+    return np.array(
+        [zernike_polar(j, u, theta) * weight for j in range(basis_size(order))]
+    )
+
+
+def dense_lebesgue_constant(nodes, family, domain_map, grid_shape):
+    """Grid Lebesgue constant by the dense route: max over the grid of
+    sum_j |(A^-1 G)_j|, with G the whole grid matrix.
+
+    The grid is the image under the family's map of the polar disk grid of
+    radii k/n_r (k = 1 .. n_r) and angles 2 pi l/n_t; the collocation
+    matrix A and G are built the same way, from the image points.
+    """
+    n_r, n_t = grid_shape
+    rho = np.repeat((np.arange(n_r) + 1.0) / n_r, n_t)
+    theta = np.tile(2.0 * np.pi * np.arange(n_t) / n_t, n_r)
+    x, y = _image_points(family, domain_map, rho, theta)
+    grid = _dense_rows(nodes.order, family, domain_map, x, y)
+    a = _dense_rows(nodes.order, family, domain_map, nodes.x, nodes.y)
+    lagrange = np.linalg.solve(a, grid)
+    return float(np.max(np.sum(np.abs(lagrange), axis=0)))
 
 
 def make_disk_basis(order):

@@ -118,6 +118,40 @@ class TestConditionTable:
         assert lines[1] == "1,lebesgue,Z,disk,missing,,"
         assert lines[2].startswith("1,ocs,Z,disk,")
 
+    @pytest.mark.parametrize(
+        "body,reason",
+        [
+            (b"1 0\n0 1\n2 0\n", "NodeContainmentError"),  # radius 2
+            (b"1 0\n0 1\n0.5\n", "NodeParseError"),
+            (b"1 0\n0 1\n0.5 0.5 # caf\xc3\xa9\n", "NodeParseError"),
+            (b"1 0\n0 1\n", "NodeCountError"),
+        ],
+    )
+    def test_malformed_node_file_marks_row_invalid(
+        self, capsys, tmp_path, body, reason
+    ):
+        (tmp_path / "lebesgue_n1.txt").write_bytes(body)
+        code, out, err = run(
+            capsys,
+            "condition-table", "--domain", "disk", "--schemes", "lebesgue,ocs",
+            "--orders", "1", "--node-dir", str(tmp_path),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "1,lebesgue,Z,disk,invalid,,"
+        assert lines[2].startswith("1,ocs,Z,disk,")
+        assert f"condition-table n=1 scheme=lebesgue: invalid: {reason}" in err
+
+    def test_missing_node_file_logs_reason(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "lebesgue", "--domain", "disk", "--schemes", "fekete",
+            "--orders", "1", "--node-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "1,fekete,Z,disk,missing"
+        assert "lebesgue n=1 scheme=fekete: missing: FileNotFoundError" in err
+
     def test_approx_fekete_row_names_its_scheme(self, capsys):
         code, out, _ = run(
             capsys,

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dense_lebesgue_constant
 
 from zernkit.collocation import (
+    RADIAL_BLOCK,
     CollocationMatrix,
     assemble,
     condition_number,
@@ -307,6 +309,16 @@ class TestInnerCircleSingularity:
         assert math.isinf(report.kappa2)
 
 
+_LEBESGUE_MAPS = {
+    "Z": None,
+    "K": HexagonMap(),
+    "H": HexagonMap(),
+    "E": EllipseMap(2.0, 1.0),
+    "O": AnnulusMap(0.5, 1.0),
+    "C": AnnulusMap(0.5, 1.0),
+}
+
+
 class TestLebesgue:
     def test_single_node(self):
         basis = DiskZernikeBasis(0)
@@ -350,6 +362,49 @@ class TestLebesgue:
         want = np.max(np.sum(np.abs(lagrange), axis=0))
         got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("family", list("ZKHEOC"))
+    @given(
+        order=st.integers(1, 8),
+        scheme=st.sampled_from(["ocs", "cuyt"]),
+        # one radius, fewer than a block, and a ragged last block
+        n_r=st.one_of(
+            st.just(1),
+            st.integers(2, RADIAL_BLOCK - 1),
+            st.integers(RADIAL_BLOCK + 1, 5 * RADIAL_BLOCK).filter(
+                lambda k: k % RADIAL_BLOCK
+            ),
+        ),
+        n_t=st.integers(1, 48),
+    )
+    @settings(max_examples=40)
+    def test_matches_dense_oracle(self, family, order, scheme, n_r, n_t):
+        domain_map = _LEBESGUE_MAPS[family]
+        nodes = generate_nodes(scheme, order)
+        if domain_map is not None:
+            nodes = transfer_nodes(
+                domain_map, nodes, inner_eps=0.01 if family == "O" else None
+            )
+        basis = make_basis(family, order, domain_map)
+        want = dense_lebesgue_constant(nodes, family, domain_map, (n_r, n_t))
+        got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("grid_shape", [(0, 16), (10, 0)])
+    def test_empty_grid_rejected(self, grid_shape):
+        with pytest.raises(ValueError):
+            lebesgue_constant(ocs_nodes(2), DiskZernikeBasis(2), grid_shape=grid_shape)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_exactly_singular_matrix_raises(self):
+        # the disk center goes onto the inner circle, where the O weight
+        # vanishes: that node's column of the collocation matrix is zero
+        domain_map = AnnulusMap(0.5, 1.0)
+        nodes = transfer_nodes(domain_map, ocs_nodes(4), inner_eps=None)
+        with pytest.raises(SingularMatrixError):
+            lebesgue_constant(
+                nodes, AnnulusBasis(4, "O", domain_map), grid_shape=(10, 16)
+            )
 
     def test_transferred_domain_grid(self):
         nodes = transfer_nodes(HexagonMap(), ocs_nodes(4))
