@@ -19,9 +19,7 @@ from .collocation import (
     solve_interpolation,
 )
 from .domains import (
-    AnnulusBasis,
     AnnulusMap,
-    EllipseBasis,
     EllipseMap,
     HexagonBasis,
     HexagonMap,
@@ -43,7 +41,6 @@ from .samplings import (
     cuyt_nodes,
     cuyt_radii,
     generate_nodes,
-    legendre_zeros,
     load_nodes,
     ocs_nodes,
     ocs_radii,
@@ -58,7 +55,6 @@ from .wavefront import (
     ZonalInterpolator,
     build_aperture,
     kolmogorov_wavefront,
-    rrmse,
     run_experiment,
     zonal_interpolate,
 )

@@ -10,11 +10,11 @@ lebesgue         grid estimates of the Lebesgue constant as CSV
 
 File-based schemes (lebesgue, fekete) are read from --node-dir (or the
 ZERNKIT_NODE_DIR environment variable) as <scheme>_n<order>.txt, or from an
-explicit --from-file.  A missing file marks the affected row ``missing``, a
-malformed one ``invalid``, with the reason on standard error, and the sweep
-continues; only hard errors exit nonzero.  All output is deterministic for
-a fixed configuration; progress goes to standard error, data to --output
-(default standard output via '-').
+explicit --from-file.  A missing file marks the affected row ``missing``, an
+unreadable or malformed one ``invalid``, with the reason on standard error,
+and the sweep continues; only hard errors exit nonzero.  All output is
+deterministic for a fixed configuration; progress goes to standard error,
+data to --output (default standard output via '-').
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ def _sweep(cfg, default_basis, header, measure):
     """One CSV row per (order, scheme): ``measure(basis, nodes, prefix)``
     with prefix "n,scheme,basis,domain", or a marked row when the node set
     cannot be resolved: ``missing`` when its file does not exist, ``invalid``
-    when it cannot be read or built (a parse, count or containment error).
-    The reason for a marker goes to standard error."""
+    when it cannot be opened, read or built (a directory in its place, a
+    parse, count or containment error).  The reason for a marker goes to
+    standard error."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     dom = _domain_map(cfg)
@@ -229,7 +230,7 @@ def _sweep(cfg, default_basis, header, measure):
             prefix = f"{order},{scheme},{basis_code},{cfg.domain}"
             try:
                 nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
-            except (FileNotFoundError, ZernkitError) as exc:
+            except (OSError, ZernkitError) as exc:
                 marker = "missing" if isinstance(exc, FileNotFoundError) else "invalid"
                 _log(f"{label}: {marker}: {type(exc).__name__}: {exc}")
                 rows.append(f"{prefix},{marker}{blanks}")
@@ -367,7 +368,7 @@ def main(argv=None):
             if getattr(cfg, key) is None:
                 raise ConfigError(f"{cfg.command} requires --{key}")
         return args.func(cfg)
-    except (ZernkitError, FileNotFoundError, ValueError) as exc:
+    except (ZernkitError, OSError, ValueError) as exc:
         print(f"zernkit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,9 +61,16 @@ class CollocationMatrix:
 class ConditionReport:
     """2-norm conditioning of a collocation matrix.
 
-    kappa2 = sigma_max / sigma_min, reported as inf when sigma_min is zero
-    (a singular matrix is a first-class result here, not an exception, so
-    perturbation sweeps can tabulate it).
+    kappa2 = sigma_max / sigma_min as measured, however large, and inf only
+    when sigma_min is exactly zero: a singular matrix is a first-class
+    result here, not an exception, so perturbation sweeps can tabulate it.
+    The library has three singularity rules, one per use:
+
+    * tables report kappa2 as above and refuse nothing;
+    * solves refuse a matrix with sigma_min <= N eps sigma_max
+      (``require_nonsingular``), where the answer has no correct digit;
+    * ``lebesgue_constant`` refuses only an exactly zero pivot of its LU
+      factorization.
     """
 
     order: int
@@ -128,7 +135,9 @@ def assemble(basis, nodes):
 
 
 def condition_number(matrix):
-    """ConditionReport from a full singular value decomposition."""
+    """ConditionReport from the singular values: kappa2 as measured, inf
+    only at sigma_min == 0 (see ConditionReport for the rules of solves and
+    Lebesgue estimates)."""
     entries = matrix.entries
     if not np.all(np.isfinite(entries)):
         raise NonFiniteError("matrix has non-finite entries")

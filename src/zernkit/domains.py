@@ -53,8 +53,6 @@ __all__ = [
     "transfer_nodes",
     "TransferredBasis",
     "HexagonBasis",
-    "EllipseBasis",
-    "AnnulusBasis",
     "make_basis",
     "BASIS_DOMAINS",
 ]
@@ -110,9 +108,6 @@ class _RadialMap:
 
     coordinates = "polar"
 
-    def inverse_xy(self, x, y, check=True):
-        return polar_to_cartesian(*self.inverse_polar(*cartesian_to_polar(x, y), check))
-
     def image_weight(self, rho, theta):
         """sqrt|J| at the images of disk polar points (rho, theta), as a
         new array of their broadcast shape."""
@@ -125,18 +120,16 @@ class HexagonMap(_RadialMap):
     """Disk onto the regular hexagon of side 1 inscribed in the unit circle.
 
     In polar coordinates the forward map scales the radius by the boundary
-    radius R(theta); angles are preserved.  One vertex sits at theta = pi/6,
-    an edge midpoint at theta = 0.  The half angle is pi/6; other regular
-    polygons would work the same way but only the hexagon is exercised.
+    radius R(theta) of ``polygon_boundary_radius`` with the half angle
+    pi/6; angles are preserved.  One vertex sits at theta = pi/6, an edge
+    midpoint at theta = 0.
     """
-
-    half_angle: float = HEXAGON_HALF_ANGLE
 
     kind = "hexagon"
     families = {"K": False, "H": True}  # family -> carries the weight 1/R
 
     def boundary_radius(self, theta):
-        return polygon_boundary_radius(theta, self.half_angle)
+        return polygon_boundary_radius(theta)
 
     def forward_polar(self, rho, theta):
         return rho * self.boundary_radius(theta), theta
@@ -161,10 +154,6 @@ class HexagonMap(_RadialMap):
             nodeset.rho, lambda r, i: r * scale[i], lambda s, i: s / scale[i]
         )
         return _polar_nodes(rho, theta)
-
-    def forward_xy(self, x, y):
-        scale = self.boundary_radius(np.arctan2(y, x))
-        return x * scale, y * scale
 
 
 @dataclass(frozen=True)
@@ -280,12 +269,6 @@ class AnnulusMap(_RadialMap):
             rho[nodeset.rho == 0.0] = a + inner_eps
         return _polar_nodes(rho, nodeset.theta)
 
-    def forward_xy(self, x, y):
-        rho = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        s = self.inner + (self.outer - self.inner) * rho
-        return s * np.cos(theta), s * np.sin(theta)
-
 
 # CLI/CSV codes of the basis families and the domain each lives on.
 BASIS_DOMAINS = {
@@ -376,9 +359,6 @@ class TransferredBasis:
     def eval_polar(self, j, rho, theta, check=True):
         return self._values(partial(zernike_polar, j), rho, theta, "polar", check)
 
-    def eval_xy(self, j, x, y, check=True):
-        return self._values(partial(zernike_polar, j), x, y, "xy", check)
-
     def matrix_polar(self, rho, theta, check=True):
         """Every basis function at polar points, one row per function."""
         whole = partial(zernike_matrix, self.order)
@@ -404,16 +384,6 @@ class TransferredBasis:
 class HexagonBasis(TransferredBasis):
     def __init__(self, order, family="K", map=None):
         super().__init__(order, family, HexagonMap() if map is None else map)
-
-
-class EllipseBasis(TransferredBasis):
-    def __init__(self, order, map):
-        super().__init__(order, "E", map)
-
-
-class AnnulusBasis(TransferredBasis):
-    def __init__(self, order, family="C", map=None):
-        super().__init__(order, family, map)
 
 
 def make_basis(family, order, domain_map=None):

@@ -33,7 +33,6 @@ __all__ = [
     "ocs_radii",
     "carnicer_radii",
     "cuyt_radii",
-    "legendre_zeros",
     "legendre_derivative_zeros",
     "ocs_nodes",
     "carnicer_nodes",
@@ -231,36 +230,6 @@ def cuyt_radii(n):
     return np.concatenate([[1.0], nonneg])
 
 
-def legendre_zeros(degree, tol=1e-15, max_iter=100):
-    """All zeros of the Legendre polynomial P_d on (-1, 1), increasing.
-
-    Newton iteration on the three-term recurrence, started from Chebyshev
-    points; only the positive half is iterated and the rest filled in by
-    symmetry, so the middle zero of an odd degree is exactly 0.
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    n_pos = degree // 2
-    if n_pos == 0:
-        return np.zeros(1)
-    j = np.arange(1, n_pos + 1)
-    x = np.cos((2 * j - 1) * np.pi / (2 * degree))  # positive guesses, decreasing
-    for _ in range(max_iter):
-        p, dp = _legendre_and_derivative(degree, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"Legendre zero search for degree {degree} did not converge"
-        )
-    pos = np.sort(x)
-    if degree % 2:
-        return np.concatenate([-pos[::-1], [0.0], pos])
-    return np.concatenate([-pos[::-1], pos])
-
-
 def _legendre_and_derivative(degree, x):
     """P_d(x) and P_d'(x) via the recurrence k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2}."""
     p_prev = np.ones_like(x)
@@ -275,8 +244,9 @@ def legendre_derivative_zeros(degree, tol=1e-15, max_iter=100):
     """All zeros of P_d' on (-1, 1), increasing (the extrema of P_d).
 
     Newton on P_d', with P_d'' from the Legendre differential equation;
-    Chebyshev-Lobatto starting points cos(k pi / d).  Symmetric like
-    ``legendre_zeros``: the middle zero of an even degree is exactly 0.
+    Chebyshev-Lobatto starting points cos(k pi / d).  Only the positive half
+    is iterated and the rest filled in by symmetry, so the middle zero of an
+    even degree is exactly 0.
     """
     if degree < 2:
         return np.zeros(0)

@@ -39,7 +39,6 @@ __all__ = [
     "ZonalInterpolator",
     "ReconstructionResult",
     "zonal_interpolate",
-    "rrmse",
     "ExperimentCell",
     "run_experiment",
     "experiment_csv",
@@ -323,16 +322,6 @@ def zonal_interpolate(aperture, wavefront, scheme="ocs", basis="K", order=5, see
     """
     nodes = generate_nodes(scheme, order, seed)
     return ZonalInterpolator(aperture, nodes, basis).reconstruct(wavefront)
-
-
-def rrmse(approx, truth):
-    """Relative root mean square error over matching value arrays."""
-    approx = np.asarray(approx, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    denom = float(np.sum(truth * truth))
-    if denom == 0.0:
-        raise ZeroDenominatorError("reference values are identically zero")
-    return math.sqrt(float(np.sum((approx - truth) ** 2)) / denom)
 
 
 @dataclass(frozen=True)

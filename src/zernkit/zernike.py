@@ -208,19 +208,6 @@ class DiskZernikeBasis:
         self.order = order
         self.size = basis_size(order)
 
-    def eval_polar(self, j, rho, theta):
-        return zernike_polar(j, rho, theta)
-
-    def eval_xy(self, j, x, y):
-        return zernike_xy(j, x, y)
-
-    def matrix_polar(self, rho, theta):
-        """All basis functions at polar points, one row per function."""
-        return zernike_matrix(self.order, rho, theta)
-
-    def matrix_xy(self, x, y):
-        return zernike_matrix(self.order, *cartesian_to_polar(x, y))
-
     def matrix(self, nodes):
         """The collocation matrix of a NodeSet; a node outside the closed
         unit disk raises DomainError."""

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: quadrature
 instead of algebraic identities, the explicit factorial sum instead of the
-recurrence, classic hand-derived low-order formulas, and numpy's Gauss
-nodes instead of our Newton iteration.
+recurrence, classic hand-derived low-order formulas, and numpy's
+companion-matrix roots instead of our Newton iteration.
 """
 
 import math
@@ -29,9 +29,7 @@ def disk_gram(basis, n_radial=64, n_angular=256):
     rho = np.repeat(np.sqrt(t), n_angular)
     ang = np.tile(theta, n_radial)
     weights = np.repeat(w_t, n_angular) * w_theta
-    values = np.empty((basis.size, rho.size))
-    for j in range(basis.size):
-        values[j] = basis.eval_polar(j, rho, ang)
+    values = np.array([zernike_polar(j, rho, ang) for j in range(basis.size)])
     return (values * weights) @ values.T / np.pi
 
 
@@ -57,18 +55,14 @@ def transferred_gram(basis, n_radial=64, n_angular=512):
         s = rho * scale
         area = rho * scale**2  # s ds/drho = rho * R(theta)^2
         mu = scale**-2.0 if basis.family == "K" else np.ones_like(s)
-        values = np.empty((basis.size, s.size))
-        for j in range(basis.size):
-            values[j] = basis.eval_polar(j, s, ang, check=False)
+        values = basis.matrix_polar(s, ang, check=False)
     elif basis.domain == "ellipse":
         big_a, big_b = basis.map.semi_major, basis.map.semi_minor
         x = big_a * rho * np.cos(ang)
         y = big_b * rho * np.sin(ang)
         area = big_a * big_b * rho
         mu = np.ones_like(rho)
-        values = np.empty((basis.size, rho.size))
-        for j in range(basis.size):
-            values[j] = basis.eval_xy(j, x, y, check=False)
+        values = basis.matrix_xy(x, y, check=False)
     elif basis.domain == "annulus":
         a, big_a = basis.map.inner, basis.map.outer
         s = a + (big_a - a) * rho
@@ -77,9 +71,7 @@ def transferred_gram(basis, n_radial=64, n_angular=512):
             mu = (s - a) / (s * (big_a - a) ** 2)  # |J| of the inverse map
         else:
             mu = np.ones_like(s)
-        values = np.empty((basis.size, s.size))
-        for j in range(basis.size):
-            values[j] = basis.eval_polar(j, s, ang, check=False)
+        values = basis.matrix_polar(s, ang, check=False)
     else:
         raise TypeError(f"no quadrature rule for {basis!r}")
     weights = base_w * area * mu
@@ -149,9 +141,9 @@ CLASSIC_ZERNIKES = {
 }
 
 
-def reference_legendre_zeros(degree):
-    """Gauss nodes from numpy's companion-matrix route."""
-    return npleg.leggauss(degree)[0]
+def reference_legendre_derivative_zeros(degree):
+    """Zeros of P_d' from numpy's companion-matrix route."""
+    return np.sort(npleg.Legendre.basis(degree).deriv().roots())
 
 
 def brute_force_thinning(points, count):

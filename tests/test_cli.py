@@ -8,16 +8,28 @@ from zernkit.errors import ConfigError
 from zernkit.samplings import ocs_nodes, save_nodes
 
 
-BENCHMARK_WAVEFRONT = (
-    Path(__file__).resolve().parents[1]
-    / "perfbench" / "reference" / "wavefront-zonal" / "wavefront.csv"
-)
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _last_place(text):
     """One unit in the last printed digit of a decimal literal."""
     mantissa, _, exponent = text.lower().partition("e")
     return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+def _assert_matches_reference(out, reference, value_columns):
+    """The benchmark's output gate: columns other than ``value_columns``
+    exact, values within one unit of their last printed digit."""
+    got = [line.split(",") for line in out.read_text().splitlines()]
+    want = [line.split(",") for line in reference.read_text().splitlines()]
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        assert len(g) == len(w), g
+        for i, (a, b) in enumerate(zip(g, w)):
+            if a != b:
+                assert i in value_columns, g
+                assert abs(float(a) - float(b)) <= _last_place(b) * (1.0 + 1e-9), g
 
 
 def run(capsys, *argv):
@@ -125,12 +137,17 @@ class TestConditionTable:
             (b"1 0\n0 1\n0.5\n", "NodeParseError"),
             (b"1 0\n0 1\n0.5 0.5 # caf\xc3\xa9\n", "NodeParseError"),
             (b"1 0\n0 1\n", "NodeCountError"),
+            (None, "IsADirectoryError"),  # a directory cannot be opened
         ],
     )
     def test_malformed_node_file_marks_row_invalid(
         self, capsys, tmp_path, body, reason
     ):
-        (tmp_path / "lebesgue_n1.txt").write_bytes(body)
+        path = tmp_path / "lebesgue_n1.txt"
+        if body is None:
+            path.mkdir()
+        else:
+            path.write_bytes(body)
         code, out, err = run(
             capsys,
             "condition-table", "--domain", "disk", "--schemes", "lebesgue,ocs",
@@ -237,22 +254,15 @@ class TestWavefrontCommand:
         assert outputs[2] == outputs[0]
 
     def test_matches_benchmark_reference(self, tmp_path):
-        # the benchmark's wavefront sweep, gated by its own rule: text columns
-        # exact, mean_rrmse within one unit of its last printed digit
+        # the benchmark's wavefront sweep, gated by its own rule
         out = tmp_path / "wavefront.csv"
         assert main([
             "wavefront", "--orders", "16..20", "--trials", "8", "--schemes", "ocs",
             "--bases", "K,H", "--seed", "7", "--output", str(out),
         ]) == 0
-        got = [line.split(",") for line in out.read_text().splitlines()]
-        want = [
-            line.split(",") for line in BENCHMARK_WAVEFRONT.read_text().splitlines()
-        ]
-        assert got[0] == want[0]
-        assert len(got) == len(want) == 11
-        for g, w in zip(got[1:], want[1:]):
-            assert g[:3] + g[4:] == w[:3] + w[4:]
-            assert abs(float(g[3]) - float(w[3])) <= _last_place(w[3]) * (1.0 + 1e-9), g
+        reference = BENCHMARK_REFERENCE / "wavefront-zonal" / "wavefront.csv"
+        assert len(reference.read_text().splitlines()) == 11
+        _assert_matches_reference(out, reference, (3,))
 
     def test_trial_count_with_colliding_seeds_is_hard_error(self, capsys):
         code, out, err = run(
@@ -310,6 +320,42 @@ def test_parse_orders():
     assert parse_orders("7") == (7,)
     with pytest.raises(ConfigError):
         parse_orders("5..2")
+
+
+_LEBESGUE_SWEEP = ["lebesgue", "--schemes", "ocs,approx-fekete", "--orders", "1..10"]
+
+# the benchmark's disk and hexagon sweeps: workload, arguments, value columns
+_BENCHMARK_SWEEPS = {
+    "lebesgue_disk.csv": (
+        "lebesgue-grid", _LEBESGUE_SWEEP + ["--domain", "disk", "--basis", "Z"], (4,)
+    ),
+    "lebesgue_hexagon.csv": (
+        "lebesgue-grid", _LEBESGUE_SWEEP + ["--domain", "hexagon", "--basis", "K"], (4,)
+    ),
+    "hexagon_weighted.csv": (
+        "condition-tables",
+        ["condition-table", "--schemes", "cuyt,carnicer,ocs", "--orders", "1..30",
+         "--domain", "hexagon", "--basis", "H"],
+        (4, 5, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_SWEEPS))
+def test_sweep_matches_benchmark_reference(tmp_path, name):
+    workload, argv, value_columns = _BENCHMARK_SWEEPS[name]
+    out = tmp_path / name
+    assert main(argv + ["--output", str(out)]) == 0
+    _assert_matches_reference(out, BENCHMARK_REFERENCE / workload / name, value_columns)
+
+
+def test_unwritable_output_is_clean_error(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "condition-table", "--schemes", "ocs", "--orders", "1",
+        "--output", str(tmp_path),
+    )
+    assert code == 1
+    assert "zernkit: error: " in err
 
 
 def test_bad_order_range_is_clean_error(capsys):

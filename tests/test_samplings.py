@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_thinning, reference_legendre_zeros
+from oracles import brute_force_thinning, reference_legendre_derivative_zeros
 from reference_tables import (
     CARNICER_RADII_10,
     CARNICER_RADII_15,
@@ -26,7 +26,6 @@ from zernkit.samplings import (
     farthest_point_thinning,
     generate_nodes,
     legendre_derivative_zeros,
-    legendre_zeros,
     load_nodes,
     ocs_nodes,
     ocs_radii,
@@ -115,34 +114,35 @@ class TestRadii:
 
 
 class TestLegendreZeros:
+    """Zeros of P_d', the Legendre extrema behind the Cuyt radii."""
+
     def test_degree_one(self):
-        assert np.array_equal(legendre_zeros(1), [0.0])
+        assert legendre_derivative_zeros(1).size == 0  # P_1' = 1
 
     def test_degree_two_analytic(self):
-        assert np.allclose(legendre_zeros(2), [-0.5773502691896258, 0.5773502691896258],
-                           atol=1e-15)
+        assert np.array_equal(legendre_derivative_zeros(2), [0.0])  # P_2' = 3x
 
     def test_degree_eleven_symmetry(self):
-        z = legendre_zeros(11)
-        assert len(z) == 11
-        assert z[5] == 0.0
+        z = legendre_derivative_zeros(11)
+        assert len(z) == 10
+        assert not np.any(z == 0.0)
         assert np.allclose(z, -z[::-1], atol=0)
 
     @pytest.mark.parametrize("degree", [3, 7, 11, 16, 31])
     def test_against_companion_matrix(self, degree):
         assert np.allclose(
-            legendre_zeros(degree), reference_legendre_zeros(degree), atol=1e-13
+            legendre_derivative_zeros(degree),
+            reference_legendre_derivative_zeros(degree),
+            atol=1e-13,
         )
 
     def test_residual_below_tolerance(self):
         from numpy.polynomial.legendre import Legendre
 
-        z = legendre_zeros(11)
-        assert np.max(np.abs(Legendre.basis(11)(z))) < 1e-12
+        z = legendre_derivative_zeros(11)
+        assert np.max(np.abs(Legendre.basis(11).deriv()(z))) < 1e-12
 
     def test_iteration_budget_enforced(self):
-        with pytest.raises(ConvergenceError):
-            legendre_zeros(20, max_iter=1)
         with pytest.raises(ConvergenceError):
             legendre_derivative_zeros(20, max_iter=1)
 

@@ -12,6 +12,7 @@ from zernkit.samplings import generate_nodes, ocs_nodes
 from zernkit.wavefront import (
     TRIAL_BLOCK,
     ExperimentCell,
+    ReconstructionResult,
     SegmentedAperture,
     _trial_seed,
     Wavefront,
@@ -21,7 +22,6 @@ from zernkit.wavefront import (
     hexagon_grid,
     kolmogorov_covariance,
     kolmogorov_wavefront,
-    rrmse,
     run_experiment,
     zonal_interpolate,
 )
@@ -127,25 +127,38 @@ class TestAperture:
         assert 2300 <= len(grid) <= 2700
 
 
+def rrmse(approx, truth):
+    """ReconstructionResult.rrmse of grid values given one row per segment."""
+    approx, truth = np.atleast_2d(approx), np.atleast_2d(truth)
+    return ReconstructionResult(
+        0, "ocs", "K", np.zeros((len(truth), 1)),
+        np.sum((approx - truth) ** 2, axis=-1), np.sum(truth * truth, axis=-1),
+    ).rrmse
+
+
 class TestRrmse:
+    """The relative root mean square error pooled over segments."""
+
     def test_exact_match(self):
-        v = np.array([1.0, -2.0, 3.0])
+        v = np.array([[1.0, -2.0], [3.0, 0.5]])
         assert rrmse(v, v) == 0.0
 
     def test_double_is_unit_error(self):
-        v = np.array([1.0, -2.0, 3.0])
+        v = np.array([[1.0, -2.0], [3.0, 0.5]])
         assert rrmse(2.0 * v, v) == pytest.approx(1.0)
 
     def test_constant_offset_hand_fixture(self):
         # truth (1, 0, 0) has unit norm; approx adds c=0.5 everywhere:
-        # error = sqrt(3 * 0.25 / 1) = sqrt(0.75)
+        # error = sqrt(3 * 0.25 / 1) = sqrt(0.75), also with a segment of
+        # zero truth among them
         truth = np.array([1.0, 0.0, 0.0])
         approx = truth + 0.5
         assert rrmse(approx, truth) == pytest.approx(math.sqrt(0.75))
+        assert rrmse(approx[:, None], truth[:, None]) == pytest.approx(math.sqrt(0.75))
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ZeroDenominatorError):
-            rrmse(np.ones(3), np.zeros(3))
+            rrmse(np.ones((2, 3)), np.zeros((2, 3)))
 
 
 class TestZonal:
@@ -179,10 +192,7 @@ class TestZonal:
             for k in range(36):
                 lx = x[k] - aperture.centers[k, 0]
                 ly = y[k] - aperture.centers[k, 1]
-                out[k] = sum(
-                    c * zi.basis.eval_xy(j, lx, ly, check=False)
-                    for j, c in enumerate(coeffs[k])
-                )
+                out[k] = coeffs[k] @ zi.basis.matrix_xy(lx, ly, check=False)
             return out.ravel()
 
         got = zi.solve(zi.sample(synthetic))
