@@ -216,33 +216,34 @@ def _sweep(cfg, default_basis, header, measure):
     cannot be resolved: ``missing`` when its file does not exist, ``invalid``
     when it cannot be opened, read or built (a directory in its place, a
     parse, count or containment error).  The reason for a marker goes to
-    standard error."""
+    standard error.  Rows are written as they are made, to an output opened
+    before the first."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     dom = _domain_map(cfg)
     blanks = "," * (header.count(",") - 4)  # the columns after the marker
-    rows = []
-    for order in cfg.orders:
-        basis = domains.make_basis(basis_code, order, dom)
-        for scheme in cfg.schemes:
-            label = f"{cfg.command} n={order} scheme={scheme}"
-            _log(label)
-            prefix = f"{order},{scheme},{basis_code},{cfg.domain}"
-            try:
-                nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
-            except (OSError, ZernkitError) as exc:
-                marker = "missing" if isinstance(exc, FileNotFoundError) else "invalid"
-                _log(f"{label}: {marker}: {type(exc).__name__}: {exc}")
-                rows.append(f"{prefix},{marker}{blanks}")
-                continue
-            if dom is not None:
-                nodes = domains.transfer_nodes(
-                    dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
-                )
-            rows.append(measure(basis, nodes, prefix))
     with open_output(cfg.output) as fh:
         fh.write(header + "\n")
-        fh.write("\n".join(rows) + "\n")
+        for order in cfg.orders:
+            basis = domains.make_basis(basis_code, order, dom)
+            for scheme in cfg.schemes:
+                label = f"{cfg.command} n={order} scheme={scheme}"
+                _log(label)
+                prefix = f"{order},{scheme},{basis_code},{cfg.domain}"
+                try:
+                    nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
+                except (OSError, ZernkitError) as exc:
+                    marker = (
+                        "missing" if isinstance(exc, FileNotFoundError) else "invalid"
+                    )
+                    _log(f"{label}: {marker}: {type(exc).__name__}: {exc}")
+                    fh.write(f"{prefix},{marker}{blanks}\n")
+                    continue
+                if dom is not None:
+                    nodes = domains.transfer_nodes(
+                        dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
+                    )
+                fh.write(measure(basis, nodes, prefix) + "\n")
     return 0
 
 
@@ -261,20 +262,20 @@ def cmd_wavefront(cfg):
     for basis in cfg.bases:
         if basis not in ("K", "H"):
             raise ConfigError(f"wavefront bases are K and H, got {basis!r}")
-    cells = wavefront.run_experiment(
-        cfg.orders,
-        cfg.trials,
-        schemes=cfg.schemes,
-        bases=cfg.bases,
-        master_seed=cfg.seed,
-        strength=cfg.strength,
-        node_seed=cfg.node_seed,
-        progress=_log,
-        node_provider=lambda scheme, order, seed: _resolve_nodes(
-            cfg, scheme, order, seed
-        ),
-    )
-    with open_output(cfg.output) as fh:
+    with open_output(cfg.output) as fh:  # before the sweep: fail fast
+        cells = wavefront.run_experiment(
+            cfg.orders,
+            cfg.trials,
+            schemes=cfg.schemes,
+            bases=cfg.bases,
+            master_seed=cfg.seed,
+            strength=cfg.strength,
+            node_seed=cfg.node_seed,
+            progress=_log,
+            node_provider=lambda scheme, order, seed: _resolve_nodes(
+                cfg, scheme, order, seed
+            ),
+        )
         fh.write(wavefront.experiment_csv(cells))
     return 0
 

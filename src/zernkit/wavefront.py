@@ -28,7 +28,6 @@ from .zernike import cartesian_to_polar, zernike_matrix, zernike_xy  # noqa: F40
 
 __all__ = [
     "WAVEFRONT_MODES",
-    "TRIAL_BLOCK",
     "wavefront_modes",
     "Wavefront",
     "kolmogorov_covariance",
@@ -53,11 +52,6 @@ GRID_NX = 55
 GRID_NY = 61
 
 EXPERIMENT_CSV_HEADER = "n,scheme,basis,mean_rrmse,trials"
-
-# run_experiment reconstructs this many trials at a time, so the arrays of a
-# cell scale with it, not with the trial count: TRIAL_BLOCK x (grid points of
-# one segment) and TRIAL_BLOCK x segments x (nodes per segment).
-TRIAL_BLOCK = 32
 
 
 def wavefront_modes(x, y):
@@ -200,35 +194,36 @@ def hexagon_grid():
     return pts
 
 
+def _rrmse(error_sq, truth_sq):
+    """sqrt(sum error_sq / sum truth_sq) over the last (segment) axis."""
+    denom = np.sum(truth_sq, axis=-1)
+    if np.any(denom == 0.0):
+        raise ZeroDenominatorError(
+            "wavefront is identically zero on the evaluation grid"
+        )
+    return np.sqrt(np.sum(error_sq, axis=-1) / denom)
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Zonal reconstruction outcome: one coefficient vector per segment and
-    the squared-error pieces of the relative root mean square error.  The
-    reconstruction of a coefficient stack puts its trial axis first in every
-    array, and the errors are then one value per trial."""
+    the squared-error pieces of the relative root mean square error."""
 
     order: int
     scheme: str
     basis: str
-    coefficients: np.ndarray  # ([trials,] segments, N)
+    coefficients: np.ndarray  # (segments, N)
     error_sq: np.ndarray  # per-segment sum |approx - truth|^2 on the grid
     truth_sq: np.ndarray  # per-segment sum |truth|^2 on the grid
 
     @property
     def rrmse(self):
-        denom = np.sum(self.truth_sq, axis=-1)
-        if np.any(denom == 0.0):
-            raise ZeroDenominatorError(
-                "wavefront is identically zero on the evaluation grid"
-            )
-        value = np.sqrt(np.sum(self.error_sq, axis=-1) / denom)
-        return value if value.shape else float(value)
+        return float(_rrmse(self.error_sq, self.truth_sq))
 
     def segment_rrmse(self, k):
-        if np.any(self.truth_sq[..., k] == 0.0):
+        if self.truth_sq[k] == 0.0:
             raise ZeroDenominatorError(f"wavefront vanishes on segment {k}")
-        value = np.sqrt(self.error_sq[..., k] / self.truth_sq[..., k])
-        return value if value.shape else float(value)
+        return float(np.sqrt(self.error_sq[k] / self.truth_sq[k]))
 
 
 class ZonalInterpolator:
@@ -239,9 +234,7 @@ class ZonalInterpolator:
     local collocation matrix, factored a single time, and the same basis
     values on the local evaluation grid.
 
-    A wavefront is a callable f(x, y), such as a ``Wavefront``, or a
-    (T, 14) stack of ``Wavefront`` coefficients, which puts a trial axis
-    first in every array computed from it.
+    A wavefront is a callable f(x, y), such as a ``Wavefront``.
     """
 
     def __init__(self, aperture, disk_nodes, basis_family="K"):
@@ -260,57 +253,43 @@ class ZonalInterpolator:
         grid = hexagon_grid()
         self._grid_values = self.basis.matrix_xy(grid[:, 0], grid[:, 1], check=False)
 
-    def _at(self, wavefront, local, segment):
-        """``wavefront`` at the local points ``local`` (P, 2) of ``segment``,
-        or of every segment, on an axis before the points, if it is None."""
-        centers = self.aperture.centers
-        pts = (centers[:, None, :] if segment is None else centers[segment]) + local
-        x, y = pts[..., 0], pts[..., 1]
-        if callable(wavefront):
-            values = wavefront(x.ravel(), y.ravel())
-            return np.array(values, dtype=float).reshape(x.shape)
-        return np.tensordot(wavefront, wavefront_modes(x, y), axes=1)
+    def _at(self, wavefront, local):
+        """``wavefront`` at the local points ``local`` (P, 2) of every
+        segment, (segments, P)."""
+        pts = self.aperture.centers[:, None, :] + local
+        values = wavefront(pts[..., 0].ravel(), pts[..., 1].ravel())
+        return np.array(values, dtype=float).reshape(pts.shape[:-1])
 
     def sample(self, wavefront):
-        """The wavefront at every segment's nodes, ([T,] segments, N)."""
-        return self._at(wavefront, self.local_nodes.nodes, None)
+        """The wavefront at every segment's nodes, (segments, N)."""
+        return self._at(wavefront, self.local_nodes.nodes)
 
     def solve(self, samples):
-        """Interpolation coefficients for every row of samples (..., N), all
+        """Interpolation coefficients for every row of samples (rows, N), all
         with one LU solve."""
-        samples = np.asarray(samples, float)
-        rows = samples.reshape(-1, samples.shape[-1])
-        return scipy.linalg.lu_solve(self._lu, rows.T).T.reshape(samples.shape)
+        return scipy.linalg.lu_solve(self._lu, np.asarray(samples, float).T).T
 
     def approximate(self, coefficients):
         """Reconstructed values on the evaluation grid, (..., M)."""
         return np.asarray(coefficients) @ self._grid_values
 
-    def truth(self, wavefront, segment=None):
-        """The wavefront on the evaluation grid of one segment, ([T,] M), or
-        of all, ([T,] segments, M)."""
-        return self._at(wavefront, hexagon_grid(), segment)
+    def truth(self, wavefront):
+        """The wavefront on every segment's evaluation grid, (segments, M)."""
+        return self._at(wavefront, hexagon_grid())
 
     def reconstruct(self, wavefront):
-        """Interpolate the wavefront on every segment with one LU solve, then
-        measure the error on the grid one segment at a time, so grid-sized
-        arrays hold one segment's values per trial."""
+        """Interpolate the wavefront on every segment with one LU solve and
+        measure the error on every segment's grid."""
         coeffs = self.solve(self.sample(wavefront))
-        error_sq = np.empty(coeffs.shape[:-1])
-        truth_sq = np.empty(coeffs.shape[:-1])
-        for k in range(len(self.aperture)):
-            approx = self.approximate(coeffs[..., k, :])
-            truth = self.truth(wavefront, k)
-            approx -= truth
-            error_sq[..., k] = np.sum(np.square(approx, out=approx), axis=-1)
-            truth_sq[..., k] = np.sum(np.square(truth, out=truth), axis=-1)
+        truth = self.truth(wavefront)
+        error = self.approximate(coeffs) - truth
         return ReconstructionResult(
             order=self.order,
             scheme=self.scheme,
             basis=self.basis.family,
             coefficients=coeffs,
-            error_sq=error_sq,
-            truth_sq=truth_sq,
+            error_sq=np.sum(error * error, axis=-1),
+            truth_sq=np.sum(truth * truth, axis=-1),
         )
 
 
@@ -347,6 +326,25 @@ def _trial_seed(master_seed, trial):
     return master_seed * _SEED_STRIDE + trial
 
 
+def _local_modes(points):
+    """The 15 Zernike modes of degree <= 4 at local points (P, 2), (15, P)."""
+    return zernike_matrix(4, *cartesian_to_polar(points[:, 0], points[:, 1]))
+
+
+def _translations(centers, grid_modes):
+    """T_k with wavefront_modes(c_k + p) = T_k @ _local_modes(p), (segments,
+    14, 15), by least squares on the evaluation grid."""
+    grid = hexagon_grid()
+    solver = np.linalg.pinv(grid_modes)
+    return np.array([wavefront_modes(*(c + grid).T) @ solver for c in centers])
+
+
+def _local_squares(local, root):
+    """|y @ R.T|^2 = |y @ M|^2 for every row y of ``local`` (..., 15), if
+    M.T = Q R: a grid sum of squares as a sum of 15 squares."""
+    return np.sum(np.square(local @ root.T), axis=-1)
+
+
 def run_experiment(
     orders,
     trials,
@@ -363,8 +361,13 @@ def run_experiment(
 
     Each trial draws one Kolmogorov wavefront (seed derived from the master
     seed and the trial index, so the same wavefronts are reused across all
-    cells) and reconstructs it zonally.  The trials' coefficients are
-    stacked once, and each cell reconstructs them TRIAL_BLOCK at a time.
+    cells) and reconstructs it zonally, in closed form.  A wavefront a has
+    degree <= 4, so on segment k it is exactly y = a @ T_k in the 15 local
+    modes Z of degree <= 4 (a translation; Lundstrom & Unsbo, JOSA A 24,
+    2007).  Interpolation is linear, so a cell's grid error is y @ E, with
+    E = (interpolant of Z) - Z from one solve with 15 right-hand sides, and
+    the error and truth sums on the grid are sums of 15 squares.
+
     A cell that fails with a ZernkitError, OSError or ValueError (for
     example a singular local system or a missing node file) is recorded as
     an error marker, not raised, and its reason goes to ``progress``; any
@@ -387,6 +390,10 @@ def run_experiment(
         kolmogorov_wavefront(_trial_seed(master_seed, t), strength).coefficients
         for t in range(trials)
     ])
+    grid_modes = _local_modes(hexagon_grid())
+    translations = _translations(aperture.centers, grid_modes)
+    local = np.einsum("tj,kjl->tkl", stack, translations)  # (trials, segments, 15)
+    truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
     cells = []
     for order in orders:
         for scheme in schemes:
@@ -397,11 +404,12 @@ def run_experiment(
                 try:
                     nodes = node_provider(scheme, order, node_seed)
                     zi = ZonalInterpolator(aperture, nodes, basis)
-                    errors = [
-                        zi.reconstruct(stack[start : start + TRIAL_BLOCK]).rrmse
-                        for start in range(0, trials, TRIAL_BLOCK)
-                    ]
-                    mean = float(np.mean(np.concatenate(errors)))
+                    at_nodes = _local_modes(zi.local_nodes.nodes)
+                    error = zi.approximate(zi.solve(at_nodes)) - grid_modes
+                    del zi  # freed before the next cell builds its own
+                    root = np.linalg.qr(error.T, mode="r")
+                    errors = _rrmse(_local_squares(local, root), truth_sq)
+                    mean = float(np.mean(errors))
                     cells.append(
                         ExperimentCell(order, str(scheme), basis, mean, trials)
                     )

@@ -9,11 +9,13 @@ from oracles import wavefront_sum
 from zernkit.domains import polygon_boundary_radius
 from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import generate_nodes, ocs_nodes
+from zernkit.zernike import zernike_matrix
 from zernkit.wavefront import (
-    TRIAL_BLOCK,
     ExperimentCell,
     ReconstructionResult,
     SegmentedAperture,
+    _local_modes,
+    _translations,
     _trial_seed,
     Wavefront,
     ZonalInterpolator,
@@ -23,6 +25,7 @@ from zernkit.wavefront import (
     kolmogorov_covariance,
     kolmogorov_wavefront,
     run_experiment,
+    wavefront_modes,
     zonal_interpolate,
 )
 
@@ -125,6 +128,37 @@ class TestAperture:
     def test_grid_size_band(self):
         grid = hexagon_grid()
         assert 2300 <= len(grid) <= 2700
+
+
+class TestTranslation:
+    @pytest.fixture(scope="class")
+    def translations(self, aperture):
+        return _translations(aperture.centers, _local_modes(hexagon_grid()))
+
+    @given(
+        polar=st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0, exclude_max=True), st.floats(-math.pi, math.pi)
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=30)
+    def test_segment_modes_are_translated_local_modes(
+        self, aperture, translations, polar
+    ):
+        # wavefront_modes(c_k + p) == T_k @ Z15(p) at points p inside the
+        # unit hexagon, for every segment center c_k
+        frac, theta = np.array(polar).T
+        r = frac * polygon_boundary_radius(theta)
+        p = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        pts = aperture.centers[:, None, :] + p
+        want = np.moveaxis(wavefront_modes(pts[..., 0], pts[..., 1]), 0, 1)
+        got = translations @ zernike_matrix(4, r, theta)
+        assert got.shape == want.shape == (36, 14, len(p))
+        worst = np.max(np.abs(got - want), axis=(1, 2))
+        assert np.all(worst <= 1e-12 * np.max(np.abs(want), axis=(1, 2)))
 
 
 def rrmse(approx, truth):
@@ -288,10 +322,10 @@ class TestExperiment:
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=3)
-    def test_blocked_cells_equal_single_reconstructions(self, basis, order, seed):
-        # trial counts on both sides of the block size; trial t's wavefront
-        # does not depend on the count, so one list of singles serves all
-        counts = [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1]
+    def test_closed_form_cells_equal_single_reconstructions(self, basis, order, seed):
+        # trial t's wavefront does not depend on the count, so one list of
+        # callable reconstructions on the grid serves every count
+        counts = [1, 2, 33]
         zi = ZonalInterpolator(build_aperture(), generate_nodes("ocs", order), basis)
         single = [
             zi.reconstruct(kolmogorov_wavefront(_trial_seed(seed, t))).rrmse
