@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 
 from . import collocation, domains, samplings, wavefront
 from .errors import ConfigError, ZernkitError
@@ -34,32 +33,6 @@ GENERABLE_SCHEMES = ("ocs", "carnicer", "cuyt", "spiral", "random", "approx-feke
 FILE_SCHEMES = ("lebesgue", "fekete")
 
 _LEBESGUE_CSV_HEADER = "n,scheme,basis,domain,lebesgue"
-
-
-@dataclass
-class RunConfig:
-    """Validated options of one command invocation."""
-
-    command: str
-    scheme: str = None
-    schemes: tuple = None
-    orders: tuple = None
-    n: int = None
-    domain: str = "disk"
-    basis: str = None
-    bases: tuple = None
-    semi_major: float = 2.0
-    semi_minor: float = 1.0
-    inner: float = 0.5
-    eps: float = 0.01
-    seed: int = 0
-    node_seed: int = 0
-    trials: int = None
-    strength: float = 1.0
-    mesh_density: int = None
-    from_file: str = None
-    node_dir: str = None
-    output: str = "-"
 
 
 def parse_orders(text):
@@ -73,72 +46,46 @@ def parse_orders(text):
     return (int(text),)
 
 
-def parse_list(text):
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _names(kind, allowed):
+    """Flag type: a comma-separated list of names, each one of ``allowed``."""
+
+    def parse(text):
+        names = tuple(s.strip() for s in text.split(",") if s.strip())
+        for name in names:
+            if name not in allowed:
+                raise ConfigError(
+                    f"unknown {kind} {name!r}; choose from {', '.join(allowed)}"
+                )
+        return names
+
+    return parse
 
 
 def read_config_file(path, allowed):
     """Key=value file; '#' comments; unknown keys are rejected."""
     values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = body.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in allowed:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not ASCII text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = body.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in allowed:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
-
-
-def _merge(args, parser_keys):
-    """Apply config-file values where flags were not given; flags win."""
-    merged = dict(vars(args))
-    config_path = merged.pop("config", None)
-    if config_path:
-        allowed = set(parser_keys) - {"config", "command", "func"}
-        file_values = read_config_file(config_path, allowed=allowed)
-        for key, raw in file_values.items():
-            if merged.get(key) is None:
-                merged[key] = raw
-    merged.pop("func", None)
-    return merged
-
-
-def _coerce(merged):
-    """Build the RunConfig, converting config-file strings."""
-    casts = {
-        "orders": lambda v: parse_orders(v) if isinstance(v, str) else v,
-        "schemes": lambda v: parse_list(v) if isinstance(v, str) else v,
-        "bases": lambda v: parse_list(v) if isinstance(v, str) else v,
-        "n": int,
-        "trials": int,
-        "seed": int,
-        "node_seed": int,
-        "mesh_density": int,
-        "semi_major": float,
-        "semi_minor": float,
-        "inner": float,
-        "eps": float,
-        "strength": float,
-    }
-    valid = {f.name for f in fields(RunConfig)}
-    out = {}
-    for key, value in merged.items():
-        if key not in valid:
-            raise ConfigError(f"unknown option {key!r}")
-        if value is not None:
-            out[key] = casts[key](value) if key in casts else value
-    return RunConfig(**out)
 
 
 @contextmanager
 def open_output(path):
-    if path in (None, "-"):
+    if path == "-":
         yield sys.stdout
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -149,16 +96,12 @@ def _log(message):
     print(message, file=sys.stderr, flush=True)
 
 
-def _node_dir(cfg):
-    return cfg.node_dir or os.environ.get(NODE_DIR_ENV)
-
-
-def _resolve_nodes(cfg, scheme, order, seed=0):
+def _resolve_nodes(node_dir, scheme, order, seed, from_file=None, mesh_density=None):
     """Disk NodeSet for a scheme name; file-based schemes hit the node dir."""
     if scheme in FILE_SCHEMES:
-        if cfg.from_file:
-            return samplings.load_nodes(cfg.from_file, order)
-        directory = _node_dir(cfg)
+        if from_file:
+            return samplings.load_nodes(from_file, order)
+        directory = node_dir or os.environ.get(NODE_DIR_ENV)
         if not directory:
             raise FileNotFoundError(
                 f"scheme {scheme!r} needs --from-file or a node directory "
@@ -167,8 +110,8 @@ def _resolve_nodes(cfg, scheme, order, seed=0):
         return samplings.load_nodes(
             os.path.join(directory, f"{scheme}_n{order}.txt"), order
         )
-    if scheme == "approx-fekete" and cfg.mesh_density:
-        return samplings.approximate_fekete(order, cfg.mesh_density)
+    if scheme == "approx-fekete" and mesh_density:
+        return samplings.approximate_fekete(order, mesh_density)
     return samplings.generate_nodes(scheme, order, seed)
 
 
@@ -193,7 +136,10 @@ def _check_basis_domain(basis, domain):
 
 
 def cmd_nodes(cfg):
-    nodes = _resolve_nodes(cfg, cfg.scheme, cfg.n, cfg.seed)
+    nodes = _resolve_nodes(
+        cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,
+        cfg.mesh_density,
+    )
     dom = _domain_map(cfg)
     if dom is not None:
         eps = cfg.eps if cfg.domain == "annulus" else None
@@ -231,7 +177,7 @@ def _sweep(cfg, default_basis, header, measure):
                 _log(label)
                 prefix = f"{order},{scheme},{basis_code},{cfg.domain}"
                 try:
-                    nodes = _resolve_nodes(cfg, scheme, order, cfg.seed)
+                    nodes = _resolve_nodes(cfg.node_dir, scheme, order, cfg.seed)
                 except (OSError, ZernkitError) as exc:
                     marker = (
                         "missing" if isinstance(exc, FileNotFoundError) else "invalid"
@@ -259,9 +205,6 @@ def cmd_condition_table(cfg):
 
 
 def cmd_wavefront(cfg):
-    for basis in cfg.bases:
-        if basis not in ("K", "H"):
-            raise ConfigError(f"wavefront bases are K and H, got {basis!r}")
     with open_output(cfg.output) as fh:  # before the sweep: fail fast
         cells = wavefront.run_experiment(
             cfg.orders,
@@ -273,7 +216,7 @@ def cmd_wavefront(cfg):
             node_seed=cfg.node_seed,
             progress=_log,
             node_provider=lambda scheme, order, seed: _resolve_nodes(
-                cfg, scheme, order, seed
+                cfg.node_dir, scheme, order, seed
             ),
         )
         fh.write(wavefront.experiment_csv(cells))
@@ -292,27 +235,29 @@ def cmd_lebesgue(cfg):
 
 
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="zernkit",
         description="Interpolation nodes, transferred Zernike-like bases, "
         "conditioning tables, and segmented-aperture wavefront experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schemes = _names("scheme", GENERABLE_SCHEMES + FILE_SCHEMES)
 
     def common(p):
         p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--output", default=None, help="output path or '-'")
-        p.add_argument("--node-dir", dest="node_dir", default=None,
+        p.add_argument("--output", default="-", help="output path or '-'")
+        p.add_argument("--node-dir", dest="node_dir",
                        help=f"directory of node files (or ${NODE_DIR_ENV})")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     def domain_flags(p):
-        p.add_argument("--domain", default=None,
+        p.add_argument("--domain", default="disk",
                        choices=["disk", "hexagon", "ellipse", "annulus"])
-        p.add_argument("--A", dest="semi_major", type=float, default=None)
-        p.add_argument("--B", dest="semi_minor", type=float, default=None)
-        p.add_argument("--a", dest="inner", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--A", dest="semi_major", type=float, default=2.0)
+        p.add_argument("--B", dest="semi_minor", type=float, default=1.0)
+        p.add_argument("--a", dest="inner", type=float, default=0.5)
+        p.add_argument("--eps", type=float, default=0.01)
 
     p = sub.add_parser("nodes", help="emit one node set as a text file")
     common(p)
@@ -320,8 +265,8 @@ def build_parser():
                    choices=GENERABLE_SCHEMES + FILE_SCHEMES)
     p.add_argument("--n", type=int, required=True)
     domain_flags(p)
-    p.add_argument("--from-file", dest="from_file", default=None)
-    p.add_argument("--mesh-density", dest="mesh_density", type=int, default=None)
+    p.add_argument("--from-file", dest="from_file")
+    p.add_argument("--mesh-density", dest="mesh_density", type=int)
     p.set_defaults(func=cmd_nodes)
 
     for command, help_text, func in (
@@ -331,25 +276,25 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         common(p)
         domain_flags(p)
-        p.add_argument("--basis", default=None, choices=list("ZKHEOC"))
-        p.add_argument("--schemes", type=parse_list, default=None)
-        p.add_argument("--orders", type=parse_orders, default=None)
+        p.add_argument("--basis", choices=list("ZKHEOC"))
+        p.add_argument("--schemes", type=schemes)
+        p.add_argument("--orders", type=parse_orders)
         p.set_defaults(func=func)
 
     p = sub.add_parser("wavefront", help="zonal reconstruction error table")
     common(p)
-    p.add_argument("--orders", type=parse_orders, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--schemes", type=parse_list, default=None)
-    p.add_argument("--bases", type=parse_list, default=None)
-    p.add_argument("--strength", type=float, default=None)
-    p.add_argument("--node-seed", dest="node_seed", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--orders", type=parse_orders)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--schemes", type=schemes)
+    p.add_argument("--bases", type=_names("wavefront basis", ("K", "H")))
+    p.add_argument("--strength", type=float, default=1.0)
+    p.add_argument("--node-seed", dest="node_seed", type=int, default=0)
+    p.add_argument("--eps", type=float,
                    help="accepted for config-file compatibility; unused on "
                         "the hexagonal aperture")
     p.set_defaults(func=cmd_wavefront)
 
-    return parser
+    return parser, sub.choices
 
 
 _REQUIRED = {
@@ -360,15 +305,21 @@ _REQUIRED = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        merged = _merge(args, parser_keys=vars(args).keys())
-        cfg = _coerce(merged)
-        for key in _REQUIRED.get(cfg.command, ()):
-            if getattr(cfg, key) is None:
-                raise ConfigError(f"{cfg.command} requires --{key}")
-        return args.func(cfg)
+        if args.config:
+            # the file's strings become the command's defaults, so flags win
+            # and each value is parsed by its own flag's type
+            allowed = vars(args).keys() - {"config", "command", "func"}
+            commands[args.command].set_defaults(
+                **read_config_file(args.config, allowed)
+            )
+            args = parser.parse_args(argv)
+        for key in _REQUIRED.get(args.command, ()):
+            if getattr(args, key) is None:
+                raise ConfigError(f"{args.command} requires --{key}")
+        return args.func(args)
     except (ZernkitError, OSError, ValueError) as exc:
         print(f"zernkit: error: {exc}", file=sys.stderr)
         return 1

@@ -314,6 +314,111 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             read_config_file(cfg, allowed={"orders"})
 
+    def test_non_ascii_file_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=1 # caf\xc3\xa9\n")
+        code, out, err = run(capsys, "condition-table", "--config", str(cfg),
+                             "--schemes", "ocs", "--orders", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"zernkit: error: {cfg}: not ASCII text"), err
+
+    @pytest.mark.parametrize(
+        "argv,config,flags",
+        [
+            (
+                ["condition-table"],
+                "domain=annulus\nbasis=O\ninner=0.4\neps=0.02\n"
+                "schemes=ocs,cuyt\norders=1..3\n",
+                ["--domain", "annulus", "--basis", "O", "--a", "0.4",
+                 "--eps", "0.02", "--schemes", "ocs,cuyt", "--orders", "1..3"],
+            ),
+            (
+                ["lebesgue"],
+                "domain=hexagon\nbasis=K\nschemes=ocs\norders=1..3\n",
+                ["--domain", "hexagon", "--basis", "K", "--schemes", "ocs",
+                 "--orders", "1..3"],
+            ),
+            (
+                ["wavefront"],
+                "orders=2..3\ntrials=2\nschemes=ocs,random\nbases=K,H\n"
+                "strength=0.5\nnode-seed=3\nseed=7\n",
+                ["--orders", "2..3", "--trials", "2", "--schemes", "ocs,random",
+                 "--bases", "K,H", "--strength", "0.5", "--node-seed", "3",
+                 "--seed", "7"],
+            ),
+            (
+                ["nodes", "--scheme", "ocs", "--n", "4"],
+                "domain=ellipse\nsemi_major=3\nsemi_minor=0.5\n",
+                ["--domain", "ellipse", "--A", "3", "--B", "0.5"],
+            ),
+        ],
+    )
+    def test_config_equals_flags(self, tmp_path, argv, config, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        from_config = tmp_path / "config.csv"
+        from_flags = tmp_path / "flags.csv"
+        assert main(argv + ["--config", str(cfg), "--output", str(from_config)]) == 0
+        assert main(argv + flags + ["--output", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    @pytest.mark.parametrize("line", ["trials=2", "A=3"])
+    def test_other_names_rejected(self, capsys, tmp_path, line):
+        # keys are the destinations of this command's own options
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "condition-table", "--config", str(cfg),
+                             "--schemes", "ocs", "--orders", "1")
+        assert code == 1
+        assert out == ""
+        assert f"unknown key {line.split('=')[0]!r}" in err
+
+    def test_bad_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["wavefront", "--config", str(cfg), "--orders", "2",
+                  "--trials", "1", "--schemes", "ocs", "--bases", "K"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: invalid int value: 'abc'" in captured.err
+
+
+_SWEEP_ARGS = {
+    "condition-table": ["--orders", "2"],
+    "lebesgue": ["--orders", "2"],
+    "wavefront": ["--orders", "2", "--trials", "1", "--bases", "K"],
+}
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(_SWEEP_ARGS))
+def test_unknown_scheme_rejected_before_output(capsys, tmp_path, command, given):
+    argv = [command] + _SWEEP_ARGS[command]
+    if given == "flag":
+        argv += ["--schemes", "ocs,ocz"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schemes=ocs,ocz\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zernkit: error: unknown scheme 'ocz'"), err
+
+
+def test_unknown_wavefront_basis_rejected_before_output(capsys):
+    code, out, err = run(
+        capsys,
+        "wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
+        "--bases", "K,Z",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zernkit: error: unknown wavefront basis 'Z'"), err
+
 
 def test_parse_orders():
     assert parse_orders("2..4") == (2, 3, 4)
