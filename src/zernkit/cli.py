@@ -46,19 +46,25 @@ def parse_orders(text):
     return (int(text),)
 
 
-def _names(kind, allowed):
-    """Flag type: a comma-separated list of names, each one of ``allowed``."""
+def _name(kind, allowed):
+    """Flag type: one name from ``allowed``.  argparse also applies a type
+    to string defaults, so a config file's value is checked too."""
 
     def parse(text):
-        names = tuple(s.strip() for s in text.split(",") if s.strip())
-        for name in names:
-            if name not in allowed:
-                raise ConfigError(
-                    f"unknown {kind} {name!r}; choose from {', '.join(allowed)}"
-                )
-        return names
+        name = text.strip()
+        if name not in allowed:
+            raise ConfigError(
+                f"unknown {kind} {name!r}; choose from {', '.join(allowed)}"
+            )
+        return name
 
     return parse
+
+
+def _names(kind, allowed):
+    """Flag type: a comma-separated list of names, each one of ``allowed``."""
+    one = _name(kind, allowed)
+    return lambda text: tuple(one(s) for s in text.split(",") if s.strip())
 
 
 def read_config_file(path, allowed):
@@ -242,7 +248,8 @@ def build_parser():
         "conditioning tables, and segmented-aperture wavefront experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    schemes = _names("scheme", GENERABLE_SCHEMES + FILE_SCHEMES)
+    all_schemes = GENERABLE_SCHEMES + FILE_SCHEMES
+    schemes = _names("scheme", all_schemes)
 
     def common(p):
         p.add_argument("--config", help="key=value config file; flags win")
@@ -252,8 +259,9 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     def domain_flags(p):
-        p.add_argument("--domain", default="disk",
-                       choices=["disk", "hexagon", "ellipse", "annulus"])
+        kinds = ("disk", "hexagon", "ellipse", "annulus")
+        p.add_argument("--domain", default="disk", type=_name("domain", kinds),
+                       help=f"one of {', '.join(kinds)}")
         p.add_argument("--A", dest="semi_major", type=float, default=2.0)
         p.add_argument("--B", dest="semi_minor", type=float, default=1.0)
         p.add_argument("--a", dest="inner", type=float, default=0.5)
@@ -261,9 +269,9 @@ def build_parser():
 
     p = sub.add_parser("nodes", help="emit one node set as a text file")
     common(p)
-    p.add_argument("--scheme", required=True,
-                   choices=GENERABLE_SCHEMES + FILE_SCHEMES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--scheme", type=_name("scheme", all_schemes),
+                   help=f"required; one of {', '.join(all_schemes)}")
+    p.add_argument("--n", type=int, help="required; the order")
     domain_flags(p)
     p.add_argument("--from-file", dest="from_file")
     p.add_argument("--mesh-density", dest="mesh_density", type=int)
@@ -276,7 +284,9 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         common(p)
         domain_flags(p)
-        p.add_argument("--basis", choices=list("ZKHEOC"))
+        families = tuple(domains.BASIS_DOMAINS)
+        p.add_argument("--basis", type=_name("basis", families),
+                       help=f"one of {', '.join(families)}; default by domain")
         p.add_argument("--schemes", type=schemes)
         p.add_argument("--orders", type=parse_orders)
         p.set_defaults(func=func)
@@ -298,6 +308,7 @@ def build_parser():
 
 
 _REQUIRED = {
+    "nodes": ("scheme", "n"),
     "condition-table": ("schemes", "orders"),
     "wavefront": ("schemes", "orders", "trials", "bases"),
     "lebesgue": ("schemes", "orders"),

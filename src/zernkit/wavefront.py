@@ -226,6 +226,14 @@ class ReconstructionResult:
         return float(np.sqrt(self.error_sq[k] / self.truth_sq[k]))
 
 
+def _grid_table(order):
+    """The K family of degree <= order on the evaluation grid,
+    (basis_size(order), M).  Its first basis_size(n) rows are the table at
+    any n <= order, bit for bit, so one table serves every lower order."""
+    grid = hexagon_grid()
+    return HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1], check=False)
+
+
 class ZonalInterpolator:
     """Per-segment critical interpolation machinery for one node layout.
 
@@ -234,10 +242,15 @@ class ZonalInterpolator:
     local collocation matrix, factored a single time, and the same basis
     values on the local evaluation grid.
 
+    Those grid values are the first ``basis.size`` rows of ``table``, a
+    ``_grid_table`` at this order or higher (built here at this order when
+    none is passed): a view for K, and for H a copy weighed by the map's
+    1/R(theta), which is ``basis.matrix_xy`` on the grid bit for bit.
+
     A wavefront is a callable f(x, y), such as a ``Wavefront``.
     """
 
-    def __init__(self, aperture, disk_nodes, basis_family="K"):
+    def __init__(self, aperture, disk_nodes, basis_family="K", table=None):
         self.aperture = aperture
         self.order = disk_nodes.order
         self.scheme = str(disk_nodes.scheme)
@@ -251,7 +264,19 @@ class ZonalInterpolator:
         )
         self._lu = scipy.linalg.lu_factor(matrix.entries.T)
         grid = hexagon_grid()
-        self._grid_values = self.basis.matrix_xy(grid[:, 0], grid[:, 1], check=False)
+        if table is None:
+            table = _grid_table(self.order)
+        rows = self.basis.size
+        if table.ndim != 2 or table.shape[0] < rows or table.shape[1] != len(grid):
+            raise ValueError(
+                f"grid table of shape {table.shape} cannot serve order "
+                f"{self.order}: need at least {rows} rows of {len(grid)} grid points"
+            )
+        values = table[:rows]
+        if self.basis.weighted:
+            polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
+            values = self.basis.map.weigh(values.copy(), *polar)
+        self._grid_values = values
 
     def _at(self, wavefront, local):
         """``wavefront`` at the local points ``local`` (P, 2) of every
@@ -368,6 +393,10 @@ def run_experiment(
     E = (interpolant of Z) - Z from one solve with 15 right-hand sides, and
     the error and truth sums on the grid are sums of 15 squares.
 
+    The grid values of every cell's interpolant are rows of one K-family
+    grid table, evaluated once per call at ``max(orders)`` and sliced per
+    cell (weighed by 1/R(theta) for H), so no cell evaluates the grid.
+
     A cell that fails with a ZernkitError, OSError or ValueError (for
     example a singular local system or a missing node file) is recorded as
     an error marker, not raised, and its reason goes to ``progress``; any
@@ -382,6 +411,11 @@ def run_experiment(
             f"trials must be < {_SEED_STRIDE}, or trial seeds of adjacent "
             "master seeds coincide"
         )
+    orders = tuple(orders)
+    if not orders:
+        return []
+    if min(orders) < 0:
+        raise ValueError(f"orders must be >= 0, got {min(orders)}")
     if aperture is None:
         aperture = build_aperture()
     if node_provider is None:
@@ -394,6 +428,7 @@ def run_experiment(
     translations = _translations(aperture.centers, grid_modes)
     local = np.einsum("tj,kjl->tkl", stack, translations)  # (trials, segments, 15)
     truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
+    table = _grid_table(max(orders))
     cells = []
     for order in orders:
         for scheme in schemes:
@@ -403,7 +438,7 @@ def run_experiment(
                     progress(label)
                 try:
                     nodes = node_provider(scheme, order, node_seed)
-                    zi = ZonalInterpolator(aperture, nodes, basis)
+                    zi = ZonalInterpolator(aperture, nodes, basis, table)
                     at_nodes = _local_modes(zi.local_nodes.nodes)
                     error = zi.approximate(zi.solve(at_nodes)) - grid_modes
                     del zi  # freed before the next cell builds its own

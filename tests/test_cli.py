@@ -352,6 +352,7 @@ class TestConfigFile:
                 "domain=ellipse\nsemi_major=3\nsemi_minor=0.5\n",
                 ["--domain", "ellipse", "--A", "3", "--B", "0.5"],
             ),
+            (["nodes"], "scheme=ocs\nn=5\n", ["--scheme", "ocs", "--n", "5"]),
         ],
     )
     def test_config_equals_flags(self, tmp_path, argv, config, flags):
@@ -373,6 +374,36 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert f"unknown key {line.split('=')[0]!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv,line,message",
+        [
+            (["condition-table", "--schemes", "ocs", "--orders", "1"],
+             "domain=square", "unknown domain 'square'; choose from disk, "),
+            (["lebesgue", "--schemes", "ocs", "--orders", "1"],
+             "basis=Q", "unknown basis 'Q'; choose from Z, "),
+            (["nodes", "--n", "2"], "scheme=ocz", "unknown scheme 'ocz'; choose from "),
+        ],
+    )
+    def test_unknown_name_in_file_rejected(self, capsys, tmp_path, argv, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"zernkit: error: {message}"), err
+
+    def test_nodes_requires_scheme_and_order(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain=hexagon\n")
+        for argv in (["nodes"], ["nodes", "--config", str(cfg)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == "zernkit: error: nodes requires --scheme\n"
+        code, _, err = run(capsys, "nodes", "--scheme", "ocs")
+        assert code == 1
+        assert err == "zernkit: error: nodes requires --n\n"
 
     def test_bad_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

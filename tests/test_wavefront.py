@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import wavefront_sum
-from zernkit.domains import polygon_boundary_radius
+from zernkit.domains import HexagonBasis, polygon_boundary_radius
 from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import generate_nodes, ocs_nodes
 from zernkit.zernike import zernike_matrix
@@ -19,6 +19,7 @@ from zernkit.wavefront import (
     _trial_seed,
     Wavefront,
     ZonalInterpolator,
+    _grid_table,
     build_aperture,
     experiment_csv,
     hexagon_grid,
@@ -280,7 +281,60 @@ class TestZonal:
             assert res.segment_rrmse(k) >= 0.0
 
 
+class TestGridTable:
+    @pytest.mark.parametrize("family", ["K", "H"])
+    @pytest.mark.parametrize(
+        "order,wider", [(2, 2), (5, 9), (6, None), (11, 20), (20, 20)]
+    )
+    def test_slice_is_the_basis_on_the_grid(self, aperture, family, order, wider):
+        # wider=None: the interpolator builds its own table
+        grid = hexagon_grid()
+        table = None if wider is None else _grid_table(wider)
+        zi = ZonalInterpolator(aperture, ocs_nodes(order), family, table)
+        want = HexagonBasis(order, family).matrix_xy(
+            grid[:, 0], grid[:, 1], check=False
+        )
+        assert np.array_equal(zi._grid_values, want)
+        if table is not None:
+            # K reads the shared table in place; H weighs its own copy
+            assert np.shares_memory(zi._grid_values, table) == (family == "K")
+
+    def test_weighing_leaves_the_shared_table_alone(self, aperture):
+        table = _grid_table(8)
+        before = table.copy()
+        ZonalInterpolator(aperture, ocs_nodes(8), "H", table)
+        assert np.array_equal(table, before)
+
+    @pytest.mark.parametrize(
+        "shape", [(20, 2515), (21, 2514), (21,), (21, 2515, 1)]
+    )
+    def test_table_that_cannot_serve_rejected(self, aperture, shape):
+        # order 5 needs 21 rows over the 2515 grid points
+        assert len(hexagon_grid()) == 2515
+        with pytest.raises(ValueError, match="grid table of shape"):
+            ZonalInterpolator(aperture, ocs_nodes(5), "K", np.zeros(shape))
+
+
 class TestExperiment:
+    def test_cells_equal_one_order_runs(self):
+        # the table is built at the highest order, which is neither the
+        # first nor the last one requested
+        orders = (18, 16, 17)
+        together = run_experiment(orders, 2, bases=["K", "H"], master_seed=4)
+        alone = [
+            cell
+            for order in orders
+            for cell in run_experiment([order], 2, bases=["K", "H"], master_seed=4)
+        ]
+        assert together == alone
+
+    def test_no_orders_no_cells(self):
+        assert run_experiment((), 1) == []
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            run_experiment([3, -1], 1)
+
     def test_deterministic_single_trial(self, aperture):
         a = run_experiment([3], 1, schemes=["ocs"], bases=["K"], master_seed=5)
         b = run_experiment([3], 1, schemes=["ocs"], bases=["K"], master_seed=5)

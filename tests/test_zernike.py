@@ -150,6 +150,25 @@ class TestBatchedKernel:
         for j in range(basis_size(order)):
             assert np.array_equal(values[j], zernike_polar(j, rho, theta)), j
 
+    @given(
+        st.integers(min_value=0, max_value=30).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=n, max_value=30))
+        ),
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1.2), ANGLES),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_rows_do_not_depend_on_the_order(self, orders, points):
+        # a table at a higher order serves every lower one by slicing
+        order, higher = orders
+        rho, theta = (np.array(c) for c in zip(*points))
+        low = zernike_matrix(order, rho, theta)
+        high = zernike_matrix(higher, rho, theta)
+        assert np.array_equal(low, high[: basis_size(order)])
+
     def test_broadcasts_like_single_polynomials(self):
         rho = np.linspace(0.0, 1.0, 4)[:, None]
         theta = np.linspace(-3.0, 3.0, 5)
