@@ -49,14 +49,12 @@ from .samplings import (
     spiral_nodes,
 )
 from .wavefront import (
-    ReconstructionResult,
     SegmentedAperture,
     Wavefront,
     ZonalInterpolator,
     build_aperture,
     kolmogorov_wavefront,
     run_experiment,
-    zonal_interpolate,
 )
 from .zernike import (
     DiskZernikeBasis,

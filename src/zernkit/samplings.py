@@ -386,8 +386,9 @@ def approximate_fekete(n, mesh_density):
 def load_nodes(path, n):
     """Read a node file: one ``x y`` pair per line, ``#`` comments allowed.
 
-    Validates the point count against basis_size(n) and containment in the
-    closed unit disk (tolerance ``CONTAIN_TOL`` on rho^2).
+    Validates that every coordinate is finite, the point count against
+    basis_size(n) and containment in the closed unit disk (tolerance
+    ``CONTAIN_TOL`` on rho^2).
     """
     pts = []
     try:
@@ -405,9 +406,12 @@ def load_nodes(path, n):
                 f"{path}:{lineno}: expected two columns, got {len(fields)}"
             )
         try:
-            pts.append((float(fields[0]), float(fields[1])))
+            point = (float(fields[0]), float(fields[1]))
         except ValueError as exc:
             raise NodeParseError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, point)):
+            raise NodeParseError(f"{path}:{lineno}: non-finite coordinate in {body!r}")
+        pts.append(point)
     expected = basis_size(n)
     if len(pts) != expected:
         raise NodeCountError(

@@ -36,8 +36,6 @@ __all__ = [
     "build_aperture",
     "hexagon_grid",
     "ZonalInterpolator",
-    "ReconstructionResult",
-    "zonal_interpolate",
     "ExperimentCell",
     "run_experiment",
     "experiment_csv",
@@ -67,8 +65,9 @@ class Wavefront:
 
     Coefficients are wavelength-normalized optical path; the first entry
     (piston) is zero for generated wavefronts since it carries no shape.
-    Evaluated in global polar coordinates without rescaling, per the
-    aperture convention rho <= 6.
+    The surface lives in global polar coordinates without rescaling, per
+    the aperture convention rho <= 6: its values at (x, y) are
+    ``np.tensordot(coefficients, wavefront_modes(x, y), axes=1)``.
     """
 
     coefficients: np.ndarray
@@ -79,10 +78,6 @@ class Wavefront:
             raise ValueError(f"need exactly {WAVEFRONT_MODES} coefficients")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __call__(self, x, y):
-        out = np.tensordot(self.coefficients, wavefront_modes(x, y), axes=1)
-        return out if out.shape else float(out)
 
 
 @lru_cache(maxsize=1)
@@ -132,8 +127,8 @@ def kolmogorov_wavefront(seed, strength=1.0):
     multivariate normal of ``kolmogorov_covariance`` scaled by ``strength``;
     piston is zero.  Deterministic per seed (PCG64).
     """
-    if strength <= 0:
-        raise ValueError("strength must be positive")
+    if not (math.isfinite(strength) and strength > 0):
+        raise ValueError(f"strength must be finite and positive, got {strength}")
     chol = np.linalg.cholesky(kolmogorov_covariance())
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(WAVEFRONT_MODES)
@@ -204,28 +199,6 @@ def _rrmse(error_sq, truth_sq):
     return np.sqrt(np.sum(error_sq, axis=-1) / denom)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Zonal reconstruction outcome: one coefficient vector per segment and
-    the squared-error pieces of the relative root mean square error."""
-
-    order: int
-    scheme: str
-    basis: str
-    coefficients: np.ndarray  # (segments, N)
-    error_sq: np.ndarray  # per-segment sum |approx - truth|^2 on the grid
-    truth_sq: np.ndarray  # per-segment sum |truth|^2 on the grid
-
-    @property
-    def rrmse(self):
-        return float(_rrmse(self.error_sq, self.truth_sq))
-
-    def segment_rrmse(self, k):
-        if self.truth_sq[k] == 0.0:
-            raise ZeroDenominatorError(f"wavefront vanishes on segment {k}")
-        return float(np.sqrt(self.error_sq[k] / self.truth_sq[k]))
-
-
 def _grid_table(order):
     """The K family of degree <= order on the evaluation grid,
     (basis_size(order), M).  Its first basis_size(n) rows are the table at
@@ -243,51 +216,34 @@ class ZonalInterpolator:
     values on the local evaluation grid.
 
     Those grid values are the first ``basis.size`` rows of ``table``, a
-    ``_grid_table`` at this order or higher (built here at this order when
-    none is passed): a view for K, and for H a copy weighed by the map's
-    1/R(theta), which is ``basis.matrix_xy`` on the grid bit for bit.
-
-    A wavefront is a callable f(x, y), such as a ``Wavefront``.
+    ``_grid_table`` at this order or higher: a view for K, and for H a copy
+    weighed by the map's 1/R(theta), which is ``basis.matrix_xy`` on the
+    grid bit for bit.
     """
 
-    def __init__(self, aperture, disk_nodes, basis_family="K", table=None):
-        self.aperture = aperture
-        self.order = disk_nodes.order
-        self.scheme = str(disk_nodes.scheme)
-        self.basis = HexagonBasis(disk_nodes.order, basis_family)
+    def __init__(self, disk_nodes, basis_family, table):
+        order = disk_nodes.order
+        self.basis = HexagonBasis(order, basis_family)
         self.local_nodes = transfer_nodes(HexagonMap(), disk_nodes)
         matrix = assemble(self.basis, self.local_nodes)
         require_nonsingular(
             np.linalg.svd(matrix.entries, compute_uv=False),
-            f"local collocation matrix ({self.scheme}, {basis_family}, "
-            f"n={self.order}), which every segment shares,",
+            f"local collocation matrix ({disk_nodes.scheme}, {basis_family}, "
+            f"n={order}), which every segment shares,",
         )
         self._lu = scipy.linalg.lu_factor(matrix.entries.T)
         grid = hexagon_grid()
-        if table is None:
-            table = _grid_table(self.order)
         rows = self.basis.size
         if table.ndim != 2 or table.shape[0] < rows or table.shape[1] != len(grid):
             raise ValueError(
                 f"grid table of shape {table.shape} cannot serve order "
-                f"{self.order}: need at least {rows} rows of {len(grid)} grid points"
+                f"{order}: need at least {rows} rows of {len(grid)} grid points"
             )
         values = table[:rows]
         if self.basis.weighted:
             polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
             values = self.basis.map.weigh(values.copy(), *polar)
         self._grid_values = values
-
-    def _at(self, wavefront, local):
-        """``wavefront`` at the local points ``local`` (P, 2) of every
-        segment, (segments, P)."""
-        pts = self.aperture.centers[:, None, :] + local
-        values = wavefront(pts[..., 0].ravel(), pts[..., 1].ravel())
-        return np.array(values, dtype=float).reshape(pts.shape[:-1])
-
-    def sample(self, wavefront):
-        """The wavefront at every segment's nodes, (segments, N)."""
-        return self._at(wavefront, self.local_nodes.nodes)
 
     def solve(self, samples):
         """Interpolation coefficients for every row of samples (rows, N), all
@@ -297,35 +253,6 @@ class ZonalInterpolator:
     def approximate(self, coefficients):
         """Reconstructed values on the evaluation grid, (..., M)."""
         return np.asarray(coefficients) @ self._grid_values
-
-    def truth(self, wavefront):
-        """The wavefront on every segment's evaluation grid, (segments, M)."""
-        return self._at(wavefront, hexagon_grid())
-
-    def reconstruct(self, wavefront):
-        """Interpolate the wavefront on every segment with one LU solve and
-        measure the error on every segment's grid."""
-        coeffs = self.solve(self.sample(wavefront))
-        truth = self.truth(wavefront)
-        error = self.approximate(coeffs) - truth
-        return ReconstructionResult(
-            order=self.order,
-            scheme=self.scheme,
-            basis=self.basis.family,
-            coefficients=coeffs,
-            error_sq=np.sum(error * error, axis=-1),
-            truth_sq=np.sum(truth * truth, axis=-1),
-        )
-
-
-def zonal_interpolate(aperture, wavefront, scheme="ocs", basis="K", order=5, seed=0):
-    """Reconstruct a wavefront over the aperture by zonal interpolation.
-
-    ``scheme`` names a generable disk sampling; nodes are transferred to
-    the unit hexagon and replicated across segments.  ``basis`` is K or H.
-    """
-    nodes = generate_nodes(scheme, order, seed)
-    return ZonalInterpolator(aperture, nodes, basis).reconstruct(wavefront)
 
 
 @dataclass(frozen=True)
@@ -438,7 +365,7 @@ def run_experiment(
                     progress(label)
                 try:
                     nodes = node_provider(scheme, order, node_seed)
-                    zi = ZonalInterpolator(aperture, nodes, basis, table)
+                    zi = ZonalInterpolator(nodes, basis, table)
                     at_nodes = _local_modes(zi.local_nodes.nodes)
                     error = zi.approximate(zi.solve(at_nodes)) - grid_modes
                     del zi  # freed before the next cell builds its own

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it checks: quadrature
 instead of algebraic identities, the explicit factorial sum instead of the
-recurrence, classic hand-derived low-order formulas, and numpy's
-companion-matrix roots instead of our Newton iteration.
+recurrence, classic hand-derived low-order formulas, numpy's
+companion-matrix roots instead of our Newton iteration, and pointwise
+zonal reconstruction instead of the closed form.
 """
 
 import math
@@ -237,6 +238,43 @@ def dense_lebesgue_constant(nodes, family, domain_map, grid_shape):
     a = _dense_rows(nodes.order, family, domain_map, nodes.x, nodes.y)
     lagrange = np.linalg.solve(a, grid)
     return float(np.max(np.sum(np.abs(lagrange), axis=0)))
+
+
+def _hexagon_grid(nx=55, ny=61):
+    """The cell-centered nx x ny lattice over the side-1 hexagon's bounding
+    box, keeping the points strictly inside the hexagon, as (x, y)."""
+    half_width = math.sqrt(3.0) / 2.0
+    xs = -half_width + (np.arange(nx) + 0.5) * (2.0 * half_width / nx)
+    ys = -1.0 + (np.arange(ny) + 0.5) * (2.0 / ny)
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
+    inside = np.hypot(gx, gy) < _hexagon_radius(np.arctan2(gy, gx))
+    return gx[inside], gy[inside]
+
+
+def zonal_rrmse(coefficients, centers, disk_nodes, family):
+    """Relative RMS error of pointwise zonal reconstruction, one value per
+    row of wavefront ``coefficients`` (trials, 14).
+
+    The disk nodes are carried to the unit hexagon by ``_image_points`` and
+    replicated at every segment center.  Each wavefront is sampled there and
+    on every segment's evaluation grid by ``wavefront_sum``; each segment is
+    interpolated by ``np.linalg.solve`` with the family's dense rows, and
+    the error and truth are summed over all segments' grids.
+    """
+    x, y = _image_points(
+        family, None, np.hypot(disk_nodes.x, disk_nodes.y),
+        np.arctan2(disk_nodes.y, disk_nodes.x),
+    )
+    gx, gy = _hexagon_grid()
+    nodes = _dense_rows(disk_nodes.order, family, None, x, y)
+    grid = _dense_rows(disk_nodes.order, family, None, gx, gy)
+    cx, cy = centers[:, :1], centers[:, 1:]
+    samples = np.concatenate([wavefront_sum(a, cx + x, cy + y) for a in coefficients])
+    truth = np.array([wavefront_sum(a, cx + gx, cy + gy) for a in coefficients])
+    fits = np.linalg.solve(nodes.T, samples.T)  # one column per (trial, segment)
+    approx = (fits.T @ grid).reshape(truth.shape)
+    error_sq = np.sum(np.square(approx - truth), axis=(1, 2))
+    return np.sqrt(error_sq / np.sum(np.square(truth), axis=(1, 2)))
 
 
 def make_disk_basis(order):

@@ -135,6 +135,7 @@ class TestConditionTable:
         [
             (b"1 0\n0 1\n2 0\n", "NodeContainmentError"),  # radius 2
             (b"1 0\n0 1\n0.5\n", "NodeParseError"),
+            (b"1 0\n0 1\nnan 0\n", "NodeParseError"),
             (b"1 0\n0 1\n0.5 0.5 # caf\xc3\xa9\n", "NodeParseError"),
             (b"1 0\n0 1\n", "NodeCountError"),
             (None, "IsADirectoryError"),  # a directory cannot be opened
@@ -212,6 +213,17 @@ class TestWavefrontCommand:
         lines = a.read_text().splitlines()
         assert lines[0] == "n,scheme,basis,mean_rrmse,trials"
         assert len(lines) == 5
+
+    def test_non_finite_strength_is_hard_error(self, capsys):
+        for strength in ("nan", "inf"):
+            code, out, err = run(
+                capsys,
+                "wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
+                "--bases", "K", "--strength", strength,
+            )
+            assert code == 1
+            assert out == ""
+            assert "zernkit: error: strength must be finite and positive" in err
 
     def test_random_errors_grow_with_order(self, capsys):
         code, out, _ = run(

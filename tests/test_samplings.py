@@ -222,6 +222,14 @@ class TestNodeFiles:
         with pytest.raises(NodeParseError):
             load_nodes(path, 0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, value):
+        # nan would pass the containment test, since nan > 1 is False
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n1 0\n0 {value}\n0.5 0.5\n")
+        with pytest.raises(NodeParseError, match=r"bad\.txt:3: non-finite"):
+            load_nodes(path, 1)
+
     def test_three_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.1 0.2 0.3\n")

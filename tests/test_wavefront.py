@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import wavefront_sum
+from oracles import wavefront_sum, zonal_rrmse
 from zernkit.domains import HexagonBasis, polygon_boundary_radius
 from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import generate_nodes, ocs_nodes
 from zernkit.zernike import zernike_matrix
 from zernkit.wavefront import (
     ExperimentCell,
-    ReconstructionResult,
-    SegmentedAperture,
     _local_modes,
+    _rrmse,
     _translations,
     _trial_seed,
     Wavefront,
@@ -27,7 +26,6 @@ from zernkit.wavefront import (
     kolmogorov_wavefront,
     run_experiment,
     wavefront_modes,
-    zonal_interpolate,
 )
 
 
@@ -73,8 +71,9 @@ class TestKolmogorov:
         assert abs(got - want) < 0.1 * want
 
     def test_strength_validated(self):
-        with pytest.raises(ValueError):
-            kolmogorov_wavefront(0, strength=0.0)
+        for strength in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                kolmogorov_wavefront(0, strength=strength)
 
 
 class TestWavefrontEvaluation:
@@ -91,12 +90,9 @@ class TestWavefrontEvaluation:
         y = np.outer(np.linspace(0.0, radius, 5), np.sin(ang))
         want = wavefront_sum(w.coefficients, x, y)
         scale = np.max(np.abs(want))
-        got = w(x, y)
+        got = np.tensordot(w.coefficients, wavefront_modes(x, y), axes=1)
         assert got.shape == x.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        scalar = w(x[-1, 2], y[-1, 2])
-        assert isinstance(scalar, float)
-        assert abs(scalar - want[-1, 2]) <= 1e-12 * scale
 
 
 class TestAperture:
@@ -163,12 +159,33 @@ class TestTranslation:
 
 
 def rrmse(approx, truth):
-    """ReconstructionResult.rrmse of grid values given one row per segment."""
+    """``_rrmse`` of grid values given one row per segment."""
     approx, truth = np.atleast_2d(approx), np.atleast_2d(truth)
-    return ReconstructionResult(
-        0, "ocs", "K", np.zeros((len(truth), 1)),
-        np.sum((approx - truth) ** 2, axis=-1), np.sum(truth * truth, axis=-1),
-    ).rrmse
+    return float(
+        _rrmse(np.sum((approx - truth) ** 2, axis=-1), np.sum(truth * truth, axis=-1))
+    )
+
+
+def on_segments(wavefront, centers, local):
+    """``wavefront`` at the local points ``local`` (P, 2) of every segment,
+    (segments, P)."""
+    pts = centers[:, None] + local
+    return np.tensordot(
+        wavefront.coefficients, wavefront_modes(pts[..., 0], pts[..., 1]), axes=1
+    )
+
+
+def interpolator(nodes, family):
+    return ZonalInterpolator(nodes, family, _grid_table(nodes.order))
+
+
+def reconstruction_rrmse(wavefront, centers, nodes, family):
+    """Sample ``wavefront`` at every segment's nodes, interpolate, and
+    measure the error on every segment's grid."""
+    zi = interpolator(nodes, family)
+    coeffs = zi.solve(on_segments(wavefront, centers, zi.local_nodes.nodes))
+    truth = on_segments(wavefront, centers, hexagon_grid())
+    return rrmse(zi.approximate(coeffs), truth)
 
 
 class TestRrmse:
@@ -199,45 +216,42 @@ class TestRrmse:
 class TestZonal:
     def test_zero_wavefront_is_defined_error(self, aperture):
         flat = Wavefront(np.zeros(14))
-        result = zonal_interpolate(aperture, flat, scheme="ocs", basis="K", order=2)
         with pytest.raises(ZeroDenominatorError):
-            result.rrmse
+            reconstruction_rrmse(flat, aperture.centers, ocs_nodes(2), "K")
 
     def test_degree_one_wavefront_error_level(self, aperture):
         # affine surfaces are not inside the span of the composed family, so
         # reconstruction is not exact; the measured plateau is held here
         tilt = Wavefront(np.array([0.3, 0.5, -0.2] + [0.0] * 11))
-        r5 = zonal_interpolate(aperture, tilt, scheme="ocs", basis="K", order=5)
-        r10 = zonal_interpolate(aperture, tilt, scheme="ocs", basis="K", order=10)
-        assert r5.rrmse < 0.02
-        assert r10.rrmse < r5.rrmse
+        r5 = reconstruction_rrmse(tilt, aperture.centers, ocs_nodes(5), "K")
+        r10 = reconstruction_rrmse(tilt, aperture.centers, ocs_nodes(10), "K")
+        assert r5 < 0.02
+        assert r10 < r5
 
     def test_basis_combination_recovered_exactly(self, aperture):
         # sampling a function that is itself a translated-basis combination
         # returns its coefficients up to conditioning error
-        nodes = ocs_nodes(6)
-        zi = ZonalInterpolator(aperture, nodes, "K")
+        zi = interpolator(ocs_nodes(6), "K")
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal((36, zi.basis.size))
 
         def synthetic(x, y):
-            x = np.asarray(x).reshape(36, -1)
-            y = np.asarray(y).reshape(36, -1)
             out = np.empty_like(x)
             for k in range(36):
                 lx = x[k] - aperture.centers[k, 0]
                 ly = y[k] - aperture.centers[k, 1]
                 out[k] = coeffs[k] @ zi.basis.matrix_xy(lx, ly, check=False)
-            return out.ravel()
+            return out
 
-        got = zi.solve(zi.sample(synthetic))
+        pts = aperture.centers[:, None] + zi.local_nodes.nodes
+        got = zi.solve(synthetic(pts[..., 0], pts[..., 1]))
         assert np.max(np.abs(got - coeffs)) < 1e-7
 
     def test_locality(self, aperture):
         # segment k results depend only on segment k samples
         w = kolmogorov_wavefront(5)
-        zi = ZonalInterpolator(aperture, ocs_nodes(4), "K")
-        samples = zi.sample(w)
+        zi = interpolator(ocs_nodes(4), "K")
+        samples = on_segments(w, aperture.centers, zi.local_nodes.nodes)
         base_coeffs = zi.solve(samples)
         base_approx = zi.approximate(base_coeffs)
         perturbed = samples.copy()
@@ -249,20 +263,23 @@ class TestZonal:
         assert not np.array_equal(approx[7], base_approx[7])
 
     def test_translation_equivariance(self, aperture):
+        # shifting the wavefront and the aperture together leaves every
+        # segment's coefficients unchanged
         w = kolmogorov_wavefront(11)
-        dx, dy = 0.37, -1.21
-        shifted_ap = SegmentedAperture(aperture.centers + np.array([dx, dy]))
+        shift = np.array([0.37, -1.21])
+        zi = interpolator(ocs_nodes(5), "H")
+        ca = zi.solve(on_segments(w, aperture.centers, zi.local_nodes.nodes))
 
-        def shifted_front(x, y):
-            return w(np.asarray(x) - dx, np.asarray(y) - dy)
+        def shifted(x, y):
+            return np.tensordot(
+                w.coefficients, wavefront_modes(x - shift[0], y - shift[1]), axes=1
+            )
 
-        a = ZonalInterpolator(aperture, ocs_nodes(5), "H")
-        b = ZonalInterpolator(shifted_ap, ocs_nodes(5), "H")
-        ca = a.solve(a.sample(w))
-        cb = b.solve(b.sample(shifted_front))
+        moved = aperture.centers[:, None] + shift + zi.local_nodes.nodes
+        cb = zi.solve(shifted(moved[..., 0], moved[..., 1]))
         assert np.max(np.abs(ca - cb)) < 1e-10
 
-    def test_singular_local_system_raises(self, aperture):
+    def test_singular_local_system_raises(self):
         # duplicated nodes make the shared local matrix exactly singular
         nodes = ocs_nodes(2)
         doubled = np.array(nodes.nodes)
@@ -271,48 +288,37 @@ class TestZonal:
 
         broken = NodeSet(2, Scheme.BOS_CUSTOM, doubled)
         with pytest.raises(SingularMatrixError):
-            ZonalInterpolator(aperture, broken, "K")
-
-    def test_result_segment_rrmse(self, aperture):
-        w = kolmogorov_wavefront(1)
-        res = zonal_interpolate(aperture, w, scheme="ocs", basis="K", order=4)
-        assert res.coefficients.shape == (36, 15)
-        for k in (0, 17, 35):
-            assert res.segment_rrmse(k) >= 0.0
+            interpolator(broken, "K")
 
 
 class TestGridTable:
     @pytest.mark.parametrize("family", ["K", "H"])
-    @pytest.mark.parametrize(
-        "order,wider", [(2, 2), (5, 9), (6, None), (11, 20), (20, 20)]
-    )
-    def test_slice_is_the_basis_on_the_grid(self, aperture, family, order, wider):
-        # wider=None: the interpolator builds its own table
+    @pytest.mark.parametrize("order,wider", [(2, 2), (5, 9), (11, 20), (20, 20)])
+    def test_slice_is_the_basis_on_the_grid(self, family, order, wider):
         grid = hexagon_grid()
-        table = None if wider is None else _grid_table(wider)
-        zi = ZonalInterpolator(aperture, ocs_nodes(order), family, table)
+        table = _grid_table(wider)
+        zi = ZonalInterpolator(ocs_nodes(order), family, table)
         want = HexagonBasis(order, family).matrix_xy(
             grid[:, 0], grid[:, 1], check=False
         )
         assert np.array_equal(zi._grid_values, want)
-        if table is not None:
-            # K reads the shared table in place; H weighs its own copy
-            assert np.shares_memory(zi._grid_values, table) == (family == "K")
+        # K reads the shared table in place; H weighs its own copy
+        assert np.shares_memory(zi._grid_values, table) == (family == "K")
 
-    def test_weighing_leaves_the_shared_table_alone(self, aperture):
+    def test_weighing_leaves_the_shared_table_alone(self):
         table = _grid_table(8)
         before = table.copy()
-        ZonalInterpolator(aperture, ocs_nodes(8), "H", table)
+        ZonalInterpolator(ocs_nodes(8), "H", table)
         assert np.array_equal(table, before)
 
     @pytest.mark.parametrize(
         "shape", [(20, 2515), (21, 2514), (21,), (21, 2515, 1)]
     )
-    def test_table_that_cannot_serve_rejected(self, aperture, shape):
+    def test_table_that_cannot_serve_rejected(self, shape):
         # order 5 needs 21 rows over the 2515 grid points
         assert len(hexagon_grid()) == 2515
         with pytest.raises(ValueError, match="grid table of shape"):
-            ZonalInterpolator(aperture, ocs_nodes(5), "K", np.zeros(shape))
+            ZonalInterpolator(ocs_nodes(5), "K", np.zeros(shape))
 
 
 class TestExperiment:
@@ -378,13 +384,15 @@ class TestExperiment:
     @settings(max_examples=3)
     def test_closed_form_cells_equal_single_reconstructions(self, basis, order, seed):
         # trial t's wavefront does not depend on the count, so one list of
-        # callable reconstructions on the grid serves every count
+        # pointwise reconstructions on the grid serves every count
         counts = [1, 2, 33]
-        zi = ZonalInterpolator(build_aperture(), generate_nodes("ocs", order), basis)
-        single = [
-            zi.reconstruct(kolmogorov_wavefront(_trial_seed(seed, t))).rrmse
+        fronts = [
+            kolmogorov_wavefront(_trial_seed(seed, t)).coefficients
             for t in range(max(counts))
         ]
+        single = zonal_rrmse(
+            fronts, build_aperture().centers, generate_nodes("ocs", order), basis
+        )
         for trials in counts:
             (cell,) = run_experiment([order], trials, bases=[basis], master_seed=seed)
             assert cell.mean_rrmse == pytest.approx(
