@@ -90,11 +90,13 @@ def read_config_file(path, allowed):
 
 
 @contextmanager
-def open_output(path):
+def open_output(path, mode="w"):
+    """Standard output for "-", else the file at ``path``; mode "a" opens
+    it without truncating it."""
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(path, mode, encoding="ascii", newline="\n") as fh:
             yield fh
 
 
@@ -211,7 +213,9 @@ def cmd_condition_table(cfg):
 
 
 def cmd_wavefront(cfg):
-    with open_output(cfg.output) as fh:  # before the sweep: fail fast
+    # opened before the sweep, so an unwritable path fails fast, but emptied
+    # only once every cell exists, so a hard error keeps a previous result
+    with open_output(cfg.output, "a") as fh:
         cells = wavefront.run_experiment(
             cfg.orders,
             cfg.trials,
@@ -225,6 +229,8 @@ def cmd_wavefront(cfg):
                 cfg.node_dir, scheme, order, seed
             ),
         )
+        if cfg.output != "-":
+            fh.truncate(0)
         fh.write(wavefront.experiment_csv(cells))
     return 0
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NodeCountError, NonFiniteError, SingularMatrixError
 from .zernike import index_to_nm, nm_to_index, zernike_matrix
@@ -69,8 +68,8 @@ class ConditionReport:
     * tables report kappa2 as above and refuse nothing;
     * solves refuse a matrix with sigma_min <= N eps sigma_max
       (``require_nonsingular``), where the answer has no correct digit;
-    * ``lebesgue_constant`` refuses only an exactly zero pivot of its LU
-      factorization.
+    * ``lebesgue_constant`` refuses only an exactly zero pivot in the LU
+      factorization of ``np.linalg.inv``, which raises LinAlgError on one.
     """
 
     order: int
@@ -213,12 +212,9 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     t = 2.0 * np.pi * np.arange(n_t) / n_t
     matrix = assemble(basis, nodes)
     try:
-        lu, piv = scipy.linalg.lu_factor(matrix.entries)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrixError("collocation matrix is exactly singular")
-    inverse = scipy.linalg.lu_solve((lu, piv), np.eye(basis.size))
+        inverse = np.linalg.inv(matrix.entries)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("collocation matrix is exactly singular") from exc
     order = basis.order
     index = [index_to_nm(j) for j in range(basis.size)]
     ms = np.array([idx.m for idx in index])

@@ -8,12 +8,15 @@ the outermost ring, which makes them unisolvent for degree-n interpolation.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -346,12 +349,41 @@ def farthest_point_thinning(points, count):
     return points[selected]
 
 
+def _flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from scipy's directory without importing ``scipy`` or ``scipy.linalg``
+    (whose import costs more than the rest of zernkit's start-up); an
+    already imported copy is reused."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        (scipy_dir,) = importlib.util.find_spec("scipy").submodule_search_locations
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_dir, "linalg"),
+            (
+                importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES,
+            ),
+        )
+        spec = finder.find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
 def approximate_fekete(n, mesh_density):
     """Approximate Fekete points selected from a fine polar mesh.
 
     Evaluates the degree-n Zernike Vandermonde on a tensor polar grid of at
     least ``mesh_density`` points and keeps the N mesh points picked by a
     column-pivoted QR factorization of the transposed Vandermonde.
+
+    The factorization is LAPACK's dgeqp3, called with the workspace its
+    own query returns, as scipy's pivoted ``qr`` does.  Every point of a
+    mesh ring ties with the others in exact arithmetic, so which points are
+    kept depends on that routine's rounding, and no other pivoted QR is
+    guaranteed to pick the same ones.
     """
     count = basis_size(n)
     if mesh_density < 10 * count:
@@ -367,13 +399,17 @@ def approximate_fekete(n, mesh_density):
     rho = np.concatenate([[0.0], rho])
     ang = np.concatenate([[0.0], ang])
     vand = zernike_matrix(n, rho, ang)
-    _, rfac, piv = scipy.linalg.qr(vand, mode="economic", pivoting=True)
+    geqp3 = _flapack().dgeqp3
+    lwork = int(geqp3(vand, lwork=-1)[-2][0])
+    rfac, piv, _, _, info = geqp3(vand, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqp3")
     diag = np.abs(np.diag(rfac))
     if diag.min() <= diag.max() * 1e-13:
         raise RankDeficiencyError(
             f"mesh Vandermonde is rank deficient at order {n}"
         )
-    keep = np.sort(piv[:count])
+    keep = np.sort(piv[:count] - 1)  # dgeqp3 counts columns from 1
     nodes = np.column_stack([rho[keep] * np.cos(ang[keep]), rho[keep] * np.sin(ang[keep])])
     return NodeSet(
         n,

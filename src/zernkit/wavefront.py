@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+# numpy loads numpy.random lazily; importing it here keeps that cost in
+# set-up rather than in the first run_experiment call
+import numpy.random  # noqa: F401
 
 from .collocation import assemble, require_nonsingular
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
@@ -212,8 +214,8 @@ class ZonalInterpolator:
 
     The disk node set is transferred to the unit hexagon once; because the
     basis shifts together with the nodes, every segment shares the same
-    local collocation matrix, factored a single time, and the same basis
-    values on the local evaluation grid.
+    local collocation matrix and the same basis values on the local
+    evaluation grid.
 
     Those grid values are the first ``basis.size`` rows of ``table``, a
     ``_grid_table`` at this order or higher: a view for K, and for H a copy
@@ -231,7 +233,7 @@ class ZonalInterpolator:
             f"local collocation matrix ({disk_nodes.scheme}, {basis_family}, "
             f"n={order}), which every segment shares,",
         )
-        self._lu = scipy.linalg.lu_factor(matrix.entries.T)
+        self._system = matrix.entries.T
         grid = hexagon_grid()
         rows = self.basis.size
         if table.ndim != 2 or table.shape[0] < rows or table.shape[1] != len(grid):
@@ -247,8 +249,9 @@ class ZonalInterpolator:
 
     def solve(self, samples):
         """Interpolation coefficients for every row of samples (rows, N), all
-        with one LU solve."""
-        return scipy.linalg.lu_solve(self._lu, np.asarray(samples, float).T).T
+        from one ``np.linalg.solve`` of the shared local system (one LU
+        factorization, every row a right-hand side)."""
+        return np.linalg.solve(self._system, np.asarray(samples, float).T).T
 
     def approximate(self, coefficients):
         """Reconstructed values on the evaluation grid, (..., M)."""

@@ -3,16 +3,18 @@
 Everything here deliberately avoids the code paths it checks: quadrature
 instead of algebraic identities, the explicit factorial sum instead of the
 recurrence, classic hand-derived low-order formulas, numpy's
-companion-matrix roots instead of our Newton iteration, and pointwise
-zonal reconstruction instead of the closed form.
+companion-matrix roots instead of our Newton iteration, pointwise
+zonal reconstruction instead of the closed form, and scipy's public
+pivoted QR instead of the direct LAPACK call.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
-from zernkit.zernike import DiskZernikeBasis, basis_size, zernike_polar
+from zernkit.zernike import DiskZernikeBasis, basis_size, zernike_matrix, zernike_polar
 
 
 def disk_gram(basis, n_radial=64, n_angular=256):
@@ -163,6 +165,23 @@ def brute_force_thinning(points, count):
         chosen.append(best)
         rest.remove(best)
     return points[chosen]
+
+
+def qr_fekete_points(n, mesh_density):
+    """The approximate Fekete points of order n, picked from the polar mesh
+    that ``approximate_fekete`` documents by the public
+    ``scipy.linalg.qr(vand, pivoting=True, mode="r")``.  The Vandermonde is
+    the batched ``zernike_matrix``, so both sides pivot on the same bits."""
+    n_theta = max(4 * (n + 1), math.ceil(math.sqrt(2.0 * mesh_density)))
+    n_r = math.ceil(mesh_density / n_theta)
+    radii = np.sqrt(np.arange(1, n_r + 1) / n_r)
+    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    rho = np.concatenate([[0.0], np.repeat(radii, n_theta)])
+    ang = np.concatenate([[0.0], np.tile(angles, n_r)])
+    _, piv = scipy.linalg.qr(zernike_matrix(n, rho, ang), pivoting=True, mode="r")
+    keep = np.sort(piv[: basis_size(n)])
+    rho, ang = rho[keep], ang[keep]
+    return np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
 
 
 def wavefront_sum(coefficients, x, y):

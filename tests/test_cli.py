@@ -225,6 +225,29 @@ class TestWavefrontCommand:
             assert out == ""
             assert "zernkit: error: strength must be finite and positive" in err
 
+    def test_hard_error_keeps_previous_output(self, capsys, tmp_path):
+        args = [
+            "wavefront", "--orders", "2", "--schemes", "ocs", "--bases", "K",
+        ]
+        target = tmp_path / "prev.csv"
+        previous = b"n,scheme,basis,mean_rrmse,trials\n" + b"2,ocs,K,1.0,1\n" * 50
+        target.write_bytes(previous)
+        for bad, message in (
+            (["--trials", "0"], "zernkit: error: trials must be >= 1"),
+            (["--trials", "1", "--strength", "nan"],
+             "zernkit: error: strength must be finite and positive"),
+        ):
+            code, out, err = run(capsys, *args, *bad, "--output", str(target))
+            assert code == 1
+            assert out == ""
+            assert message in err
+            assert target.read_bytes() == previous
+        # a run that succeeds replaces the longer previous file whole
+        fresh = tmp_path / "fresh.csv"
+        assert main(args + ["--trials", "1", "--output", str(fresh)]) == 0
+        assert main(args + ["--trials", "1", "--output", str(target)]) == 0
+        assert target.read_bytes() == fresh.read_bytes()
+
     def test_random_errors_grow_with_order(self, capsys):
         code, out, _ = run(
             capsys,
@@ -504,9 +527,10 @@ def test_unwritable_output_is_clean_error(capsys, tmp_path):
         ["wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
          "--bases", "K"],
     ):
-        code, _, err = run(capsys, *argv, "--output", str(tmp_path))
-        assert code == 1
-        assert err.startswith("zernkit: error: "), err
+        for target in (tmp_path, tmp_path / "no-such-dir" / "out.csv"):
+            code, _, err = run(capsys, *argv, "--output", str(target))
+            assert code == 1
+            assert err.startswith("zernkit: error: "), err
 
 
 def test_bad_order_range_is_clean_error(capsys):

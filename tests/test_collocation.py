@@ -406,7 +406,6 @@ class TestLebesgue:
         with pytest.raises(ValueError):
             lebesgue_constant(ocs_nodes(2), DiskZernikeBasis(2), grid_shape=grid_shape)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_exactly_singular_matrix_raises(self):
         # the disk center goes onto the inner circle, where the O weight
         # vanishes: that node's column of the collocation matrix is zero

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_thinning, reference_legendre_derivative_zeros
+from oracles import (
+    brute_force_thinning,
+    qr_fekete_points,
+    reference_legendre_derivative_zeros,
+)
 from reference_tables import (
     CARNICER_RADII_10,
     CARNICER_RADII_15,
     OCS_RADII_10,
     OCS_RADII_15,
 )
+from zernkit import samplings
 from zernkit.collocation import assemble, condition_number
 from zernkit.errors import (
     ConvergenceError,
     NodeContainmentError,
     NodeCountError,
     NodeParseError,
+    RankDeficiencyError,
 )
 from zernkit.samplings import (
     BosArraySpec,
@@ -34,7 +40,7 @@ from zernkit.samplings import (
     save_nodes,
     spiral_nodes,
 )
-from zernkit.zernike import DiskZernikeBasis, basis_size
+from zernkit.zernike import DiskZernikeBasis, basis_size, zernike_matrix
 
 
 class TestBosArrays:
@@ -272,6 +278,23 @@ class TestApproximateFekete:
     def test_density_precondition(self):
         with pytest.raises(ValueError):
             approximate_fekete(8, mesh_density=100)
+
+    @pytest.mark.parametrize("per_node", [30, 100])  # 30 is generate_nodes' density
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_keeps_the_points_of_scipys_pivoted_qr(self, n, per_node):
+        density = per_node * basis_size(n)
+        got = approximate_fekete(n, density).nodes
+        assert np.array_equal(got, qr_fekete_points(n, density))
+
+    def test_rank_deficient_mesh_raises(self, monkeypatch):
+        def without_last_mode(order, rho, theta):
+            vand = zernike_matrix(order, rho, theta)
+            vand[-1] = vand[0]
+            return vand
+
+        monkeypatch.setattr(samplings, "zernike_matrix", without_last_mode)
+        with pytest.raises(RankDeficiencyError):
+            approximate_fekete(3, mesh_density=100)
 
 
 class TestNodeSetInvariants:
