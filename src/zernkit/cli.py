@@ -20,6 +20,7 @@ data to --output (default standard output via '-').
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import contextmanager
@@ -90,14 +91,20 @@ def read_config_file(path, allowed):
 
 
 @contextmanager
-def open_output(path, mode="w"):
-    """Standard output for "-", else the file at ``path``; mode "a" opens
-    it without truncating it."""
+def open_output(path):
+    """A buffer whose text goes to ``path`` (standard output for "-") only
+    if the block ends without an error, so a hard error keeps a previous
+    result.  The file is opened before the block, without truncating it,
+    so a path that cannot be written fails before any work."""
+    buffer = io.StringIO()
     if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, mode, encoding="ascii", newline="\n") as fh:
-            yield fh
+        yield buffer
+        sys.stdout.write(buffer.getvalue())
+        return
+    with open(path, "a", encoding="ascii", newline="\n") as fh:
+        yield buffer
+        fh.truncate(0)
+        fh.write(buffer.getvalue())
 
 
 def _log(message):
@@ -144,15 +151,15 @@ def _check_basis_domain(basis, domain):
 
 
 def cmd_nodes(cfg):
-    nodes = _resolve_nodes(
-        cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,
-        cfg.mesh_density,
-    )
-    dom = _domain_map(cfg)
-    if dom is not None:
-        eps = cfg.eps if cfg.domain == "annulus" else None
-        nodes = domains.transfer_nodes(dom, nodes, inner_eps=eps)
     with open_output(cfg.output) as fh:
+        nodes = _resolve_nodes(
+            cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,
+            cfg.mesh_density,
+        )
+        dom = _domain_map(cfg)
+        if dom is not None:
+            eps = cfg.eps if cfg.domain == "annulus" else None
+            nodes = domains.transfer_nodes(dom, nodes, inner_eps=eps)
         samplings.save_nodes(fh, nodes)
     return 0
 
@@ -170,8 +177,7 @@ def _sweep(cfg, default_basis, header, measure):
     cannot be resolved: ``missing`` when its file does not exist, ``invalid``
     when it cannot be opened, read or built (a directory in its place, a
     parse, count or containment error).  The reason for a marker goes to
-    standard error.  Rows are written as they are made, to an output opened
-    before the first."""
+    standard error."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     dom = _domain_map(cfg)
@@ -213,9 +219,7 @@ def cmd_condition_table(cfg):
 
 
 def cmd_wavefront(cfg):
-    # opened before the sweep, so an unwritable path fails fast, but emptied
-    # only once every cell exists, so a hard error keeps a previous result
-    with open_output(cfg.output, "a") as fh:
+    with open_output(cfg.output) as fh:
         cells = wavefront.run_experiment(
             cfg.orders,
             cfg.trials,
@@ -229,8 +233,6 @@ def cmd_wavefront(cfg):
                 cfg.node_dir, scheme, order, seed
             ),
         )
-        if cfg.output != "-":
-            fh.truncate(0)
         fh.write(wavefront.experiment_csv(cells))
     return 0
 

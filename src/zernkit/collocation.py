@@ -61,15 +61,11 @@ class ConditionReport:
     """2-norm conditioning of a collocation matrix.
 
     kappa2 = sigma_max / sigma_min as measured, however large, and inf only
-    when sigma_min is exactly zero: a singular matrix is a first-class
-    result here, not an exception, so perturbation sweeps can tabulate it.
-    The library has three singularity rules, one per use:
-
-    * tables report kappa2 as above and refuse nothing;
-    * solves refuse a matrix with sigma_min <= N eps sigma_max
-      (``require_nonsingular``), where the answer has no correct digit;
-    * ``lebesgue_constant`` refuses only an exactly zero pivot in the LU
-      factorization of ``np.linalg.inv``, which raises LinAlgError on one.
+    when sigma_min is exactly zero.  A report refuses nothing, so
+    perturbation sweeps can tabulate a singular matrix.  Whatever inverts a
+    collocation matrix (solves, Lebesgue estimates, the zonal interpolator)
+    first applies the one singularity rule, ``require_nonsingular``:
+    sigma_min <= N eps sigma_max, where an answer has no correct digit.
     """
 
     order: int
@@ -135,8 +131,7 @@ def assemble(basis, nodes):
 
 def condition_number(matrix):
     """ConditionReport from the singular values: kappa2 as measured, inf
-    only at sigma_min == 0 (see ConditionReport for the rules of solves and
-    Lebesgue estimates)."""
+    only at sigma_min == 0."""
     entries = matrix.entries
     if not np.all(np.isfinite(entries)):
         raise NonFiniteError("matrix has non-finite entries")
@@ -155,32 +150,31 @@ def condition_number(matrix):
     )
 
 
-def require_nonsingular(sigma, name):
-    """Raise SingularMatrixError, carrying sigma_min, when the N x N matrix
-    with descending singular values ``sigma`` is singular to working
-    precision: sigma_min <= N eps sigma_max.  ``name`` describes the matrix
-    in the message."""
-    if sigma[-1] <= sigma.size * np.finfo(float).eps * sigma[0]:
+def require_nonsingular(matrix):
+    """The singularity rule: raise SingularMatrixError, carrying sigma_min,
+    when the N x N collocation matrix is singular to working precision,
+    sigma_min <= N eps sigma_max (sigma from ``condition_number``)."""
+    report = condition_number(matrix)
+    if report.sigma_min <= matrix.size * np.finfo(float).eps * report.sigma_max:
         raise SingularMatrixError(
-            f"{name} is singular to working precision", sigma_min=float(sigma[-1])
+            f"collocation matrix ({matrix.scheme}, {matrix.basis}, "
+            f"n={matrix.order}) is singular to working precision",
+            sigma_min=report.sigma_min,
         )
 
 
 def solve_interpolation(matrix, values):
     """Coefficients c with matrix.T @ c = values, plus the max-norm residual.
 
-    Uses the singular value decomposition; a matrix singular to working
-    precision raises SingularMatrixError (see ``require_nonsingular``).
+    The singular values decide whether to solve (``require_nonsingular``
+    raises SingularMatrixError); the solve itself is an LU factorization.
     """
     values = np.asarray(values, dtype=float)
     a = matrix.entries.T
     if values.shape != (a.shape[0],):
         raise ValueError(f"values must have length {a.shape[0]}")
-    u, sigma, vt = np.linalg.svd(a)
-    require_nonsingular(
-        sigma, f"collocation matrix ({matrix.scheme}, {matrix.basis}, n={matrix.order})"
-    )
-    coeffs = vt.T @ ((u.T @ values) / sigma)
+    require_nonsingular(matrix)
+    coeffs = np.linalg.solve(a, values)
     residual = float(np.max(np.abs(a @ coeffs - values)))
     return InterpolationResult(coefficients=coeffs, residual=residual)
 
@@ -202,8 +196,9 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     that block's N x RADIAL_BLOCK x n_t values and the n_r x N x (2n + 1)
     contraction; the N x (n_r n_t) grid matrix is never built.
 
-    A collocation matrix with an exactly zero pivot raises
-    SingularMatrixError, a grid without points ValueError.
+    A collocation matrix singular to working precision raises
+    SingularMatrixError (``require_nonsingular``) before C is formed, a
+    grid without points ValueError.
     """
     n_r, n_t = grid_shape
     if n_r < 1 or n_t < 1:
@@ -211,10 +206,8 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     r = (np.arange(n_r) + 1.0) / n_r
     t = 2.0 * np.pi * np.arange(n_t) / n_t
     matrix = assemble(basis, nodes)
-    try:
-        inverse = np.linalg.inv(matrix.entries)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("collocation matrix is exactly singular") from exc
+    require_nonsingular(matrix)
+    inverse = np.linalg.inv(matrix.entries)
     order = basis.order
     index = [index_to_nm(j) for j in range(basis.size)]
     ms = np.array([idx.m for idx in index])

@@ -228,11 +228,7 @@ class ZonalInterpolator:
         self.basis = HexagonBasis(order, basis_family)
         self.local_nodes = transfer_nodes(HexagonMap(), disk_nodes)
         matrix = assemble(self.basis, self.local_nodes)
-        require_nonsingular(
-            np.linalg.svd(matrix.entries, compute_uv=False),
-            f"local collocation matrix ({disk_nodes.scheme}, {basis_family}, "
-            f"n={order}), which every segment shares,",
-        )
+        require_nonsingular(matrix)
         self._system = matrix.entries.T
         grid = hexagon_grid()
         rows = self.basis.size
@@ -300,6 +296,18 @@ def _local_squares(local, root):
     return np.sum(np.square(local @ root.T), axis=-1)
 
 
+def _mean_rrmse(nodes, basis_family, table, grid_modes, local, truth_sq):
+    """One cell's mean reconstruction error over the trials, from the local
+    modes ``local`` (trials, segments, 15) and their grid sums of squares
+    ``truth_sq`` (trials, segments)."""
+    zi = ZonalInterpolator(nodes, basis_family, table)
+    at_nodes = _local_modes(zi.local_nodes.nodes)
+    error = zi.approximate(zi.solve(at_nodes)) - grid_modes
+    del zi  # freed before the QR below
+    root = np.linalg.qr(error.T, mode="r")
+    return float(np.mean(_rrmse(_local_squares(local, root), truth_sq)))
+
+
 def run_experiment(
     orders,
     trials,
@@ -308,7 +316,6 @@ def run_experiment(
     master_seed=0,
     strength=1.0,
     node_seed=0,
-    aperture=None,
     progress=None,
     node_provider=None,
 ):
@@ -327,12 +334,13 @@ def run_experiment(
     grid table, evaluated once per call at ``max(orders)`` and sliced per
     cell (weighed by 1/R(theta) for H), so no cell evaluates the grid.
 
-    A cell that fails with a ZernkitError, OSError or ValueError (for
-    example a singular local system or a missing node file) is recorded as
-    an error marker, not raised, and its reason goes to ``progress``; any
-    other exception propagates.  ``node_provider(scheme, order, seed)``
-    overrides how disk node sets are obtained, e.g. to load file-based
-    schemes.
+    A cell whose node set cannot be had (``node_provider`` raises a
+    ZernkitError, OSError or ValueError: a missing node file, an unknown
+    scheme) or whose numerics raise a ZernkitError (a singular local
+    system) is recorded as an error marker, not raised, and its reason goes
+    to ``progress``; any other exception propagates.
+    ``node_provider(scheme, order, seed)`` overrides how disk node sets are
+    obtained, e.g. to load file-based schemes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -346,8 +354,6 @@ def run_experiment(
         return []
     if min(orders) < 0:
         raise ValueError(f"orders must be >= 0, got {min(orders)}")
-    if aperture is None:
-        aperture = build_aperture()
     if node_provider is None:
         node_provider = generate_nodes
     stack = np.array([
@@ -355,7 +361,7 @@ def run_experiment(
         for t in range(trials)
     ])
     grid_modes = _local_modes(hexagon_grid())
-    translations = _translations(aperture.centers, grid_modes)
+    translations = _translations(build_aperture().centers, grid_modes)
     local = np.einsum("tj,kjl->tkl", stack, translations)  # (trials, segments, 15)
     truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
     table = _grid_table(max(orders))
@@ -368,29 +374,26 @@ def run_experiment(
                     progress(label)
                 try:
                     nodes = node_provider(scheme, order, node_seed)
-                    zi = ZonalInterpolator(nodes, basis, table)
-                    at_nodes = _local_modes(zi.local_nodes.nodes)
-                    error = zi.approximate(zi.solve(at_nodes)) - grid_modes
-                    del zi  # freed before the next cell builds its own
-                    root = np.linalg.qr(error.T, mode="r")
-                    errors = _rrmse(_local_squares(local, root), truth_sq)
-                    mean = float(np.mean(errors))
-                    cells.append(
-                        ExperimentCell(order, str(scheme), basis, mean, trials)
-                    )
                 except (ZernkitError, OSError, ValueError) as exc:
-                    if progress:
-                        progress(f"{label}: {type(exc).__name__}: {exc}")
-                    cells.append(
-                        ExperimentCell(
-                            order,
-                            str(scheme),
-                            basis,
-                            math.nan,
-                            trials,
-                            error=type(exc).__name__,
+                    failure = exc
+                else:
+                    try:
+                        mean = _mean_rrmse(
+                            nodes, basis, table, grid_modes, local, truth_sq
                         )
-                    )
+                    except ZernkitError as exc:
+                        failure = exc
+                    else:
+                        cells.append(
+                            ExperimentCell(order, str(scheme), basis, mean, trials)
+                        )
+                        continue
+                if progress:
+                    progress(f"{label}: {type(failure).__name__}: {failure}")
+                cells.append(ExperimentCell(
+                    order, str(scheme), basis, math.nan, trials,
+                    error=type(failure).__name__,
+                ))
     return cells
 
 

@@ -524,8 +524,10 @@ def test_unwritable_output_is_clean_error(capsys, tmp_path):
     # the output opens before the sweep, so no cell's progress line comes first
     for argv in (
         ["condition-table", "--schemes", "ocs", "--orders", "1"],
+        ["lebesgue", "--schemes", "ocs", "--orders", "1"],
         ["wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
          "--bases", "K"],
+        ["nodes", "--scheme", "ocs", "--n", "2"],
     ):
         for target in (tmp_path, tmp_path / "no-such-dir" / "out.csv"):
             code, _, err = run(capsys, *argv, "--output", str(target))
@@ -539,3 +541,21 @@ def test_bad_order_range_is_clean_error(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_hard_error_keeps_previous_output_of_every_command(capsys, tmp_path):
+    target = tmp_path / "prev.csv"
+    previous = b"n,scheme,basis,domain,lebesgue\n" + b"4,ocs,O,annulus,1.0\n" * 50
+    target.write_bytes(previous)
+    for argv, message in (
+        # eps 0 puts the center node on the inner circle, where O vanishes
+        (["lebesgue", "--domain", "annulus", "--basis", "O", "--eps", "0",
+          "--schemes", "ocs", "--orders", "4"], "singular to working precision"),
+        (["nodes", "--scheme", "fekete", "--n", "4",
+          "--from-file", str(tmp_path / "absent.txt")], "absent.txt"),
+    ):
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert message in err.splitlines()[-1], err
+        assert target.read_bytes() == previous

@@ -34,6 +34,7 @@ from zernkit.samplings import (
     ocs_nodes,
     random_thinned_nodes,
 )
+from zernkit.wavefront import ZonalInterpolator, _grid_table
 from zernkit.zernike import CONTAIN_TOL, DiskZernikeBasis, zernike_xy
 
 
@@ -256,9 +257,18 @@ class TestSolve:
 
     def test_working_precision_rule(self):
         eps = np.finfo(float).eps
-        require_nonsingular(np.array([1.0, 1.0, 6.0 * eps]), "m")
-        with pytest.raises(SingularMatrixError, match="m is singular") as err:
-            require_nonsingular(np.array([2.0, 1.0, 6.0 * eps]), "m")
+
+        def diagonal(sigma):
+            entries = np.diag(sigma)
+            # the SVD of a diagonal matrix returns its entries exactly
+            assert np.array_equal(np.linalg.svd(entries, compute_uv=False), sigma)
+            return CollocationMatrix(entries, 1, "custom", "Z", "disk")
+
+        require_nonsingular(diagonal([1.0, 1.0, 6.0 * eps]))
+        with pytest.raises(
+            SingularMatrixError, match=r"\(custom, Z, n=1\) is singular"
+        ) as err:
+            require_nonsingular(diagonal([2.0, 1.0, 6.0 * eps]))
         assert err.value.sigma_min == 6.0 * eps
 
     def test_singular_carries_sigma_min(self):
@@ -268,6 +278,45 @@ class TestSolve:
         with pytest.raises(SingularMatrixError) as err:
             solve_interpolation(mat, np.ones(mat.size))
         assert err.value.sigma_min == 0.0
+
+
+class TestOneSingularityRule:
+    """Solves, Lebesgue estimates and the zonal interpolator refuse the same
+    matrices, with the same sigma_min."""
+
+    @staticmethod
+    def _near_double(delta):
+        # ocs_nodes(2) with node 1 moved to within delta of node 0
+        points = np.array(ocs_nodes(2).nodes)
+        points[1] = points[0] + [delta, 0.0]
+        return NodeSet(2, Scheme.BOS_CUSTOM, points)
+
+    @staticmethod
+    def _callers(disk_nodes):
+        # each inverts the K-family matrix at the nodes moved onto the hexagon
+        basis = HexagonBasis(2, "K")
+        nodes = transfer_nodes(HexagonMap(), disk_nodes)
+        matrix = assemble(basis, nodes)
+        calls = (
+            lambda: solve_interpolation(matrix, np.ones(basis.size)),
+            lambda: lebesgue_constant(nodes, basis, grid_shape=(10, 16)),
+            lambda: ZonalInterpolator(disk_nodes, "K", _grid_table(2)),
+        )
+        return condition_number(matrix), calls
+
+    def test_all_accept_above_working_precision(self):
+        report, calls = self._callers(self._near_double(1e-13))
+        assert 6 * np.finfo(float).eps * report.kappa2 < 0.5
+        for call in calls:
+            call()
+
+    def test_all_refuse_at_working_precision(self):
+        report, calls = self._callers(self._near_double(1e-15))
+        assert 6 * np.finfo(float).eps * report.kappa2 > 2.0
+        for call in calls:
+            with pytest.raises(SingularMatrixError) as err:
+                call()
+            assert err.value.sigma_min == report.sigma_min
 
 
 class TestAnnulusTable:
@@ -411,10 +460,11 @@ class TestLebesgue:
         # vanishes: that node's column of the collocation matrix is zero
         domain_map = AnnulusMap(0.5, 1.0)
         nodes = transfer_nodes(domain_map, ocs_nodes(4), inner_eps=None)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError) as err:
             lebesgue_constant(
                 nodes, make_basis("O", 4, domain_map), grid_shape=(10, 16)
             )
+        assert err.value.sigma_min == 0.0
 
     def test_transferred_domain_grid(self):
         nodes = transfer_nodes(HexagonMap(), ocs_nodes(4))

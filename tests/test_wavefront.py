@@ -362,6 +362,28 @@ class TestExperiment:
         with pytest.raises(TypeError, match="provider takes no order"):
             run_experiment([2], 1, node_provider=broken)
 
+    @pytest.mark.parametrize("scheme,order", [("bogus", 2), ("ocs", 0)])
+    def test_unresolvable_scheme_is_error_cell(self, scheme, order):
+        (cell,) = run_experiment([order], 1, schemes=[scheme])
+        assert cell.error == "ValueError"
+
+    def test_value_error_in_cell_numerics_raises(self, monkeypatch):
+        from zernkit import wavefront
+
+        original = wavefront._local_squares
+        calls = []
+
+        def broken(local, root):
+            calls.append(root.shape)
+            if len(calls) > 1:  # the first call forms the truth, before any cell
+                raise ValueError("operands could not be broadcast together")
+            return original(local, root)
+
+        monkeypatch.setattr(wavefront, "_local_squares", broken)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run_experiment([2], 1)
+        assert len(calls) == 2
+
     def test_unreadable_nodes_are_error_cell_with_reason(self):
         def unreadable(scheme, order, seed):
             raise NodeParseError("line 3: expected two numbers")
