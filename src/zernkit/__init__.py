@@ -20,6 +20,8 @@ from .collocation import (
 )
 from .domains import (
     AnnulusMap,
+    DiskMap,
+    DiskZernikeBasis,
     EllipseMap,
     HexagonBasis,
     HexagonMap,
@@ -57,7 +59,6 @@ from .wavefront import (
     run_experiment,
 )
 from .zernike import (
-    DiskZernikeBasis,
     ZernikeIndex,
     basis_size,
     index_to_nm,

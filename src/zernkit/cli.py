@@ -30,7 +30,7 @@ from .errors import ConfigError, ZernkitError
 
 NODE_DIR_ENV = "ZERNKIT_NODE_DIR"
 
-GENERABLE_SCHEMES = ("ocs", "carnicer", "cuyt", "spiral", "random", "approx-fekete")
+GENERABLE_SCHEMES = tuple(str(scheme) for scheme in samplings.GENERATORS)
 FILE_SCHEMES = ("lebesgue", "fekete")
 
 _LEBESGUE_CSV_HEADER = "n,scheme,basis,domain,lebesgue"
@@ -131,8 +131,6 @@ def _resolve_nodes(node_dir, scheme, order, seed, from_file=None, mesh_density=N
 
 
 def _domain_map(cfg):
-    if cfg.domain == "disk":
-        return None
     return domains.make_map(
         cfg.domain,
         semi_major=cfg.semi_major,
@@ -156,10 +154,8 @@ def cmd_nodes(cfg):
             cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,
             cfg.mesh_density,
         )
-        dom = _domain_map(cfg)
-        if dom is not None:
-            eps = cfg.eps if cfg.domain == "annulus" else None
-            nodes = domains.transfer_nodes(dom, nodes, inner_eps=eps)
+        eps = cfg.eps if cfg.domain == "annulus" else None
+        nodes = domains.transfer_nodes(_domain_map(cfg), nodes, inner_eps=eps)
         samplings.save_nodes(fh, nodes)
     return 0
 
@@ -199,10 +195,9 @@ def _sweep(cfg, default_basis, header, measure):
                     _log(f"{label}: {marker}: {type(exc).__name__}: {exc}")
                     fh.write(f"{prefix},{marker}{blanks}\n")
                     continue
-                if dom is not None:
-                    nodes = domains.transfer_nodes(
-                        dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
-                    )
+                nodes = domains.transfer_nodes(
+                    dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
+                )
                 fh.write(measure(basis, nodes, prefix) + "\n")
     return 0
 
@@ -267,7 +262,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     def domain_flags(p):
-        kinds = ("disk", "hexagon", "ellipse", "annulus")
+        kinds = tuple(m.kind for m in domains.MAPS)
         p.add_argument("--domain", default="disk", type=_name("domain", kinds),
                        help=f"one of {', '.join(kinds)}")
         p.add_argument("--A", dest="semi_major", type=float, default=2.0)

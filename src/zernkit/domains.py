@@ -1,11 +1,13 @@
 """Diffeomorphisms from the unit disk and the bases they transport.
 
-Each map phi sends the closed unit disk onto a target domain M (regular
-hexagon, axis-aligned ellipse, circular annulus).  Composing disk Zernike
-polynomials with the inverse map, optionally times a non-vanishing weight
-q, yields families orthonormal on M:
+Each map phi sends the closed unit disk onto a target domain M (the disk
+itself by the identity, a regular hexagon, an axis-aligned ellipse, a
+circular annulus).  Composing disk Zernike polynomials with the inverse
+map, optionally times a non-vanishing weight q, yields families
+orthonormal on M:
 
     family  domain   weight q                orthonormality measure |J|/q^2
+    Z       disk     1                       dx dy
     K       hexagon  1                       dx dy / R(theta)^2
     H       hexagon  1/R(theta)              dx dy
     E       ellipse  1/sqrt(AB)              dx dy
@@ -17,8 +19,9 @@ R(theta) is the hexagon boundary radius and J the Jacobian of the inverse
 map.  Every weight that is not 1 is sqrt(|J|).
 
 One TransferredBasis implements this construction, Z_j o phi^-1 times q,
-for every map.  Each map names its families (and which carry the weight)
-and owns its pull-back to the disk, its weight and its node transfer.
+for every map, the identity of the plain disk family Z included.  Each map
+names its families (and which carry the weight) and owns its pull-back to
+the disk, its weight and its node transfer.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import DomainError
 from .samplings import NodeSet
 from .zernike import (
     CONTAIN_TOL,
-    DiskZernikeBasis,
     basis_size,
     cartesian_to_polar,
     polar_to_cartesian,
@@ -46,12 +48,15 @@ __all__ = [
     "HEXAGON_HALF_ANGLE",
     "polygon_fold",
     "polygon_boundary_radius",
+    "DiskMap",
     "HexagonMap",
     "EllipseMap",
     "AnnulusMap",
+    "MAPS",
     "make_map",
     "transfer_nodes",
     "TransferredBasis",
+    "DiskZernikeBasis",
     "HexagonBasis",
     "make_basis",
     "BASIS_DOMAINS",
@@ -74,26 +79,6 @@ def polygon_boundary_radius(theta, half_angle=HEXAGON_HALF_ANGLE):
     return math.cos(half_angle) / np.cos(polygon_fold(theta, half_angle))
 
 
-def _invertible_forward_radius(rho, forward, inverse):
-    """Forward-map radii, nudged so the inverse returns rho exactly.
-
-    ``forward``/``inverse`` map single radii elementwise (index-aware).
-    The naive forward value can be off by one ulp from the float whose
-    inverse image is the source radius; snapping onto that float keeps
-    transfer-then-evaluate numerically identical to evaluating on the
-    disk, which makes the condition-number invariance exact in practice.
-    Where neither neighbour maps back exactly (the image radii are a
-    coarser float grid than the source radii), the naive value stays.
-    """
-    out = np.array(forward(rho, slice(None)))
-    for i in np.flatnonzero(inverse(out, slice(None)) != rho):
-        for cand in (np.nextafter(out[i], np.inf), np.nextafter(out[i], -np.inf)):
-            if inverse(cand, i) == rho[i]:
-                out[i] = cand
-                break
-    return out
-
-
 def _polar_nodes(rho, theta):
     """Cartesian and polar node columns of an angle-preserving transfer."""
     return (
@@ -108,11 +93,57 @@ class _RadialMap:
 
     coordinates = "polar"
 
+    def pull_back(self, rho, theta, check=True):
+        return self.inverse_polar(rho, theta, check)
+
     def image_weight(self, rho, theta):
         """sqrt|J| at the images of disk polar points (rho, theta), as a
         new array of their broadcast shape."""
         s, t = self.forward_polar(rho, theta)
         return self.weigh(np.ones(np.broadcast_shapes(np.shape(s), np.shape(t))), s, t)
+
+    def _image_radii(self, nodeset):
+        """``forward_polar`` radii of a disk NodeSet, each nudged by one ulp,
+        the upper neighbour first, where that makes ``inverse_polar`` return
+        the source radius exactly.  Transfer-then-evaluate then reproduces
+        evaluating on the disk bit for bit, which makes the condition-number
+        invariance exact in practice.  Where neither neighbour maps back
+        exactly (the image radii are a coarser float grid than the source
+        radii), the naive forward value stays."""
+        src, theta = nodeset.rho, nodeset.theta
+        naive = np.asarray(self.forward_polar(src, theta)[0], dtype=float)
+        out = naive.copy()
+        # a later candidate wins: the naive value, then the upper neighbour
+        for cand in (np.nextafter(naive, -np.inf), np.nextafter(naive, np.inf), naive):
+            exact = self.inverse_polar(cand, theta, check=False)[0] == src
+            out[exact] = cand[exact]
+        return out
+
+    def transfer(self, nodeset, inner_eps):
+        return _polar_nodes(self._image_radii(nodeset), nodeset.theta)
+
+
+@dataclass(frozen=True)
+class DiskMap(_RadialMap):
+    """The identity on the closed unit disk: the plain Zernike family Z is
+    the transferred family with phi = identity and q = 1."""
+
+    kind = "disk"
+    families = {"Z": False}
+
+    def forward_polar(self, rho, theta):
+        return rho, theta
+
+    def inverse_polar(self, rho, theta, check=True):
+        rho = np.asarray(rho, dtype=float)
+        if check and np.any(rho * rho > 1.0 + CONTAIN_TOL):
+            raise DomainError("point outside the disk")
+        return rho, theta
+
+    def transfer(self, nodeset, inner_eps):
+        """The node set's own arrays; x and y rebuilt from (rho, theta)
+        could differ in the last digit."""
+        return nodeset.nodes, nodeset.polar
 
 
 @dataclass(frozen=True)
@@ -140,20 +171,10 @@ class HexagonMap(_RadialMap):
             raise DomainError("point outside the hexagon")
         return u, theta
 
-    pull_back = inverse_polar
-
     def weigh(self, values, rho, theta):
         """Multiply values in place by sqrt|J| = 1/R(theta)."""
         values /= self.boundary_radius(theta)
         return values
-
-    def transfer(self, nodeset, inner_eps):
-        theta = nodeset.theta
-        scale = self.boundary_radius(theta)
-        rho = _invertible_forward_radius(
-            nodeset.rho, lambda r, i: r * scale[i], lambda s, i: s / scale[i]
-        )
-        return _polar_nodes(rho, theta)
 
 
 @dataclass(frozen=True)
@@ -247,8 +268,6 @@ class AnnulusMap(_RadialMap):
             raise DomainError("point outside the annulus")
         return np.maximum(t, 0.0), theta
 
-    pull_back = inverse_polar
-
     def weigh(self, values, rho, theta):
         """Multiply values in place by sqrt|J| = sqrt((r - a)/r) / (A - a).
         It vanishes on the inner circle, so an O collocation node there
@@ -261,24 +280,22 @@ class AnnulusMap(_RadialMap):
     def transfer(self, nodeset, inner_eps):
         """Source nodes at the disk center go to radius a + inner_eps when
         inner_eps is set, off the circle where the O weight vanishes."""
-        a, span = self.inner, self.outer - self.inner
-        rho = _invertible_forward_radius(
-            nodeset.rho, lambda r, i: a + span * r, lambda s, i: (s - a) / span
-        )
+        rho = self._image_radii(nodeset)
         if inner_eps:
-            rho[nodeset.rho == 0.0] = a + inner_eps
+            rho[nodeset.rho == 0.0] = self.inner + inner_eps
         return _polar_nodes(rho, nodeset.theta)
 
 
+MAPS = (DiskMap, HexagonMap, EllipseMap, AnnulusMap)
+
 # CLI/CSV codes of the basis families and the domain each lives on.
-BASIS_DOMAINS = {
-    "Z": "disk",
-    **{f: m.kind for m in (HexagonMap, EllipseMap, AnnulusMap) for f in m.families},
-}
+BASIS_DOMAINS = {f: m.kind for m in MAPS for f in m.families}
 
 
 def make_map(kind, semi_major=None, semi_minor=None, inner=None, outer=None):
     """Build a DomainMap from CLI-style parameters."""
+    if kind == "disk":
+        return DiskMap()
     if kind == "hexagon":
         return HexagonMap()
     if kind == "ellipse":
@@ -323,20 +340,21 @@ class TransferredBasis:
 
     The map supplies the pull-back to disk polar coordinates (with the
     domain check), the weight and the coordinates it takes them in: polar
-    for the angle-preserving hexagon and annulus maps, Cartesian for the
-    ellipse.  Points given in the other coordinates are converted first.  A
-    point is inside the domain when its pull-back lies in the closed unit
-    disk (a pulled-back radius in [0, 1], or u^2 + v^2 <= 1 for the
-    ellipse) with ``CONTAIN_TOL`` of slack; ``check=False`` skips the test.
-    That test is the domain's only statement, and ``matrix(nodes)``, which
+    for the angle-preserving disk, hexagon and annulus maps, Cartesian for
+    the ellipse.  Points given in the other coordinates are converted
+    first.  A point is inside the domain when its pull-back lies in the
+    closed unit disk (rho^2 <= 1 for the disk, a pulled-back radius in
+    [0, 1] for the hexagon and the annulus, u^2 + v^2 <= 1 for the ellipse)
+    with ``CONTAIN_TOL`` of slack; ``check=False`` skips the test.  That
+    test is the domain's only statement, and ``matrix(nodes)``, which
     ``assemble`` calls, always makes it.
     """
 
     def __init__(self, order, family, map):
-        if map is None or family not in map.families:
-            domain = BASIS_DOMAINS.get(family, "disk")
-            if domain == "disk":
-                raise ValueError(f"unknown transferred basis family {family!r}")
+        domain = BASIS_DOMAINS.get(family)
+        if domain is None:
+            raise ValueError(f"unknown basis family {family!r}")
+        if getattr(map, "kind", None) != domain:
             raise ValueError(f"family {family!r} needs the {domain} map, got {map!r}")
         self.order = order
         self.family = family
@@ -381,18 +399,22 @@ class TransferredBasis:
         )
 
 
+class DiskZernikeBasis(TransferredBasis):
+    def __init__(self, order, family="Z", map=DiskMap()):
+        super().__init__(order, family, map)
+
+
 class HexagonBasis(TransferredBasis):
-    def __init__(self, order, family="K", map=None):
-        super().__init__(order, family, HexagonMap() if map is None else map)
+    def __init__(self, order, family="K", map=HexagonMap()):
+        super().__init__(order, family, map)
 
 
 def make_basis(family, order, domain_map=None):
-    """Build a basis object from its one-letter family code.  The hexagon
-    families default to the side-1 hexagon; the others need their map."""
-    if family == "Z":
-        if domain_map is not None:
-            raise ValueError(f"family 'Z' needs the disk map, got {domain_map!r}")
-        return DiskZernikeBasis(order)
-    if domain_map is None and family in HexagonMap.families:
-        domain_map = HexagonMap()
+    """Build a basis object from its one-letter family code.  The disk
+    family defaults to the disk map and the hexagon families to the side-1
+    hexagon; the others need their map."""
+    if domain_map is None:
+        # only the maps without parameters have a default
+        defaults = (m() for m in (DiskMap, HexagonMap) if family in m.families)
+        domain_map = next(defaults, None)
     return TransferredBasis(order, family, domain_map)

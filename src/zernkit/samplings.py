@@ -46,6 +46,7 @@ __all__ = [
     "approximate_fekete",
     "load_nodes",
     "save_nodes",
+    "GENERATORS",
     "generate_nodes",
 ]
 
@@ -475,22 +476,24 @@ def save_nodes(path_or_handle, nodeset):
             fh.writelines(lines)
 
 
-def generate_nodes(scheme, n, seed=0):
-    """Dispatch on scheme name for the generable disk samplings.
+# The generable disk samplings: each scheme's order-n node set, seeded where
+# random.  Approximate Fekete points come from a mesh of 30 points per node.
+GENERATORS = {
+    Scheme.OCS: lambda n, seed: ocs_nodes(n),
+    Scheme.CARNICER: lambda n, seed: carnicer_nodes(n),
+    Scheme.CUYT: lambda n, seed: cuyt_nodes(n),
+    Scheme.SPIRAL: lambda n, seed: spiral_nodes(n),
+    Scheme.RANDOM_THINNED: lambda n, seed: random_thinned_nodes(n, seed),
+    Scheme.APPROX_FEKETE: lambda n, seed: approximate_fekete(n, 30 * basis_size(n)),
+}
 
-    Approximate Fekete points come from a mesh of 30 points per node.
-    """
+
+def generate_nodes(scheme, n, seed=0):
+    """Dispatch on scheme name through ``GENERATORS``; every scheme refuses
+    orders below 1."""
     scheme = Scheme(scheme)
-    if scheme is Scheme.OCS:
-        return ocs_nodes(n)
-    if scheme is Scheme.CARNICER:
-        return carnicer_nodes(n)
-    if scheme is Scheme.CUYT:
-        return cuyt_nodes(n)
-    if scheme is Scheme.SPIRAL:
-        return spiral_nodes(n)
-    if scheme is Scheme.RANDOM_THINNED:
-        return random_thinned_nodes(n, seed)
-    if scheme is Scheme.APPROX_FEKETE:
-        return approximate_fekete(n, 30 * basis_size(n))
-    raise ValueError(f"scheme {scheme} cannot be generated (load it from a file)")
+    if scheme not in GENERATORS:
+        raise ValueError(f"scheme {scheme} cannot be generated (load it from a file)")
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return GENERATORS[scheme](n, seed)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
     "ZernikeIndex",
     "basis_size",
@@ -32,13 +30,12 @@ __all__ = [
     "zernike_matrix",
     "cartesian_to_polar",
     "polar_to_cartesian",
-    "DiskZernikeBasis",
 ]
 
 # The one containment slack: a point is inside its domain when its pull-back
-# lies within it of the closed unit disk (on x^2 + y^2 for the disk and the
-# ellipse, on the pulled-back radius for the hexagon and the annulus), so
-# nodes on a domain's boundary are admitted.
+# lies within it of the closed unit disk (on rho^2 for the disk, on u^2 + v^2
+# for the ellipse, on the pulled-back radius for the hexagon and the
+# annulus), so nodes on a domain's boundary are admitted.
 CONTAIN_TOL = 1e-9
 
 
@@ -192,28 +189,3 @@ def polar_to_cartesian(rho, theta):
     theta = np.asarray(theta, dtype=float)
     return rho * np.cos(theta), rho * np.sin(theta)
 
-
-class DiskZernikeBasis:
-    """The Zernike basis of total degree <= order on the closed unit disk.
-
-    Collocation rows are indexed by the single index j = 0 .. size-1.
-    """
-
-    domain = "disk"
-    family = "Z"
-    map = None
-    weighted = False
-
-    def __init__(self, order):
-        self.order = order
-        self.size = basis_size(order)
-
-    def matrix(self, nodes):
-        """The collocation matrix of a NodeSet; a node outside the closed
-        unit disk raises DomainError."""
-        if np.any(nodes.x * nodes.x + nodes.y * nodes.y > 1.0 + CONTAIN_TOL):
-            raise DomainError("point outside the disk")
-        return zernike_matrix(self.order, nodes.rho, nodes.theta)
-
-    def __repr__(self):
-        return f"DiskZernikeBasis(order={self.order})"

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it checks: quadrature
 instead of algebraic identities, the explicit factorial sum instead of the
 recurrence, classic hand-derived low-order formulas, numpy's
 companion-matrix roots instead of our Newton iteration, pointwise
-zonal reconstruction instead of the closed form, and scipy's public
-pivoted QR instead of the direct LAPACK call.
+zonal reconstruction instead of the closed form, scipy's public
+pivoted QR instead of the direct LAPACK call, and an element-by-element
+radius snap instead of the maps' vectorised one.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
-from zernkit.zernike import DiskZernikeBasis, basis_size, zernike_matrix, zernike_polar
+from zernkit.domains import DiskZernikeBasis
+from zernkit.zernike import basis_size, zernike_matrix, zernike_polar
 
 
 def disk_gram(basis, n_radial=64, n_angular=256):
@@ -294,6 +296,39 @@ def zonal_rrmse(coefficients, centers, disk_nodes, family):
     approx = (fits.T @ grid).reshape(truth.shape)
     error_sq = np.sum(np.square(approx - truth), axis=(1, 2))
     return np.sqrt(error_sq / np.sum(np.square(truth), axis=(1, 2)))
+
+
+def _invertible_forward_radius(rho, forward, inverse):
+    """Forward-map radii, nudged so the inverse returns rho exactly.
+
+    ``forward``/``inverse`` map single radii elementwise (index-aware).
+    The naive forward value can be off by one ulp from the float whose
+    inverse image is the source radius; snapping onto that float keeps
+    transfer-then-evaluate numerically identical to evaluating on the
+    disk, which makes the condition-number invariance exact in practice.
+    Where neither neighbour maps back exactly (the image radii are a
+    coarser float grid than the source radii), the naive value stays.
+    """
+    out = np.array(forward(rho, slice(None)))
+    for i in np.flatnonzero(inverse(out, slice(None)) != rho):
+        for cand in (np.nextafter(out[i], np.inf), np.nextafter(out[i], -np.inf)):
+            if inverse(cand, i) == rho[i]:
+                out[i] = cand
+                break
+    return out
+
+
+def snapped_radii(domain_map, rho, theta):
+    """Transferred radii of disk polar points under a hexagon or annulus
+    map, one element at a time: each map's forward and inverse radius
+    written out as index-aware lambdas and snapped by the loop above."""
+    if domain_map.kind == "hexagon":
+        scale = domain_map.boundary_radius(theta)
+        forward, inverse = (lambda r, i: r * scale[i]), (lambda s, i: s / scale[i])
+    else:
+        a, span = domain_map.inner, domain_map.outer - domain_map.inner
+        forward, inverse = (lambda r, i: a + span * r), (lambda s, i: (s - a) / span)
+    return _invertible_forward_radius(rho, forward, inverse)
 
 
 def make_disk_basis(order):

@@ -17,6 +17,7 @@ from oracles import disk_gram, transferred_gram
 from zernkit.collocation import assemble, condition_number, solve_interpolation
 from zernkit.domains import (
     AnnulusMap,
+    DiskZernikeBasis,
     EllipseMap,
     HexagonBasis,
     HexagonMap,
@@ -25,7 +26,6 @@ from zernkit.domains import (
 )
 from zernkit.samplings import carnicer_radii, generate_nodes, load_nodes, ocs_radii
 from zernkit.wavefront import run_experiment
-from zernkit.zernike import DiskZernikeBasis
 
 GENERABLE = ("cuyt", "carnicer", "ocs")
 

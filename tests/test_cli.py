@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from zernkit.cli import main, parse_orders
 from zernkit.errors import ConfigError
-from zernkit.samplings import ocs_nodes, save_nodes
+from zernkit.samplings import generate_nodes, ocs_nodes, save_nodes
 
 
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -60,6 +61,15 @@ class TestNodesCommand:
              if line and not line.startswith("#")]
         )
         assert np.all((pts[:, 0] / 2.0) ** 2 + pts[:, 1] ** 2 <= 1.0 + 1e-12)
+
+    def test_disk_writes_the_generated_set(self, capsys):
+        expected = io.StringIO()
+        save_nodes(expected, generate_nodes("ocs", 9))
+        code, out, _ = run(
+            capsys, "nodes", "--scheme", "ocs", "--n", "9", "--domain", "disk"
+        )
+        assert code == 0
+        assert out == expected.getvalue()
 
     def test_file_scheme_transfer(self, capsys, tmp_path):
         source = tmp_path / "lebesgue_n3.txt"

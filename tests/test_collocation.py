@@ -18,6 +18,7 @@ from zernkit.collocation import (
 )
 from zernkit.domains import (
     AnnulusMap,
+    DiskZernikeBasis,
     EllipseMap,
     HexagonBasis,
     HexagonMap,
@@ -35,7 +36,7 @@ from zernkit.samplings import (
     random_thinned_nodes,
 )
 from zernkit.wavefront import ZonalInterpolator, _grid_table
-from zernkit.zernike import CONTAIN_TOL, DiskZernikeBasis, zernike_xy
+from zernkit.zernike import CONTAIN_TOL, zernike_xy
 
 
 def _single_node_set():

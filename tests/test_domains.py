@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import transferred_gram
+from oracles import snapped_radii, transferred_gram
+from zernkit.collocation import assemble
 from zernkit.domains import (
     AnnulusMap,
+    DiskMap,
+    DiskZernikeBasis,
     EllipseMap,
     HexagonBasis,
     HexagonMap,
@@ -19,8 +22,8 @@ from zernkit.domains import (
     transfer_nodes,
 )
 from zernkit.errors import DomainError
-from zernkit.samplings import carnicer_nodes, generate_nodes, ocs_nodes
-from zernkit.zernike import zernike_polar
+from zernkit.samplings import NodeSet, Scheme, carnicer_nodes, generate_nodes, ocs_nodes
+from zernkit.zernike import CONTAIN_TOL, basis_size, zernike_matrix, zernike_polar
 
 ALPHA = math.pi / 6
 
@@ -234,7 +237,7 @@ class TestBasisValues:
 
 
 FAMILY_MAPS = {
-    "Z": None,
+    "Z": DiskMap(),
     "K": HexagonMap(),
     "H": HexagonMap(),
     "E": EllipseMap(2.0, 1.0),
@@ -248,14 +251,14 @@ def _rows(basis, a, b, check=True):
     coordinates, one ``zernike_polar`` row at a time at the map's
     pull-back, times the map's weight for a weighted family."""
     dm = basis.map
-    u, t = (a, b) if dm is None else dm.pull_back(a, b, check)
+    u, t = dm.pull_back(a, b, check)
     rows = np.array([zernike_polar(j, u, t) for j in range(basis.size)])
     return dm.weigh(rows, a, b) if basis.weighted else rows
 
 
 def _row_by_row(basis, nodes):
     """The collocation matrix one row at a time, as an oracle."""
-    if basis.map is not None and basis.map.coordinates == "xy":
+    if basis.map.coordinates == "xy":
         return _rows(basis, nodes.x, nodes.y)
     return _rows(basis, nodes.rho, nodes.theta)
 
@@ -264,6 +267,8 @@ def _outside_point(domain_map, theta, factor):
     """A point ``factor`` > 1 beyond the boundary of the map's image along
     angle theta (for the annulus alternately inside the hole)."""
     c, s = math.cos(theta), math.sin(theta)
+    if isinstance(domain_map, DiskMap):
+        return factor * c, factor * s
     if isinstance(domain_map, HexagonMap):
         r = factor * float(domain_map.boundary_radius(theta))
         return r * c, r * s
@@ -284,13 +289,12 @@ class TestBatchedEvaluation:
     def test_matrix_equals_row_evaluators(self, family, order, scheme, seed):
         dm = FAMILY_MAPS[family]
         nodes = generate_nodes(scheme, order, seed)
-        if dm is not None:
-            nodes = transfer_nodes(dm, nodes, inner_eps=0.01 if family == "O" else None)
+        nodes = transfer_nodes(dm, nodes, inner_eps=0.01 if family == "O" else None)
         basis = make_basis(family, order, dm)
         assert np.array_equal(basis.matrix(nodes), _row_by_row(basis, nodes))
 
     @given(
-        st.sampled_from(["K", "H", "E", "O", "C"]),
+        st.sampled_from(sorted(FAMILY_MAPS)),
         st.integers(min_value=0, max_value=12),
         st.lists(
             st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)), min_size=1, max_size=20
@@ -309,7 +313,7 @@ class TestBatchedEvaluation:
             assert np.array_equal(values[j], row, equal_nan=True), j
 
     @given(
-        st.sampled_from(["K", "H", "E", "O", "C"]),
+        st.sampled_from(sorted(FAMILY_MAPS)),
         st.floats(min_value=-math.pi, max_value=math.pi),
         st.floats(min_value=1.01, max_value=3.0),
     )
@@ -345,6 +349,97 @@ class TestBatchedEvaluation:
         assert np.max(np.abs(basis.matrix_polar(rho, theta) - expected)) <= 1e-13
         for j in range(basis.size):
             assert np.max(np.abs(basis.eval_polar(j, rho, theta) - expected[j])) <= 1e-13
+
+
+class TestDisk:
+    """The plain family Z is the transferred family on the identity map."""
+
+    @pytest.mark.parametrize("scheme", ["ocs", "spiral", "random", "approx-fekete"])
+    def test_transfer_keeps_the_node_set_arrays(self, scheme):
+        nodes = generate_nodes(scheme, 7)
+        moved = transfer_nodes(DiskMap(), nodes)
+        assert moved.domain == "disk"
+        assert np.array_equal(moved.nodes, nodes.nodes)
+        assert np.array_equal(moved.polar, nodes.polar)
+
+    @pytest.mark.parametrize("n", [1, 6, 15])
+    def test_matrix_is_the_zernike_matrix(self, n):
+        nodes = generate_nodes("carnicer", n)
+        expected = zernike_matrix(n, nodes.rho, nodes.theta)
+        assert np.array_equal(DiskZernikeBasis(n).matrix(nodes), expected)
+
+    @staticmethod
+    def _nodes_at(rho_sq):
+        r = math.sqrt(rho_sq)
+        nodes = np.array([[r, 0.0], [0.0, 0.5], [-0.5, 0.0]])
+        return NodeSet(1, Scheme.BOS_CUSTOM, nodes)
+
+    def test_containment_tolerance_on_rho_squared(self):
+        basis = DiskZernikeBasis(1)
+        inside = self._nodes_at(1.0 + 0.5 * CONTAIN_TOL)
+        outside = self._nodes_at(1.0 + 2.0 * CONTAIN_TOL)
+        assert np.all(np.isfinite(assemble(basis, inside).entries))
+        for nodes, admitted in ((inside, True), (outside, False)):
+            calls = (
+                lambda: assemble(basis, nodes),
+                lambda: basis.matrix_polar(nodes.rho, nodes.theta),
+                lambda: basis.matrix_xy(nodes.x, nodes.y),
+                lambda: basis.eval_polar(2, nodes.rho, nodes.theta),
+            )
+            for call in calls:
+                if admitted:
+                    call()
+                else:
+                    with pytest.raises(DomainError, match="outside the disk"):
+                        call()
+
+    def test_family_needs_the_disk_map(self):
+        assert make_basis("Z", 4).map == DiskMap()
+        with pytest.raises(ValueError, match="family 'Z' needs the disk map"):
+            make_basis("Z", 4, HexagonMap())
+
+
+class TestSnap:
+    """The vectorised ulp snap of the radial maps equals the element-by-element
+    reference of ``oracles.snapped_radii`` bit for bit.
+
+    The snap tries the upper neighbour first, but no float data can tell
+    that order apart: each map's inverse radius is monotone in floating
+    point, so if both neighbours of an off-by-one image pulled back onto
+    the source radius, so would the image itself.
+    """
+
+    MAPS = (HexagonMap(), AnnulusMap(0.3, 1.0), AnnulusMap(0.5, 1.0))
+
+    @staticmethod
+    def _random_set(seed, order=62):
+        rng = np.random.default_rng(seed)
+        count = basis_size(order)
+        rho = rng.random(count)
+        rho[:2] = 0.0, 1.0
+        theta = rng.uniform(-math.pi, math.pi, count)
+        nodes = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+        polar = np.column_stack([rho, theta])
+        return NodeSet(order, Scheme.BOS_CUSTOM, nodes, polar=polar)
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from(["ocs", "carnicer", "cuyt", "spiral", "random"]),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_transfer_equals_the_elementwise_snap(self, order, scheme, node_seed, seed):
+        nudged = 0
+        for nodes in (generate_nodes(scheme, order, node_seed), self._random_set(seed)):
+            for dm in self.MAPS:
+                moved = transfer_nodes(dm, nodes, inner_eps=None)
+                expected = snapped_radii(dm, nodes.rho, nodes.theta)
+                polar = np.column_stack([expected, nodes.theta])
+                assert np.array_equal(moved.polar, polar)
+                naive = dm.forward_polar(nodes.rho, nodes.theta)[0]
+                nudged += np.count_nonzero(expected != naive)
+        assert nudged > 0  # the data exercises the snap, not only the naive map
 
 
 def _ulp_neighbours(values, k):
@@ -438,6 +533,7 @@ def test_orthonormality_order_6(family, kwargs):
 
 
 def test_make_map_dispatch():
+    assert isinstance(make_map("disk"), DiskMap)
     assert isinstance(make_map("hexagon"), HexagonMap)
     assert isinstance(make_map("ellipse", semi_major=2.0, semi_minor=1.0), EllipseMap)
     assert isinstance(make_map("annulus", inner=0.5, outer=1.0), AnnulusMap)

@@ -14,6 +14,7 @@ from reference_tables import (
 )
 from zernkit import samplings
 from zernkit.collocation import assemble, condition_number
+from zernkit.domains import DiskZernikeBasis
 from zernkit.errors import (
     ConvergenceError,
     NodeContainmentError,
@@ -40,7 +41,8 @@ from zernkit.samplings import (
     save_nodes,
     spiral_nodes,
 )
-from zernkit.zernike import DiskZernikeBasis, basis_size, zernike_matrix
+from zernkit.wavefront import run_experiment
+from zernkit.zernike import basis_size, zernike_matrix
 
 
 class TestBosArrays:
@@ -318,6 +320,18 @@ class TestNodeSetInvariants:
             a = generate_nodes(scheme, 8, seed=3)
             b = generate_nodes(scheme, 8, seed=3)
             assert np.array_equal(a.nodes, b.nodes)
+
+    @pytest.mark.parametrize("scheme", samplings.GENERATORS)
+    def test_every_scheme_refuses_order_zero(self, scheme):
+        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+            generate_nodes(scheme, 0)
+
+    def test_order_zero_cells_are_errors_for_every_scheme(self):
+        schemes = [str(scheme) for scheme in samplings.GENERATORS]
+        assert len(schemes) == 6
+        cells = run_experiment([0], 1, schemes=schemes, bases=("K",))
+        assert [cell.scheme for cell in cells] == schemes
+        assert [cell.error for cell in cells] == ["ValueError"] * 6
 
     def test_nodes_read_only(self):
         nodes = ocs_nodes(3)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import CLASSIC_ZERNIKES, disk_gram, radial_poly_sum
+from zernkit.domains import DiskZernikeBasis
 from zernkit.zernike import (
-    DiskZernikeBasis,
     ZernikeIndex,
     basis_size,
     cartesian_to_polar,
