@@ -104,12 +104,9 @@ class _RadialMap:
 
     def _image_radii(self, nodeset):
         """``forward_polar`` radii of a disk NodeSet, each nudged by one ulp,
-        the upper neighbour first, where that makes ``inverse_polar`` return
-        the source radius exactly.  Transfer-then-evaluate then reproduces
-        evaluating on the disk bit for bit, which makes the condition-number
-        invariance exact in practice.  Where neither neighbour maps back
-        exactly (the image radii are a coarser float grid than the source
-        radii), the naive forward value stays."""
+        the upper neighbour first, where the naive value misses the source
+        radius on pull-back and the neighbour makes ``inverse_polar`` return
+        it exactly.  Where neither does, the naive forward value stays."""
         src, theta = nodeset.rho, nodeset.theta
         naive = np.asarray(self.forward_polar(src, theta)[0], dtype=float)
         out = naive.copy()
@@ -314,12 +311,15 @@ def transfer_nodes(domain_map, nodeset, inner_eps=0.01):
     None to disable, e.g. when studying the plain composed family C, for
     which the inner circle is harmless).
 
-    For the radial maps (hexagon, annulus) angles are kept and each
-    transferred radius is nudged by at most one ulp onto a float whose
-    pull-back is exactly the source radius, where such a float exists, so
-    evaluating a transferred basis at transferred nodes reproduces the disk
-    collocation matrix bit for bit on those nodes.  Elsewhere the pull-back
-    is off by at most two steps of the image's float grid.
+    The disk map returns the set's own node and polar arrays.  The other
+    radial maps (hexagon, annulus) keep the angles, and a transferred radius
+    whose naive image misses the source radius on pull-back is nudged by one
+    ulp where a neighbour pulls back exactly, so evaluating a transferred
+    basis at transferred nodes reproduces the disk collocation matrix bit
+    for bit on the nodes that pull back exactly.  The nudge only acts where
+    the image radii lie on a coarser float grid than the source radii (as
+    on annuli with a = 0.3 or 0.2).  Elsewhere the pull-back is off by at
+    most two steps of the image's float grid.
     """
     if nodeset.domain != "disk":
         raise DomainError(f"can only transfer disk node sets, got {nodeset.domain}")
@@ -400,8 +400,8 @@ class TransferredBasis:
 
 
 class DiskZernikeBasis(TransferredBasis):
-    def __init__(self, order, family="Z", map=DiskMap()):
-        super().__init__(order, family, map)
+    def __init__(self, order):
+        super().__init__(order, "Z", DiskMap())
 
 
 class HexagonBasis(TransferredBasis):

@@ -184,14 +184,19 @@ def bos_array(spec, scheme=Scheme.BOS_CUSTOM, metadata=""):
     return NodeSet(n, scheme, np.vstack(pts), metadata=metadata)
 
 
+def _check_order(n):
+    """Every generated sampling needs at least the degree-1 basis."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+
+
 def ocs_radii(n):
     """Ring radii of Optimal Concentric Sampling, outermost first.
 
     A fitted cubic in the Chebyshev zeros xi_j = cos((2j-1) pi / (2(n+1))):
         r_j = 1.1565 xi - 0.76535 xi^2 + 0.60517 xi^3,  j = 1..floor(n/2)+1.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(n)
     k = n // 2 + 1
     j = np.arange(1, k + 1)
     xi = np.cos((2 * j - 1) * np.pi / (2 * (n + 1)))
@@ -206,8 +211,7 @@ def carnicer_radii(n, a=CARNICER_EXPONENT):
 
     The exponent a = 1.46 is the published all-orders choice.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(n)
     if a <= 0:
         raise ValueError("exponent must be positive")
     k = n // 2 + 1
@@ -225,8 +229,7 @@ def cuyt_radii(n):
     published condition-number column (raw or rescaled zeros of P_{n+1}
     both land well below it for n >= 3).
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(n)
     if n == 1:
         return np.ones(1)
     inner = legendre_derivative_zeros(n)
@@ -297,8 +300,7 @@ def spiral_nodes(n):
     Point i (1-based) sits at radius sqrt((i - 1/2)/N), angle i times the
     golden angle.  Used as an instability baseline, not a recommended set.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(n)
     count = basis_size(n)
     i = np.arange(1, count + 1)
     rho = np.sqrt((i - 0.5) / count)
@@ -316,6 +318,7 @@ def random_thinned_nodes(n, seed, pool_size=1000):
     boundary, then repeatedly add the candidate whose minimum distance to
     the already selected points is largest.
     """
+    _check_order(n)
     count = basis_size(n)
     if count > pool_size:
         raise NodeCountError(
@@ -386,6 +389,7 @@ def approximate_fekete(n, mesh_density):
     kept depends on that routine's rounding, and no other pivoted QR is
     guaranteed to pick the same ones.
     """
+    _check_order(n)
     count = basis_size(n)
     if mesh_density < 10 * count:
         raise ValueError(
@@ -489,11 +493,9 @@ GENERATORS = {
 
 
 def generate_nodes(scheme, n, seed=0):
-    """Dispatch on scheme name through ``GENERATORS``; every scheme refuses
-    orders below 1."""
+    """Dispatch on scheme name through ``GENERATORS``; every generator
+    refuses orders below 1."""
     scheme = Scheme(scheme)
     if scheme not in GENERATORS:
         raise ValueError(f"scheme {scheme} cannot be generated (load it from a file)")
-    if n < 1:
-        raise ValueError("order must be >= 1")
     return GENERATORS[scheme](n, seed)

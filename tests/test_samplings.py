@@ -326,6 +326,22 @@ class TestNodeSetInvariants:
         with pytest.raises(ValueError, match=r"^order must be >= 1$"):
             generate_nodes(scheme, 0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            samplings.ocs_nodes,
+            samplings.carnicer_nodes,
+            samplings.cuyt_nodes,
+            samplings.spiral_nodes,
+            lambda n: random_thinned_nodes(n, seed=0),
+            lambda n: approximate_fekete(n, 1000),
+        ],
+        ids=["ocs", "carnicer", "cuyt", "spiral", "random", "approx-fekete"],
+    )
+    def test_every_public_generator_refuses_order_zero(self, make):
+        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+            make(0)
+
     def test_order_zero_cells_are_errors_for_every_scheme(self):
         schemes = [str(scheme) for scheme in samplings.GENERATORS]
         assert len(schemes) == 6
