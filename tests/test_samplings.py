@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -323,24 +325,17 @@ class TestNodeSetInvariants:
 
     @pytest.mark.parametrize("scheme", samplings.GENERATORS)
     def test_every_scheme_refuses_order_zero(self, scheme):
-        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
-            generate_nodes(scheme, 0)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            samplings.ocs_nodes,
-            samplings.carnicer_nodes,
-            samplings.cuyt_nodes,
-            samplings.spiral_nodes,
-            lambda n: random_thinned_nodes(n, seed=0),
-            lambda n: approximate_fekete(n, 1000),
-        ],
-        ids=["ocs", "carnicer", "cuyt", "spiral", "random", "approx-fekete"],
-    )
-    def test_every_public_generator_refuses_order_zero(self, make):
-        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
-            make(0)
+        public = {
+            Scheme.OCS: samplings.ocs_nodes,
+            Scheme.CARNICER: samplings.carnicer_nodes,
+            Scheme.CUYT: samplings.cuyt_nodes,
+            Scheme.SPIRAL: samplings.spiral_nodes,
+            Scheme.RANDOM_THINNED: lambda n: random_thinned_nodes(n, seed=0),
+            Scheme.APPROX_FEKETE: lambda n: approximate_fekete(n, 1000),
+        }
+        for make in (partial(generate_nodes, scheme), public[scheme]):
+            with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+                make(0)
 
     def test_order_zero_cells_are_errors_for_every_scheme(self):
         schemes = [str(scheme) for scheme in samplings.GENERATORS]
