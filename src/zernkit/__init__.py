@@ -33,7 +33,6 @@ from .domains import (
 )
 from .errors import ZernkitError
 from .samplings import (
-    BosArraySpec,
     NodeSet,
     Scheme,
     approximate_fekete,

@@ -63,9 +63,17 @@ def _name(kind, allowed):
 
 
 def _names(kind, allowed):
-    """Flag type: a comma-separated list of names, each one of ``allowed``."""
+    """Flag type: a non-empty comma-separated list of names, each one of
+    ``allowed``."""
     one = _name(kind, allowed)
-    return lambda text: tuple(one(s) for s in text.split(",") if s.strip())
+
+    def parse(text):
+        names = tuple(one(s) for s in text.split(",") if s.strip())
+        if not names:
+            raise ConfigError(f"empty {kind} list {text!r}")
+        return names
+
+    return parse
 
 
 def read_config_file(path, allowed):
@@ -136,7 +144,6 @@ def _domain_map(cfg):
         semi_major=cfg.semi_major,
         semi_minor=cfg.semi_minor,
         inner=cfg.inner,
-        outer=1.0,
     )
 
 
@@ -299,7 +306,8 @@ def build_parser():
     p.add_argument("--orders", type=parse_orders)
     p.add_argument("--trials", type=int)
     p.add_argument("--schemes", type=schemes)
-    p.add_argument("--bases", type=_names("wavefront basis", ("K", "H")))
+    p.add_argument("--bases", type=_names("wavefront basis",
+                                          tuple(domains.HexagonMap.families)))
     p.add_argument("--strength", type=float, default=1.0)
     p.add_argument("--node-seed", dest="node_seed", type=int, default=0)
     p.add_argument("--eps", type=float,

@@ -82,7 +82,7 @@ def polygon_boundary_radius(theta, half_angle=HEXAGON_HALF_ANGLE):
 def _polar_nodes(rho, theta):
     """Cartesian and polar node columns of an angle-preserving transfer."""
     return (
-        np.column_stack([rho * np.cos(theta), rho * np.sin(theta)]),
+        np.column_stack(polar_to_cartesian(rho, theta)),
         np.column_stack([rho, theta]),
     )
 
@@ -93,8 +93,8 @@ class _RadialMap:
 
     coordinates = "polar"
 
-    def pull_back(self, rho, theta, check=True):
-        return self.inverse_polar(rho, theta, check)
+    def pull_back(self, rho, theta):
+        return self.inverse_polar(rho, theta)
 
     def image_weight(self, rho, theta):
         """sqrt|J| at the images of disk polar points (rho, theta), as a
@@ -206,8 +206,8 @@ class EllipseMap:
             raise DomainError("point outside the ellipse")
         return u, v
 
-    def pull_back(self, x, y, check=True):
-        return cartesian_to_polar(*self.inverse_xy(x, y, check))
+    def pull_back(self, x, y):
+        return cartesian_to_polar(*self.inverse_xy(x, y))
 
     def weigh(self, values, x, y):
         """Multiply values in place by sqrt|J| = 1/sqrt(AB)."""
@@ -259,7 +259,8 @@ class AnnulusMap(_RadialMap):
 
     def inverse_polar(self, rho, theta, check=True):
         """Disk polar coordinates; radii below the inner circle (within the
-        tolerance, or any when ``check`` is off) go to the disk center."""
+        tolerance, or any when ``check`` is off, as for the ulp probes of
+        ``_image_radii``) go to the disk center."""
         t = (np.asarray(rho, float) - self.inner) / (self.outer - self.inner)
         if check and (np.any(t > 1.0 + CONTAIN_TOL) or np.any(t < -CONTAIN_TOL)):
             raise DomainError("point outside the annulus")
@@ -289,8 +290,9 @@ MAPS = (DiskMap, HexagonMap, EllipseMap, AnnulusMap)
 BASIS_DOMAINS = {f: m.kind for m in MAPS for f in m.families}
 
 
-def make_map(kind, semi_major=None, semi_minor=None, inner=None, outer=None):
-    """Build a DomainMap from CLI-style parameters."""
+def make_map(kind, semi_major=None, semi_minor=None, inner=None):
+    """Build a DomainMap from CLI-style parameters; the annulus has outer
+    radius 1."""
     if kind == "disk":
         return DiskMap()
     if kind == "hexagon":
@@ -298,7 +300,7 @@ def make_map(kind, semi_major=None, semi_minor=None, inner=None, outer=None):
     if kind == "ellipse":
         return EllipseMap(semi_major, semi_minor)
     if kind == "annulus":
-        return AnnulusMap(inner, outer if outer is not None else 1.0)
+        return AnnulusMap(inner, 1.0)
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -345,9 +347,9 @@ class TransferredBasis:
     first.  A point is inside the domain when its pull-back lies in the
     closed unit disk (rho^2 <= 1 for the disk, a pulled-back radius in
     [0, 1] for the hexagon and the annulus, u^2 + v^2 <= 1 for the ellipse)
-    with ``CONTAIN_TOL`` of slack; ``check=False`` skips the test.  That
-    test is the domain's only statement, and ``matrix(nodes)``, which
-    ``assemble`` calls, always makes it.
+    with ``CONTAIN_TOL`` of slack.  That test is the domain's only
+    statement, and every evaluation makes it, so a point outside the domain
+    raises ``DomainError``.
     """
 
     def __init__(self, order, family, map):
@@ -363,7 +365,7 @@ class TransferredBasis:
         self.size = basis_size(order)
         self.weighted = map.families[family]
 
-    def _values(self, zernike, a, b, coordinates, check):
+    def _values(self, zernike, a, b, coordinates):
         """``zernike(rho, theta)`` at the pull-back of points (a, b) given
         in ``coordinates`` ("polar" or "xy"), times the weight."""
         a = np.asarray(a, dtype=float)
@@ -371,20 +373,19 @@ class TransferredBasis:
         if coordinates != self.map.coordinates:
             convert = polar_to_cartesian if coordinates == "polar" else cartesian_to_polar
             a, b = convert(a, b)
-        val = zernike(*self.map.pull_back(a, b, check))
+        val = zernike(*self.map.pull_back(a, b))
         return self.map.weigh(val, a, b) if self.weighted else val
 
-    def eval_polar(self, j, rho, theta, check=True):
-        return self._values(partial(zernike_polar, j), rho, theta, "polar", check)
+    def eval_polar(self, j, rho, theta):
+        return self._values(partial(zernike_polar, j), rho, theta, "polar")
 
-    def matrix_polar(self, rho, theta, check=True):
+    def matrix_polar(self, rho, theta):
         """Every basis function at polar points, one row per function."""
-        whole = partial(zernike_matrix, self.order)
-        return self._values(whole, rho, theta, "polar", check)
+        return self._values(partial(zernike_matrix, self.order), rho, theta, "polar")
 
-    def matrix_xy(self, x, y, check=True):
+    def matrix_xy(self, x, y):
         """Every basis function at Cartesian points, one row per function."""
-        return self._values(partial(zernike_matrix, self.order), x, y, "xy", check)
+        return self._values(partial(zernike_matrix, self.order), x, y, "xy")
 
     def matrix(self, nodes):
         """The collocation matrix at a NodeSet, in the map's coordinates."""
@@ -405,8 +406,8 @@ class DiskZernikeBasis(TransferredBasis):
 
 
 class HexagonBasis(TransferredBasis):
-    def __init__(self, order, family="K", map=HexagonMap()):
-        super().__init__(order, family, map)
+    def __init__(self, order, family):
+        super().__init__(order, family, HexagonMap())
 
 
 def make_basis(family, order, domain_map=None):

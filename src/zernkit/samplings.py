@@ -25,12 +25,17 @@ from .errors import (
     NodeParseError,
     RankDeficiencyError,
 )
-from .zernike import CONTAIN_TOL, basis_size, zernike_matrix
+from .zernike import (
+    CONTAIN_TOL,
+    basis_size,
+    cartesian_to_polar,
+    polar_to_cartesian,
+    zernike_matrix,
+)
 
 __all__ = [
     "Scheme",
     "NodeSet",
-    "BosArraySpec",
     "bos_array",
     "ring_counts",
     "ocs_radii",
@@ -55,6 +60,9 @@ GOLDEN_ANGLE = 2.39996322972865332
 
 CARNICER_EXPONENT = 1.46
 
+# Uniform disk points that farthest-point thinning picks a random set from.
+RANDOM_POOL = 1000
+
 
 class Scheme(str, Enum):
     OCS = "ocs"
@@ -75,7 +83,8 @@ class NodeSet:
     """Ordered planar point set with scheme provenance.
 
     ``nodes`` is an (N, 2) Cartesian array.  ``polar`` holds the matching
-    (rho, theta) columns; when omitted it is derived via hypot/atan2.
+    (rho, theta) columns; when omitted it is derived by
+    ``cartesian_to_polar``.
     Node transfer to other domains supplies ``polar`` explicitly so that
     basis evaluation can reuse the exact source coordinates.
     """
@@ -99,9 +108,7 @@ class NodeSet:
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         if self.polar is None:
-            polar = np.column_stack(
-                [np.hypot(nodes[:, 0], nodes[:, 1]), np.arctan2(nodes[:, 1], nodes[:, 0])]
-            )
+            polar = np.column_stack(cartesian_to_polar(nodes[:, 0], nodes[:, 1]))
         else:
             polar = np.ascontiguousarray(np.asarray(self.polar, dtype=float))
             if polar.shape != nodes.shape:
@@ -135,53 +142,26 @@ def ring_counts(n):
     return tuple(2 * n - 4 * j + 5 for j in range(1, k + 1))
 
 
-@dataclass(frozen=True)
-class BosArraySpec:
-    """Concentric-circle node layout for order n.
-
-    radii must be strictly decreasing; counts default to the standard
-    2n - 4j + 5 per ring and must sum to (n+1)(n+2)/2; offsets are angular
-    rotations per ring (radians), zero by default.
+def bos_array(n, radii, scheme=Scheme.BOS_CUSTOM):
+    """The NodeSet of the order-n Bos array with the given ring radii,
+    outermost first: ring j contributes ring_counts(n)[j] equally spaced
+    points (r_j cos(2 pi i / n_j), r_j sin(2 pi i / n_j)), i = 0 .. n_j - 1.
     """
-
-    order: int
-    radii: tuple
-    counts: tuple = None
-    offsets: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        counts = self.counts if self.counts is not None else ring_counts(self.order)
-        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
-        offsets = self.offsets if self.offsets is not None else (0.0,) * len(self.radii)
-        object.__setattr__(self, "offsets", tuple(float(p) for p in offsets))
-
-
-def bos_array(spec, scheme=Scheme.BOS_CUSTOM, metadata=""):
-    """Build the NodeSet of a Bos array, rings emitted outermost first.
-
-    Ring j contributes (r_j cos(phi_j + 2 pi i / n_j), r_j sin(...)) for
-    i = 0 .. n_j - 1.
-    """
-    n = spec.order
-    if len(spec.counts) != len(spec.radii) or len(spec.offsets) != len(spec.radii):
-        raise ValueError("radii, counts, and offsets must have equal length")
-    if sum(spec.counts) != basis_size(n):
-        raise NodeCountError(
-            f"ring counts {spec.counts} sum to {sum(spec.counts)}, "
-            f"need {basis_size(n)}"
-        )
-    if any(r2 >= r1 for r1, r2 in zip(spec.radii, spec.radii[1:])):
-        raise ValueError(f"radii must be strictly decreasing, got {spec.radii}")
-    if spec.radii[-1] < 0:
+    radii = tuple(float(r) for r in radii)
+    counts = ring_counts(n)
+    if len(radii) != len(counts):
+        raise ValueError(f"order {n} needs {len(counts)} ring radii, got {len(radii)}")
+    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be strictly decreasing, got {radii}")
+    if radii[-1] < 0:
         raise ValueError("radii must be non-negative")
-    if spec.radii[-1] == 0.0 and spec.counts[-1] != 1:
+    if radii[-1] == 0.0 and counts[-1] != 1:
         raise ValueError("a zero radius is only allowed for a single-point ring")
     pts = []
-    for r, count, offset in zip(spec.radii, spec.counts, spec.offsets):
-        ang = offset + 2.0 * np.pi * np.arange(count) / count
-        pts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-    return NodeSet(n, scheme, np.vstack(pts), metadata=metadata)
+    for r, count in zip(radii, counts):
+        ang = 2.0 * np.pi * np.arange(count) / count
+        pts.append(np.column_stack(polar_to_cartesian(r, ang)))
+    return NodeSet(n, scheme, np.vstack(pts))
 
 
 def _check_order(n):
@@ -206,17 +186,16 @@ def ocs_radii(n):
     return 1.1565 * xi - 0.76535 * xi**2 + 0.60517 * xi**3
 
 
-def carnicer_radii(n, a=CARNICER_EXPONENT):
+def carnicer_radii(n):
     """Ring radii r_j = 1 - (2(j-1)/n)^a, outermost first.
 
-    The exponent a = 1.46 is the published all-orders choice.
+    The exponent a = ``CARNICER_EXPONENT`` = 1.46 is the published
+    all-orders choice.
     """
     _check_order(n)
-    if a <= 0:
-        raise ValueError("exponent must be positive")
     k = n // 2 + 1
     j = np.arange(1, k + 1)
-    return 1.0 - (2.0 * (j - 1) / n) ** a
+    return 1.0 - (2.0 * (j - 1) / n) ** CARNICER_EXPONENT
 
 
 def cuyt_radii(n):
@@ -281,17 +260,15 @@ def legendre_derivative_zeros(degree, tol=1e-15, max_iter=100):
 
 
 def ocs_nodes(n):
-    return bos_array(BosArraySpec(n, tuple(ocs_radii(n))), scheme=Scheme.OCS)
+    return bos_array(n, ocs_radii(n), Scheme.OCS)
 
 
-def carnicer_nodes(n, a=CARNICER_EXPONENT):
-    return bos_array(
-        BosArraySpec(n, tuple(carnicer_radii(n, a))), scheme=Scheme.CARNICER
-    )
+def carnicer_nodes(n):
+    return bos_array(n, carnicer_radii(n), Scheme.CARNICER)
 
 
 def cuyt_nodes(n):
-    return bos_array(BosArraySpec(n, tuple(cuyt_radii(n))), scheme=Scheme.CUYT)
+    return bos_array(n, cuyt_radii(n), Scheme.CUYT)
 
 
 def spiral_nodes(n):
@@ -305,14 +282,13 @@ def spiral_nodes(n):
     i = np.arange(1, count + 1)
     rho = np.sqrt((i - 0.5) / count)
     ang = i * GOLDEN_ANGLE
-    nodes = np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
-    return NodeSet(n, Scheme.SPIRAL, nodes)
+    return NodeSet(n, Scheme.SPIRAL, np.column_stack(polar_to_cartesian(rho, ang)))
 
 
-def random_thinned_nodes(n, seed, pool_size=1000):
+def random_thinned_nodes(n, seed):
     """Farthest-point thinning of a seeded uniform sample of the disk.
 
-    Draws ``pool_size`` points uniformly (PCG64 generator, so the set is
+    Draws ``RANDOM_POOL`` points uniformly (PCG64 generator, so the set is
     reproducible bit for bit across platforms for a given seed), then keeps
     basis_size(n) of them greedily: start from the point nearest the
     boundary, then repeatedly add the candidate whose minimum distance to
@@ -320,17 +296,17 @@ def random_thinned_nodes(n, seed, pool_size=1000):
     """
     _check_order(n)
     count = basis_size(n)
-    if count > pool_size:
+    if count > RANDOM_POOL:
         raise NodeCountError(
-            f"order {n} needs {count} nodes but the pool has only {pool_size}"
+            f"order {n} needs {count} nodes but the pool has only {RANDOM_POOL}"
         )
     rng = np.random.default_rng(seed)
-    rho = np.sqrt(rng.random(pool_size))
-    ang = 2.0 * np.pi * rng.random(pool_size)
-    pool = np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
+    rho = np.sqrt(rng.random(RANDOM_POOL))
+    ang = 2.0 * np.pi * rng.random(RANDOM_POOL)
+    pool = np.column_stack(polar_to_cartesian(rho, ang))
     nodes = farthest_point_thinning(pool, count)
     return NodeSet(
-        n, Scheme.RANDOM_THINNED, nodes, metadata=f"seed={seed} pool={pool_size}"
+        n, Scheme.RANDOM_THINNED, nodes, metadata=f"seed={seed} pool={RANDOM_POOL}"
     )
 
 
@@ -415,7 +391,7 @@ def approximate_fekete(n, mesh_density):
             f"mesh Vandermonde is rank deficient at order {n}"
         )
     keep = np.sort(piv[:count] - 1)  # dgeqp3 counts columns from 1
-    nodes = np.column_stack([rho[keep] * np.cos(ang[keep]), rho[keep] * np.sin(ang[keep])])
+    nodes = np.column_stack(polar_to_cartesian(rho[keep], ang[keep]))
     return NodeSet(
         n,
         Scheme.APPROX_FEKETE,

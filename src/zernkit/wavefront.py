@@ -206,7 +206,7 @@ def _grid_table(order):
     (basis_size(order), M).  Its first basis_size(n) rows are the table at
     any n <= order, bit for bit, so one table serves every lower order."""
     grid = hexagon_grid()
-    return HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1], check=False)
+    return HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
 
 
 class ZonalInterpolator:

@@ -60,14 +60,14 @@ def transferred_gram(basis, n_radial=64, n_angular=512):
         s = rho * scale
         area = rho * scale**2  # s ds/drho = rho * R(theta)^2
         mu = scale**-2.0 if basis.family == "K" else np.ones_like(s)
-        values = basis.matrix_polar(s, ang, check=False)
+        values = basis.matrix_polar(s, ang)
     elif basis.domain == "ellipse":
         big_a, big_b = basis.map.semi_major, basis.map.semi_minor
         x = big_a * rho * np.cos(ang)
         y = big_b * rho * np.sin(ang)
         area = big_a * big_b * rho
         mu = np.ones_like(rho)
-        values = basis.matrix_xy(x, y, check=False)
+        values = basis.matrix_xy(x, y)
     elif basis.domain == "annulus":
         a, big_a = basis.map.inner, basis.map.outer
         s = a + (big_a - a) * rho
@@ -76,7 +76,7 @@ def transferred_gram(basis, n_radial=64, n_angular=512):
             mu = (s - a) / (s * (big_a - a) ** 2)  # |J| of the inverse map
         else:
             mu = np.ones_like(s)
-        values = basis.matrix_polar(s, ang, check=False)
+        values = basis.matrix_polar(s, ang)
     else:
         raise TypeError(f"no quadrature rule for {basis!r}")
     weights = base_w * area * mu
@@ -149,6 +149,19 @@ CLASSIC_ZERNIKES = {
 def reference_legendre_derivative_zeros(degree):
     """Zeros of P_d' from numpy's companion-matrix route."""
     return np.sort(npleg.Legendre.basis(degree).deriv().roots())
+
+
+def bos_layout(n, radii):
+    """The Bos array of order n point by point: ring j (j = 1 .. n//2 + 1,
+    outermost first) has 2n - 4j + 5 points r_j (cos 2 pi i / n_j,
+    sin 2 pi i / n_j), i = 0 .. n_j - 1."""
+    points = []
+    for j, r in enumerate(radii, start=1):
+        count = 2 * n - 4 * j + 5
+        for i in range(count):
+            angle = 2.0 * math.pi * i / count
+            points.append((r * math.cos(angle), r * math.sin(angle)))
+    return np.array(points)
 
 
 def brute_force_thinning(points, count):

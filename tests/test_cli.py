@@ -496,6 +496,31 @@ def test_unknown_wavefront_basis_rejected_before_output(capsys):
     assert err.startswith("zernkit: error: unknown wavefront basis 'Z'"), err
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["condition-table", "--schemes", ",", "--orders", "2"], None),
+        (["wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
+          "--bases", ""], None),
+        (["condition-table", "--orders", "2"], "schemes=\n"),
+    ],
+)
+def test_empty_name_list_rejected_before_output(capsys, tmp_path, argv, config):
+    # an empty list would run an empty sweep and write a header-only CSV
+    target = tmp_path / "prev.csv"
+    previous = b"n,scheme,basis,domain,kappa2,sigma_max,sigma_min\n2,ocs,Z,disk,1,1,1\n"
+    target.write_bytes(previous)
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zernkit: error: empty "), err
+    assert target.read_bytes() == previous
+
+
 def test_parse_orders():
     assert parse_orders("2..4") == (2, 3, 4)
     assert parse_orders("7") == (7,)

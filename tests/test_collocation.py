@@ -418,7 +418,7 @@ class TestLebesgue:
         ang = np.tile(2.0 * np.pi * np.arange(n_t) / n_t, n_r)
         fx, fy = _forward_xy(basis.map, rho * np.cos(ang), rho * np.sin(ang))
         lagrange = np.linalg.solve(
-            assemble(basis, nodes).entries, basis.matrix_xy(fx, fy, check=False)
+            assemble(basis, nodes).entries, basis.matrix_xy(fx, fy)
         )
         want = np.max(np.sum(np.abs(lagrange), axis=0))
         got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))

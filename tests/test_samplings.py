@@ -3,7 +3,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from oracles import (
+    bos_layout,
     brute_force_thinning,
     qr_fekete_points,
     reference_legendre_derivative_zeros,
@@ -25,7 +29,6 @@ from zernkit.errors import (
     RankDeficiencyError,
 )
 from zernkit.samplings import (
-    BosArraySpec,
     NodeSet,
     Scheme,
     approximate_fekete,
@@ -54,20 +57,46 @@ class TestBosArrays:
         assert sum(counts) == 66
 
     def test_minimal_order(self):
-        nodes = bos_array(BosArraySpec(1, (0.5,)))
+        nodes = bos_array(1, (0.5,))
         assert len(nodes) == 3
 
     def test_duplicate_radii_rejected(self):
         with pytest.raises(ValueError):
-            bos_array(BosArraySpec(10, (0.9, 0.9, 0.5, 0.4, 0.2, 0.0)))
+            bos_array(10, (0.9, 0.9, 0.5, 0.4, 0.2, 0.0))
 
-    def test_bad_counts_rejected(self):
-        with pytest.raises(NodeCountError):
-            bos_array(BosArraySpec(2, (1.0, 0.5), counts=(5, 2)))
+    def test_wrong_number_of_radii_rejected(self):
+        # order 2 has two rings
+        for radii in ((1.0,), (1.0, 0.5, 0.2)):
+            with pytest.raises(ValueError, match="needs 2 ring radii"):
+                bos_array(2, radii)
 
     def test_multi_point_origin_ring_rejected(self):
-        with pytest.raises(ValueError):
-            bos_array(BosArraySpec(2, (1.0, 0.0), counts=(4, 2)))
+        # ring_counts(3) is (7, 3): the inner ring has three points
+        with pytest.raises(ValueError, match="single-point ring"):
+            bos_array(3, (1.0, 0.0))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            bos_array(2, (1.0, -0.5))
+
+    @given(
+        st.integers(min_value=1, max_value=16).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # only the one-point inner ring of an even order may sit at 0
+                st.lists(
+                    st.floats(0.0, 1.0, exclude_min=n % 2 == 1),
+                    min_size=n // 2 + 1, max_size=n // 2 + 1, unique=True,
+                ),
+            )
+        )
+    )
+    def test_equals_point_by_point_layout(self, n_and_radii):
+        n, radii = n_and_radii
+        radii = sorted(radii, reverse=True)
+        nodes = bos_array(n, radii)
+        assert nodes.scheme == Scheme.BOS_CUSTOM
+        assert np.array_equal(nodes.nodes, bos_layout(n, radii))
 
     def test_outermost_first(self):
         nodes = ocs_nodes(6)
