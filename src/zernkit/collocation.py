@@ -35,13 +35,22 @@ CONDITION_CSV_HEADER = "n,scheme,basis,domain,kappa2,sigma_max,sigma_min"
 # time
 RADIAL_BLOCK = 8
 
+# condition_number keeps the mirror split only when the dropped off-block is
+# within this many N eps sigma_max; the benchmark's cells reach 1.3
+MIRROR_SLACK = 4
+# From this size (order 11) on, the split's two SVDs and column change beat
+# one full SVD in every timing on one BLAS thread (order 11: 0.38-0.54 ms
+# against 0.59-0.73 ms); at orders 8 to 10 they were within the noise.
+MIRROR_MIN_SIZE = 78
+SQRT_HALF = math.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class CollocationMatrix:
     """Dense square matrix of basis evaluations at nodes, with provenance.
 
     ``metadata`` carries the node set's free-form provenance (seed, source
-    file, transfer chain).
+    file, transfer chain), ``mirror`` its mirror permutation, if any.
     """
 
     entries: np.ndarray
@@ -50,6 +59,7 @@ class CollocationMatrix:
     basis: str
     domain: str
     metadata: str = ""
+    mirror: np.ndarray | None = None
 
     @property
     def size(self):
@@ -66,6 +76,9 @@ class ConditionReport:
     collocation matrix (solves, Lebesgue estimates, the zonal interpolator)
     first applies the one singularity rule, ``require_nonsingular``:
     sigma_min <= N eps sigma_max, where an answer has no correct digit.
+
+    ``off_block`` is the Frobenius norm of the two blocks the mirror split
+    of ``condition_number`` dropped, None when the full SVD ran.
     """
 
     order: int
@@ -75,6 +88,7 @@ class ConditionReport:
     kappa2: float
     sigma_max: float
     sigma_min: float
+    off_block: float | None = None
 
     def csv_row(self):
         return (
@@ -126,18 +140,37 @@ def assemble(basis, nodes):
         basis=basis.family,
         domain=basis.domain,
         metadata=nodes.metadata,
+        mirror=nodes.mirror,
     )
 
 
 def condition_number(matrix):
     """ConditionReport from the singular values: kappa2 as measured, inf
-    only at sigma_min == 0."""
+    only at sigma_min == 0.
+
+    A matrix of at least ``MIRROR_MIN_SIZE`` rows whose node set has a
+    ``mirror`` is split in two first.  Each mirror pair of columns p, q
+    becomes (p + q)/sqrt2 and (p - q)/sqrt2, an orthogonal change, after
+    which the rows with m >= 0 (cosine) and the even columns form one block
+    and the rows with m < 0 (sine) and the odd columns the other, up to
+    rounding; each block gets its own SVD.  The split is kept only when
+    both blocks are square, the dropped off-block has a Frobenius norm
+    ``off`` <= MIRROR_SLACK N eps sigma_max (the order of the SVD's own
+    backward error) and sigma_min - off > N eps (sigma_max + off), so that
+    by Weyl's inequality the verdict of ``require_nonsingular`` is the same
+    for every matrix within ``off`` of the blocks.  Otherwise, as for
+    smaller matrices and sets without a mirror, the full SVD runs.
+    """
     entries = matrix.entries
     if not np.all(np.isfinite(entries)):
         raise NonFiniteError("matrix has non-finite entries")
-    sigma = np.linalg.svd(entries, compute_uv=False)
-    s_max = float(sigma[0])
-    s_min = float(sigma[-1])
+    mirrored = matrix.mirror is not None and matrix.size >= MIRROR_MIN_SIZE
+    split = _mirror_split(matrix) if mirrored else None
+    if split is None:
+        sigma = np.linalg.svd(entries, compute_uv=False)
+        s_max, s_min, off = float(sigma[0]), float(sigma[-1]), None
+    else:
+        s_max, s_min, off = split
     kappa = s_max / s_min if s_min > 0.0 else math.inf
     return ConditionReport(
         order=matrix.order,
@@ -147,7 +180,48 @@ def condition_number(matrix):
         kappa2=kappa,
         sigma_max=s_max,
         sigma_min=s_min,
+        off_block=off,
     )
+
+
+def _mirror_split(matrix):
+    """(sigma_max, sigma_min, off) from the two mirror blocks of
+    ``condition_number``, or None where its guard fails."""
+    entries, mirror, size = matrix.entries, matrix.mirror, matrix.size
+    index = np.arange(size)
+    fixed = index[mirror == index]
+    p = index[mirror > index]
+    q = mirror[p]
+    freqs = np.concatenate([np.arange(-k, k + 1, 2) for k in range(matrix.order + 1)])
+    sine = freqs < 0
+    # both blocks are square when there are as many sine rows as pairs
+    if np.count_nonzero(sine) != p.size:
+        return None
+    cos_block, cos_off = _mirror_block(entries, ~sine, fixed, p, q, True)
+    sin_block, sin_off = _mirror_block(entries, sine, fixed, p, q, False)
+    off = math.hypot(cos_off, sin_off)
+    sigma = [np.linalg.svd(b, compute_uv=False) for b in (cos_block, sin_block)]
+    s_max = max(float(s[0]) for s in sigma)
+    s_min = min(float(s[-1]) for s in sigma)
+    tol = size * np.finfo(float).eps
+    if off <= MIRROR_SLACK * tol * s_max and s_min - off > tol * (s_max + off):
+        return s_max, s_min, off
+    return None
+
+
+def _mirror_block(entries, rows, fixed, p, q, even):
+    """The given rows on the even columns (the fixed columns, then
+    (p + q)/sqrt2) when ``even``, else on the odd columns ((p - q)/sqrt2),
+    and the Frobenius norm of the rows on the other columns."""
+    rows = np.flatnonzero(rows)[:, None]
+    evens = entries[rows, np.concatenate([fixed, p])]
+    pairs = evens[:, fixed.size :]
+    a_q = entries[rows, q]
+    odds = pairs - a_q
+    pairs += a_q
+    pairs *= SQRT_HALF
+    odds *= SQRT_HALF
+    return (evens, np.linalg.norm(odds)) if even else (odds, np.linalg.norm(evens))
 
 
 def require_nonsingular(matrix):

@@ -322,6 +322,9 @@ def transfer_nodes(domain_map, nodeset, inner_eps=0.01):
     the image radii lie on a coarser float grid than the source radii (as
     on annuli with a = 0.3 or 0.2).  Elsewhere the pull-back is off by at
     most two steps of the image's float grid.
+
+    The set's ``mirror`` is kept: every map keeps the node order and
+    commutes with the reflection y -> -y.
     """
     if nodeset.domain != "disk":
         raise DomainError(f"can only transfer disk node sets, got {nodeset.domain}")
@@ -333,6 +336,7 @@ def transfer_nodes(domain_map, nodeset, inner_eps=0.01):
         metadata=f"{nodeset.metadata} -> {domain_map.kind}".strip(),
         domain=domain_map.kind,
         polar=polar,
+        mirror=nodeset.mirror,
     )
 
 

@@ -87,6 +87,13 @@ class NodeSet:
     ``cartesian_to_polar``.
     Node transfer to other domains supplies ``polar`` explicitly so that
     basis evaluation can reuse the exact source coordinates.
+
+    ``mirror``, when given, is the set's symmetry under y -> -y as an index
+    permutation: node ``mirror[i]`` is the reflection of node i, up to
+    rounding.  It must be an involution of 0 .. N-1 (ValueError otherwise).
+    ``bos_array`` records it and ``transfer_nodes`` keeps it, so that
+    ``condition_number`` can split the collocation matrix in two; every
+    other set has none.
     """
 
     order: int
@@ -95,6 +102,7 @@ class NodeSet:
     metadata: str = ""
     domain: str = "disk"
     polar: np.ndarray | None = None
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -115,6 +123,17 @@ class NodeSet:
                 raise ValueError("polar must match nodes shape")
         polar.setflags(write=False)
         object.__setattr__(self, "polar", polar)
+        if self.mirror is not None:
+            mirror = np.array(self.mirror)
+            index = np.arange(len(nodes))
+            if not (
+                mirror.dtype.kind in "iu"
+                and np.array_equal(np.sort(mirror), index)
+                and np.array_equal(mirror[mirror], index)
+            ):
+                raise ValueError("mirror must be an involution of the node indices")
+            mirror.setflags(write=False)
+            object.__setattr__(self, "mirror", mirror)
 
     def __len__(self):
         return len(self.nodes)
@@ -146,6 +165,9 @@ def bos_array(n, radii, scheme=Scheme.BOS_CUSTOM):
     """The NodeSet of the order-n Bos array with the given ring radii,
     outermost first: ring j contributes ring_counts(n)[j] equally spaced
     points (r_j cos(2 pi i / n_j), r_j sin(2 pi i / n_j)), i = 0 .. n_j - 1.
+
+    Every ring count is odd, so point i of a ring mirrors point
+    (n_j - i) mod n_j under y -> -y; the set records that as its ``mirror``.
     """
     radii = tuple(float(r) for r in radii)
     counts = ring_counts(n)
@@ -158,10 +180,14 @@ def bos_array(n, radii, scheme=Scheme.BOS_CUSTOM):
     if radii[-1] == 0.0 and counts[-1] != 1:
         raise ValueError("a zero radius is only allowed for a single-point ring")
     pts = []
-    for r, count in zip(radii, counts):
-        ang = 2.0 * np.pi * np.arange(count) / count
+    mirror = []
+    starts = np.cumsum((0,) + counts[:-1])
+    for r, count, start in zip(radii, counts, starts):
+        i = np.arange(count)
+        ang = 2.0 * np.pi * i / count
         pts.append(np.column_stack(polar_to_cartesian(r, ang)))
-    return NodeSet(n, scheme, np.vstack(pts))
+        mirror.append(start + (-i) % count)
+    return NodeSet(n, scheme, np.vstack(pts), mirror=np.concatenate(mirror))
 
 
 def _check_order(n):

@@ -530,7 +530,12 @@ def test_parse_orders():
 
 _LEBESGUE_SWEEP = ["lebesgue", "--schemes", "ocs,approx-fekete", "--orders", "1..10"]
 
-# the benchmark's disk and hexagon sweeps: workload, arguments, value columns
+_CONDITION_SWEEP = [
+    "condition-table", "--schemes", "cuyt,carnicer,ocs", "--orders", "1..30"
+]
+
+# the benchmark's sweeps but the seeded wavefront run: workload, arguments,
+# value columns (None: the deterministic condition tables, byte for byte)
 _BENCHMARK_SWEEPS = {
     "lebesgue_disk.csv": (
         "lebesgue-grid", _LEBESGUE_SWEEP + ["--domain", "disk", "--basis", "Z"], (4,)
@@ -538,11 +543,19 @@ _BENCHMARK_SWEEPS = {
     "lebesgue_hexagon.csv": (
         "lebesgue-grid", _LEBESGUE_SWEEP + ["--domain", "hexagon", "--basis", "K"], (4,)
     ),
+    "disk_zernike.csv": (
+        "condition-tables", _CONDITION_SWEEP + ["--domain", "disk", "--basis", "Z"],
+        None,
+    ),
     "hexagon_weighted.csv": (
+        "condition-tables", _CONDITION_SWEEP + ["--domain", "hexagon", "--basis", "H"],
+        None,
+    ),
+    "annulus_sqrt_jacobian.csv": (
         "condition-tables",
-        ["condition-table", "--schemes", "cuyt,carnicer,ocs", "--orders", "1..30",
-         "--domain", "hexagon", "--basis", "H"],
-        (4, 5, 6),
+        _CONDITION_SWEEP + ["--domain", "annulus", "--basis", "O", "--a", "0.5",
+                            "--eps", "0.01"],
+        None,
     ),
 }
 
@@ -552,7 +565,11 @@ def test_sweep_matches_benchmark_reference(tmp_path, name):
     workload, argv, value_columns = _BENCHMARK_SWEEPS[name]
     out = tmp_path / name
     assert main(argv + ["--output", str(out)]) == 0
-    _assert_matches_reference(out, BENCHMARK_REFERENCE / workload / name, value_columns)
+    reference = BENCHMARK_REFERENCE / workload / name
+    if value_columns is None:
+        assert out.read_bytes() == reference.read_bytes()
+    else:
+        _assert_matches_reference(out, reference, value_columns)
 
 
 def test_unwritable_output_is_clean_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import dense_lebesgue_constant
 
 from zernkit.collocation import (
+    MIRROR_MIN_SIZE,
     RADIAL_BLOCK,
     CollocationMatrix,
     assemble,
@@ -18,6 +20,7 @@ from zernkit.collocation import (
 )
 from zernkit.domains import (
     AnnulusMap,
+    DiskMap,
     DiskZernikeBasis,
     EllipseMap,
     HexagonBasis,
@@ -30,10 +33,14 @@ from zernkit.errors import DomainError, NodeCountError, SingularMatrixError
 from zernkit.samplings import (
     NodeSet,
     Scheme,
+    approximate_fekete,
     carnicer_nodes,
     generate_nodes,
+    load_nodes,
     ocs_nodes,
     random_thinned_nodes,
+    save_nodes,
+    spiral_nodes,
 )
 from zernkit.wavefront import ZonalInterpolator, _grid_table
 from zernkit.zernike import CONTAIN_TOL, zernike_xy
@@ -219,6 +226,89 @@ class TestConditionNumber:
         assert format_kappa(1.08941) == "1.0894"
         assert format_kappa(22562.0) == "2.2562e+04"
         assert format_kappa(math.inf) == "inf"
+
+
+def _full_sigma(matrix):
+    sigma = np.linalg.svd(matrix.entries, compute_uv=False)
+    return float(sigma[0]), float(sigma[-1])
+
+
+class TestMirrorSplit:
+    """Bos-array matrices from order 11 on are split in two by the mirror
+    y -> -y; everything else, and every split that fails its guard, gets
+    the full SVD bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family,domain_map",
+        [
+            ("Z", DiskMap()),
+            ("K", HexagonMap()),
+            ("H", HexagonMap()),
+            ("E", EllipseMap(1.0, 0.6)),
+            ("O", AnnulusMap(0.5, 1.0)),
+            ("O", AnnulusMap(0.3, 1.0)),  # where the ulp snap moves nodes
+            ("C", AnnulusMap(0.5, 1.0)),
+        ],
+    )
+    def test_split_matches_full_svd(self, family, domain_map):
+        for scheme in ("ocs", "carnicer", "cuyt"):
+            for n in range(1, 31):
+                disk = generate_nodes(scheme, n)
+                nodes = transfer_nodes(domain_map, disk, inner_eps=0.01)
+                matrix = assemble(make_basis(family, n, domain_map), nodes)
+                report = condition_number(matrix)
+                s_max, s_min = _full_sigma(matrix)
+                if matrix.size < MIRROR_MIN_SIZE:
+                    assert report.off_block is None
+                    assert (report.sigma_max, report.sigma_min) == (s_max, s_min)
+                else:
+                    assert report.off_block is not None, (scheme, n)
+                    assert report.sigma_max == pytest.approx(s_max, rel=1e-12)
+                    assert report.sigma_min == pytest.approx(s_min, rel=1e-12)
+
+    def _assert_full_path(self, nodes, basis):
+        matrix = assemble(basis, nodes)
+        assert matrix.size >= MIRROR_MIN_SIZE
+        report = condition_number(matrix)
+        assert report.off_block is None
+        assert (report.sigma_max, report.sigma_min) == _full_sigma(matrix)
+
+    def test_perturbed_pair_takes_full_path(self):
+        nodes = ocs_nodes(12)
+        points = np.array(nodes.nodes)
+        points[nodes.mirror[1]] += [0.0, 1e-6]  # node 1's mirror leaves y = -y_1
+        moved = dataclasses.replace(nodes, nodes=points, polar=None)
+        assert np.array_equal(moved.mirror, nodes.mirror)
+        self._assert_full_path(moved, DiskZernikeBasis(12))
+
+    def test_no_pairs_take_full_path(self):
+        # every node its own mirror: no pairs, so no square blocks
+        nodes = dataclasses.replace(ocs_nodes(12), mirror=np.arange(91))
+        self._assert_full_path(nodes, DiskZernikeBasis(12))
+
+    def test_split_never_decides_singularity(self):
+        # eps 0 leaves the center node on the inner circle, where O vanishes
+        amap = AnnulusMap(0.5, 1.0)
+        nodes = transfer_nodes(amap, ocs_nodes(12), inner_eps=0)
+        assert nodes.mirror is not None
+        basis = make_basis("O", 12, amap)
+        self._assert_full_path(nodes, basis)
+        with pytest.raises(SingularMatrixError):
+            require_nonsingular(assemble(basis, nodes))
+
+    def test_sets_without_mirror_take_full_path(self, tmp_path):
+        path = tmp_path / "ocs.txt"
+        save_nodes(path, ocs_nodes(12))
+        sets = [
+            spiral_nodes(12),
+            random_thinned_nodes(12, seed=3),
+            approximate_fekete(12, 910),
+            load_nodes(path, 12),
+            NodeSet(12, Scheme.BOS_CUSTOM, ocs_nodes(12).nodes),
+        ]
+        for nodes in sets:
+            assert nodes.mirror is None
+            self._assert_full_path(nodes, DiskZernikeBasis(12))
 
 
 class TestSolve:

@@ -194,6 +194,28 @@ class TestTransfer:
         with pytest.raises(DomainError):
             transfer_nodes(HexagonMap(), nodes)
 
+    @pytest.mark.parametrize(
+        "domain_map",
+        [DiskMap(), HexagonMap(), EllipseMap(1.0, 0.6), AnnulusMap(0.5, 1.0)],
+        ids=repr,
+    )
+    def test_mirror_kept(self, domain_map):
+        # paired nodes reflect each other under y -> -y to a few ulps
+        eps = np.finfo(float).eps
+        for scheme in ("ocs", "carnicer", "cuyt"):
+            for n in (1, 2, 9, 30):
+                disk = generate_nodes(scheme, n)
+                moved = transfer_nodes(domain_map, disk)
+                assert np.array_equal(moved.mirror, disk.mirror)
+                pair = moved.mirror
+                assert np.all(np.abs(moved.x[pair] - moved.x) <= 8 * eps)
+                assert np.all(np.abs(moved.y[pair] + moved.y) <= 8 * eps)
+
+    def test_shifted_center_node_is_its_own_mirror(self):
+        moved = transfer_nodes(AnnulusMap(0.5, 1.0), ocs_nodes(10), inner_eps=0.01)
+        assert moved.rho[-1] > 0.5 and moved.theta[-1] == 0.0
+        assert moved.mirror[-1] == len(moved) - 1
+
 
 class TestBasisValues:
     def test_hexagon_plain_piston(self):

@@ -346,6 +346,16 @@ class TestNodeSetInvariants:
         )
         assert report.sigma_min > 1e-8 * report.sigma_max
 
+    @pytest.mark.parametrize(
+        "mirror",
+        [[0, 2], [0, 2, 1, 3], [0, 0, 2], [1, 2, 0], [0.0, 2.0, 1.0]],
+        ids=["short", "long", "not a permutation", "not an involution", "float"],
+    )
+    def test_bad_mirror_refused(self, mirror):
+        points = bos_array(1, (1.0,)).nodes
+        with pytest.raises(ValueError, match="mirror"):
+            NodeSet(1, Scheme.BOS_CUSTOM, points, mirror=mirror)
+
     def test_generators_reproducible(self):
         for scheme in ["ocs", "carnicer", "cuyt", "spiral", "random"]:
             a = generate_nodes(scheme, 8, seed=3)
