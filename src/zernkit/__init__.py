@@ -50,8 +50,6 @@ from .samplings import (
     spiral_nodes,
 )
 from .wavefront import (
-    SegmentedAperture,
-    Wavefront,
     ZonalInterpolator,
     build_aperture,
     kolmogorov_wavefront,
@@ -62,7 +60,6 @@ from .zernike import (
     basis_size,
     index_to_nm,
     nm_to_index,
-    radial_poly,
     zernike_matrix,
     zernike_polar,
     zernike_xy,

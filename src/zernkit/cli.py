@@ -103,16 +103,26 @@ def open_output(path):
     """A buffer whose text goes to ``path`` (standard output for "-") only
     if the block ends without an error, so a hard error keeps a previous
     result.  The file is opened before the block, without truncating it,
-    so a path that cannot be written fails before any work."""
+    so a path that cannot be written fails before any work; a file this
+    call created is removed again on an error."""
     buffer = io.StringIO()
     if path == "-":
         yield buffer
         sys.stdout.write(buffer.getvalue())
         return
-    with open(path, "a", encoding="ascii", newline="\n") as fh:
-        yield buffer
-        fh.truncate(0)
-        fh.write(buffer.getvalue())
+    try:
+        fh, created = open(path, "x", encoding="ascii", newline="\n"), True
+    except FileExistsError:
+        fh, created = open(path, "a", encoding="ascii", newline="\n"), False
+    try:
+        with fh:
+            yield buffer
+            fh.truncate(0)
+            fh.write(buffer.getvalue())
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _log(message):
@@ -133,7 +143,7 @@ def _resolve_nodes(node_dir, scheme, order, seed, from_file=None, mesh_density=N
         return samplings.load_nodes(
             os.path.join(directory, f"{scheme}_n{order}.txt"), order
         )
-    if scheme == "approx-fekete" and mesh_density:
+    if scheme == "approx-fekete" and mesh_density is not None:
         return samplings.approximate_fekete(order, mesh_density)
     return samplings.generate_nodes(scheme, order, seed)
 
@@ -156,6 +166,12 @@ def _check_basis_domain(basis, domain):
 
 
 def cmd_nodes(cfg):
+    for flag, value, schemes in (
+        ("--from-file", cfg.from_file, FILE_SCHEMES),
+        ("--mesh-density", cfg.mesh_density, ("approx-fekete",)),
+    ):
+        if value is not None and cfg.scheme not in schemes:
+            raise ConfigError(f"{flag} needs scheme {' or '.join(schemes)}")
     with open_output(cfg.output) as fh:
         nodes = _resolve_nodes(
             cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,

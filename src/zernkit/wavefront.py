@@ -31,10 +31,8 @@ from .zernike import cartesian_to_polar, zernike_matrix, zernike_xy  # noqa: F40
 __all__ = [
     "WAVEFRONT_MODES",
     "wavefront_modes",
-    "Wavefront",
     "kolmogorov_covariance",
     "kolmogorov_wavefront",
-    "SegmentedAperture",
     "build_aperture",
     "hexagon_grid",
     "ZonalInterpolator",
@@ -59,27 +57,6 @@ def wavefront_modes(x, y):
     broadcast shape of x and y; row j is Z_j.  Modes 0..13 have degree <= 4."""
     rho, theta = cartesian_to_polar(x, y)
     return zernike_matrix(4, rho, theta)[:WAVEFRONT_MODES]
-
-
-@dataclass(frozen=True)
-class Wavefront:
-    """Surface f(rho, theta) = sum_{j=1..14} a_j Z_{j-1}(rho, theta).
-
-    Coefficients are wavelength-normalized optical path; the first entry
-    (piston) is zero for generated wavefronts since it carries no shape.
-    The surface lives in global polar coordinates without rescaling, per
-    the aperture convention rho <= 6: its values at (x, y) are
-    ``np.tensordot(coefficients, wavefront_modes(x, y), axes=1)``.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(np.asarray(self.coefficients, dtype=float))
-        if coeffs.shape != (WAVEFRONT_MODES,):
-            raise ValueError(f"need exactly {WAVEFRONT_MODES} coefficients")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 @lru_cache(maxsize=1)
@@ -123,11 +100,14 @@ def kolmogorov_covariance():
 
 
 def kolmogorov_wavefront(seed, strength=1.0):
-    """Random wavefront with Kolmogorov-covariant coefficients.
+    """Random wavefront: the read-only (14,) array a of its coefficients in
+    wavelength-normalized optical path, deterministic per seed (PCG64).
 
-    Modes 2..14 (single indices 1..13) are drawn from the zero-mean
-    multivariate normal of ``kolmogorov_covariance`` scaled by ``strength``;
-    piston is zero.  Deterministic per seed (PCG64).
+    Single indices 1..13 are drawn from the zero-mean multivariate normal
+    of ``kolmogorov_covariance`` scaled by ``strength``; piston, which
+    carries no shape, is zero.  The surface lives in global polar
+    coordinates without rescaling (rho up to about 6.2): its values at
+    (x, y) are ``np.tensordot(a, wavefront_modes(x, y), axes=1)``.
     """
     if not (math.isfinite(strength) and strength > 0):
         raise ValueError(f"strength must be finite and positive, got {strength}")
@@ -135,26 +115,13 @@ def kolmogorov_wavefront(seed, strength=1.0):
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(WAVEFRONT_MODES)
     coeffs[1:] = strength * (chol @ rng.standard_normal(WAVEFRONT_MODES - 1))
-    return Wavefront(coeffs)
-
-
-@dataclass(frozen=True)
-class SegmentedAperture:
-    """Centers of side-1 hexagonal segments in a common orientation."""
-
-    centers: np.ndarray
-
-    def __post_init__(self):
-        centers = np.ascontiguousarray(np.asarray(self.centers, dtype=float))
-        centers.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-
-    def __len__(self):
-        return len(self.centers)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def build_aperture():
-    """The 36-segment aperture: rings of 6, 12, 18 hexagons around a vacant
+    """Centers of the 36-segment aperture, a read-only (36, 2) array: side-1
+    hexagons in a common orientation, in rings of 6, 12, 18 around a vacant
     center, flat-to-flat on the triangular lattice of spacing sqrt(3).
 
     Segments are ordered by ring and, within a ring, by center angle from
@@ -172,7 +139,9 @@ def build_aperture():
                     cells.append(q * u + s * v)
         cells.sort(key=lambda c: math.atan2(c[1], c[0]) % (2.0 * math.pi))
         centers.extend(cells)
-    return SegmentedAperture(np.array(centers))
+    centers = np.array(centers)
+    centers.setflags(write=False)
+    return centers
 
 
 @lru_cache(maxsize=1)
@@ -357,11 +326,11 @@ def run_experiment(
     if node_provider is None:
         node_provider = generate_nodes
     stack = np.array([
-        kolmogorov_wavefront(_trial_seed(master_seed, t), strength).coefficients
+        kolmogorov_wavefront(_trial_seed(master_seed, t), strength)
         for t in range(trials)
     ])
     grid_modes = _local_modes(hexagon_grid())
-    translations = _translations(build_aperture().centers, grid_modes)
+    translations = _translations(build_aperture(), grid_modes)
     local = np.einsum("tj,kjl->tkl", stack, translations)  # (trials, segments, 15)
     truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
     table = _grid_table(max(orders))

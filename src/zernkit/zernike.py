@@ -24,7 +24,6 @@ __all__ = [
     "nm_to_index",
     "index_to_nm",
     "normalization",
-    "radial_poly",
     "zernike_polar",
     "zernike_xy",
     "zernike_matrix",
@@ -87,83 +86,53 @@ def normalization(n, m):
     return math.sqrt((2 * (n + 1)) / (2.0 if m == 0 else 1.0))
 
 
-def _radial_family(m_abs, rho, k_max):
-    """Yield R_{m+2k}^m(rho) for k = 0 .. k_max from one pass of the
-    Jacobi recurrence behind ``radial_poly`` (rho an array)."""
-    x = 1.0 - 2.0 * rho * rho
-    rho_m = rho**m_abs if m_abs > 0 else None
-    p_prev = p = np.ones_like(x)
-    for k in range(k_max + 1):
-        if k == 1:
-            p = ((m_abs + 2) * x + m_abs) / 2.0
-        elif k > 1:
-            c = 2 * k + m_abs
-            a1 = 2 * k * (k + m_abs) * (c - 2)
-            a2 = (c - 1) * (c * (c - 2) * x + m_abs * m_abs)
-            a3 = 2 * (k + m_abs - 1) * (k - 1) * c
-            p_prev, p = p, (a2 * p - a3 * p_prev) / a1
-        out = p if k % 2 == 0 else -p
-        yield out if rho_m is None else out * rho_m
-
-
-def radial_poly(n, m, rho):
-    """Radial component R_n^{|m|}(rho) of the circle polynomial.
-
-    Uses the identity R_n^m = (-1)^k rho^m P_k^{(m,0)}(1 - 2 rho^2) with
-    k = (n - m)/2 and evaluates the Jacobi polynomial by its three-term
-    recurrence.  Unlike the explicit factorial sum the recurrence keeps
-    intermediates of order one: against exact rational evaluation it stays
-    below 1e-14 up to n = 30, where the sum has lost seven digits to
-    cancellation.  Valid for any rho >= 0; rho may be a scalar or an array.
-    """
-    m_abs = abs(m)
-    if n < 0 or m_abs > n or (n - m_abs) % 2 != 0:
-        raise ValueError(f"invalid index pair n={n}, m={m}")
-    rho = np.asarray(rho, dtype=float)
-    for out in _radial_family(m_abs, rho, (n - m_abs) // 2):
-        pass
-    return out if out.shape else float(out)
-
-
 def zernike_polar(j, rho, theta):
-    """Zernike polynomial with single index j at polar points (rho, theta).
-
-    Cosine branch for m >= 0, sine branch (with |m|) for m < 0.  Evaluation
-    is defined for any rho >= 0; orthonormality holds on rho <= 1.
-    """
-    idx = index_to_nm(j)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    radial = normalization(idx.n, idx.m) * radial_poly(idx.n, idx.m, rho)
-    if idx.m >= 0:
-        out = radial * np.cos(idx.m * theta)
-    else:
-        out = radial * np.sin(-idx.m * theta)
+    """Z_j at polar points (rho, theta): row j of ``zernike_matrix`` at the
+    radial order of Z_j, a float for scalar input."""
+    out = zernike_matrix(index_to_nm(j).n, rho, theta)[j]
     return out if out.shape else float(out)
 
 
 def zernike_matrix(order, rho, theta):
-    """Every Zernike polynomial of total degree <= order at (rho, theta).
+    """Every Zernike polynomial of total degree <= order at (rho, theta),
+    shape (basis_size(order),) + the broadcast shape of rho and theta.
 
-    Returns the array of shape (basis_size(order),) + the broadcast shape
-    of rho and theta whose row j equals ``zernike_polar(j, rho, theta)``
-    bit for bit: the radial recurrence runs once per |m| and writes the
-    (n, +m) and (n, -m) rows as it passes each n, with the same operations
-    in the same order as the one-row path.
+    Row (n, m) is N_n^m R_n^|m|(rho) cos(m theta), or sin(|m| theta) for
+    m < 0, at any rho >= 0, with R_n^m = (-1)^k rho^m P_k^(m,0)(1 - 2 rho^2)
+    and k = (n - m)/2: the Jacobi polynomial comes from its three-term
+    recurrence.  Unlike the explicit factorial sum the recurrence keeps
+    intermediates of order one: against exact rational evaluation it stays
+    below 1e-14 up to n = 30, where the sum has lost seven digits to
+    cancellation.  It runs once per |m| and writes the (n, +m) and (n, -m)
+    rows as it passes each n, so a row does not depend on the order asked.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     out = np.empty((basis_size(order),) + np.broadcast_shapes(rho.shape, theta.shape))
-    for m_abs in range(order + 1):
-        cos_m = np.cos(m_abs * theta)
-        sin_m = np.sin(m_abs * theta) if m_abs else None
-        family = _radial_family(m_abs, rho, (order - m_abs) // 2)
-        for k, radial in enumerate(family):
-            n = m_abs + 2 * k
-            radial = normalization(n, m_abs) * radial
-            out[nm_to_index(n, m_abs)] = radial * cos_m
-            if m_abs:
-                out[nm_to_index(n, -m_abs)] = radial * sin_m
+    for m in range(order + 1):
+        # x per |m|, not hoisted: a hoisted x moved lebesgue-grid's peak RSS up 2 MB
+        x = 1.0 - 2.0 * rho * rho
+        cos_m = np.cos(m * theta)
+        sin_m = np.sin(m * theta) if m else None
+        rho_m = rho**m if m else None
+        p_prev = p = np.ones_like(x)
+        for k in range((order - m) // 2 + 1):
+            if k == 1:
+                p = ((m + 2) * x + m) / 2.0
+            elif k > 1:
+                c = 2 * k + m
+                a1 = 2 * k * (k + m) * (c - 2)
+                a2 = (c - 1) * (c * (c - 2) * x + m * m)
+                a3 = 2 * (k + m - 1) * (k - 1) * c
+                p_prev, p = p, (a2 * p - a3 * p_prev) / a1
+            radial = p if k % 2 == 0 else -p
+            if rho_m is not None:
+                radial = radial * rho_m
+            n = m + 2 * k
+            radial = normalization(n, m) * radial
+            out[nm_to_index(n, m)] = radial * cos_m
+            if m:
+                out[nm_to_index(n, -m)] = radial * sin_m
     return out
 
 

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths it checks: quadrature
 instead of algebraic identities, the explicit factorial sum instead of the
-recurrence, classic hand-derived low-order formulas, numpy's
-companion-matrix roots instead of our Newton iteration, pointwise
-zonal reconstruction instead of the closed form, scipy's public
-pivoted QR instead of the direct LAPACK call, and an element-by-element
-radius snap instead of the maps' vectorised one.
+recurrence, a one-row evaluator with its own copy of the recurrence and
+the normalization instead of the batched kernel, classic hand-derived
+low-order formulas, numpy's companion-matrix roots instead of our Newton
+iteration, pointwise zonal reconstruction instead of the closed form,
+scipy's public pivoted QR instead of the direct LAPACK call, and an
+element-by-element radius snap instead of the maps' vectorised one.
 """
 
 import math
@@ -15,8 +16,40 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
-from zernkit.domains import DiskZernikeBasis
-from zernkit.zernike import basis_size, zernike_matrix, zernike_polar
+from zernkit.zernike import basis_size, index_to_nm, zernike_matrix
+
+
+def zernike_row(j, rho, theta):
+    """Z_j at polar points (rho, theta), a float for scalar input.
+
+    An independent copy of ``zernike_matrix``'s arithmetic for one row: the
+    Jacobi recurrence for R_n^{|m|} = (-1)^k rho^{|m|} P_k^{(|m|,0)}(1 - 2
+    rho^2), k = (n - |m|)/2, then sqrt(2(n + 1)/(1 + delta_{m,0})) times
+    cos(m theta) or sin(|m| theta), with the same operations in the same
+    order, so it equals the kernel's row j bit for bit.
+    """
+    idx = index_to_nm(j)
+    n, m = idx.n, abs(idx.m)
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    x = 1.0 - 2.0 * rho * rho
+    p_prev = p = np.ones_like(x)
+    for k in range(1, (n - m) // 2 + 1):
+        if k == 1:
+            p = ((m + 2) * x + m) / 2.0
+        else:
+            c = 2 * k + m
+            a1 = 2 * k * (k + m) * (c - 2)
+            a2 = (c - 1) * (c * (c - 2) * x + m * m)
+            a3 = 2 * (k + m - 1) * (k - 1) * c
+            p_prev, p = p, (a2 * p - a3 * p_prev) / a1
+    radial = -p if (n - m) // 2 % 2 else p
+    if m:
+        radial = radial * rho**m
+    radial = math.sqrt(2 * (n + 1) / (2.0 if m == 0 else 1.0)) * radial
+    trig = np.cos(m * theta) if idx.m >= 0 else np.sin(m * theta)
+    out = radial * trig
+    return out if out.shape else float(out)
 
 
 def disk_gram(basis, n_radial=64, n_angular=256):
@@ -34,7 +67,7 @@ def disk_gram(basis, n_radial=64, n_angular=256):
     rho = np.repeat(np.sqrt(t), n_angular)
     ang = np.tile(theta, n_radial)
     weights = np.repeat(w_t, n_angular) * w_theta
-    values = np.array([zernike_polar(j, rho, ang) for j in range(basis.size)])
+    values = np.array([zernike_row(j, rho, ang) for j in range(basis.size)])
     return (values * weights) @ values.T / np.pi
 
 
@@ -201,11 +234,11 @@ def qr_fekete_points(n, mesh_density):
 
 def wavefront_sum(coefficients, x, y):
     """sum_j a_j Z_j(x, y) of a wavefront's coefficients, one
-    ``zernike_polar`` row at a time instead of the batched mode matrix."""
+    ``zernike_row`` at a time instead of the batched mode matrix."""
     rho, theta = np.hypot(x, y), np.arctan2(y, x)
     total = np.zeros(np.broadcast(rho, theta).shape)
     for j, a in enumerate(coefficients):
-        total = total + a * zernike_polar(j, rho, theta)
+        total = total + a * zernike_row(j, rho, theta)
     return total
 
 
@@ -231,7 +264,7 @@ def _image_points(family, domain_map, rho, theta):
 
 def _dense_rows(order, family, domain_map, x, y):
     """Every function of the family at image points (x, y), one
-    ``zernike_polar`` row at a time: pull the points back to the disk,
+    ``zernike_row`` at a time: pull the points back to the disk,
     evaluate, multiply by the family's weight."""
     r, theta = np.hypot(x, y), np.arctan2(y, x)
     weight = 1.0
@@ -252,7 +285,7 @@ def _dense_rows(order, family, domain_map, x, y):
     else:
         u = r
     return np.array(
-        [zernike_polar(j, u, theta) * weight for j in range(basis_size(order))]
+        [zernike_row(j, u, theta) * weight for j in range(basis_size(order))]
     )
 
 
@@ -342,7 +375,3 @@ def snapped_radii(domain_map, rho, theta):
         a, span = domain_map.inner, domain_map.outer - domain_map.inner
         forward, inverse = (lambda r, i: a + span * r), (lambda s, i: (s - a) / span)
     return _invertible_forward_radius(rho, forward, inverse)
-
-
-def make_disk_basis(order):
-    return DiskZernikeBasis(order)

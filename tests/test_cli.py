@@ -611,3 +611,50 @@ def test_hard_error_keeps_previous_output_of_every_command(capsys, tmp_path):
         assert out == ""
         assert message in err.splitlines()[-1], err
         assert target.read_bytes() == previous
+
+
+@pytest.mark.parametrize("argv", [
+    ["condition-table", "--schemes", "ocs", "--orders", "0..2"],
+    ["lebesgue", "--schemes", "ocs", "--orders", "0..1"],
+    ["wavefront", "--orders", "2", "--trials", "0", "--schemes", "ocs",
+     "--bases", "K"],
+    ["nodes", "--scheme", "ocs", "--n", "0"],
+])
+def test_hard_error_leaves_no_new_output_file(capsys, tmp_path, argv):
+    # the output is opened before the first cell; a run that created it
+    # and then fails removes it again
+    target = tmp_path / "new.csv"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("zernkit: error: "), err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("scheme,flag,value", [
+    ("ocs", "--from-file", "/nonexistent.txt"),
+    ("approx-fekete", "--from-file", "/nonexistent.txt"),
+    ("ocs", "--mesh-density", "5"),
+    ("lebesgue", "--mesh-density", "5"),
+])
+def test_nodes_flag_of_another_scheme_rejected(capsys, tmp_path, scheme, flag, value):
+    # --from-file serves only the file schemes, --mesh-density only
+    # approx-fekete; either flag elsewhere is refused before any output
+    target = tmp_path / "nodes.txt"
+    code, out, err = run(capsys, "nodes", "--scheme", scheme, "--n", "1",
+                         flag, value, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"zernkit: error: {flag} needs scheme "), err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("density", ["0", "1"])
+def test_nodes_mesh_density_below_the_node_count_rejected(capsys, density):
+    # a density of 0 is refused like any other too small for the order,
+    # not replaced by the default mesh
+    code, out, err = run(capsys, "nodes", "--scheme", "approx-fekete", "--n", "3",
+                         "--mesh-density", density)
+    assert code == 1
+    assert out == ""
+    assert "mesh_density must be >= 100 for order 3" in err, err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import snapped_radii, transferred_gram
+from oracles import snapped_radii, transferred_gram, zernike_row
 from zernkit.collocation import assemble
 from zernkit.domains import (
     AnnulusMap,
@@ -28,7 +28,6 @@ from zernkit.zernike import (
     basis_size,
     polar_to_cartesian,
     zernike_matrix,
-    zernike_polar,
 )
 
 ALPHA = math.pi / 6
@@ -276,11 +275,11 @@ FAMILY_MAPS = {
 
 def _rows(basis, a, b):
     """Every function of the basis at points (a, b) in its map's
-    coordinates, one ``zernike_polar`` row at a time at the map's
+    coordinates, one ``zernike_row`` at a time at the map's
     pull-back, times the map's weight for a weighted family."""
     dm = basis.map
     u, t = dm.pull_back(a, b)
-    rows = np.array([zernike_polar(j, u, t) for j in range(basis.size)])
+    rows = np.array([zernike_row(j, u, t) for j in range(basis.size)])
     return dm.weigh(rows, a, b) if basis.weighted else rows
 
 

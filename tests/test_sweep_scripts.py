@@ -1,0 +1,44 @@
+"""Smoke tests of the two sweep scripts in ``scripts/``, loaded as modules
+and run at small sizes."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference" / "condition-tables"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def condition_tables(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tables")
+    assert _load("make_condition_tables").run(out, orders="1..3") == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["disk_zernike.csv", "hexagon_weighted.csv", "annulus_sqrt_jacobian.csv"]
+)
+def test_condition_tables_open_the_reference_tables(condition_tables, name):
+    # three schemes at orders 1..3: the header and the first nine rows of
+    # the benchmark's n = 1..30 table
+    got = (condition_tables / name).read_text().splitlines()
+    want = (REFERENCE / name).read_text().splitlines()[:10]
+    assert got == want
+
+
+def test_wavefront_experiment_writes_both_tables(tmp_path):
+    assert _load("run_wavefront_experiment").run(tmp_path, orders="2..3", trials=2) == 0
+    for name, rows in (("wavefront_stable.csv", 4), ("wavefront_unstable.csv", 6)):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "n,scheme,basis,mean_rrmse,trials"
+        assert len(lines) == 1 + rows
+        assert all(line.endswith(",2") and ",error," not in line for line in lines[1:])

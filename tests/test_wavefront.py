@@ -16,7 +16,6 @@ from zernkit.wavefront import (
     _rrmse,
     _translations,
     _trial_seed,
-    Wavefront,
     ZonalInterpolator,
     _grid_table,
     build_aperture,
@@ -38,16 +37,16 @@ class TestKolmogorov:
     def test_deterministic(self):
         a = kolmogorov_wavefront(7)
         b = kolmogorov_wavefront(7)
-        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a, b)
 
     def test_piston_always_zero(self):
         for seed in range(20):
-            assert kolmogorov_wavefront(seed).coefficients[0] == 0.0
+            assert kolmogorov_wavefront(seed)[0] == 0.0
 
     def test_strength_scales_linearly(self):
         a = kolmogorov_wavefront(3, strength=1.0)
         b = kolmogorov_wavefront(3, strength=2.5)
-        assert np.allclose(b.coefficients, 2.5 * a.coefficients)
+        assert np.allclose(b, 2.5 * a)
 
     def test_covariance_structure(self):
         cov = kolmogorov_covariance()
@@ -63,12 +62,18 @@ class TestKolmogorov:
         # Var(a_2)/Var(a_8) over 10^4 draws against the model's own values
         cov = kolmogorov_covariance()
         draws = np.array(
-            [kolmogorov_wavefront(seed).coefficients[1:] for seed in range(10_000)]
+            [kolmogorov_wavefront(seed)[1:] for seed in range(10_000)]
         )
         var = draws.var(axis=0)
         want = cov[0, 0] / cov[6, 6]
         got = var[0] / var[6]
         assert abs(got - want) < 0.1 * want
+
+    def test_coefficients_are_a_read_only_array(self):
+        a = kolmogorov_wavefront(3)
+        assert a.shape == (14,) and a.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 0.0
 
     def test_strength_validated(self):
         for strength in (0.0, -1.0, math.nan, math.inf):
@@ -88,9 +93,9 @@ class TestWavefrontEvaluation:
         ang = np.linspace(-np.pi, np.pi, 9)
         x = np.outer(np.linspace(0.0, radius, 5), np.cos(ang))
         y = np.outer(np.linspace(0.0, radius, 5), np.sin(ang))
-        want = wavefront_sum(w.coefficients, x, y)
+        want = wavefront_sum(w, x, y)
         scale = np.max(np.abs(want))
-        got = np.tensordot(w.coefficients, wavefront_modes(x, y), axes=1)
+        got = np.tensordot(w, wavefront_modes(x, y), axes=1)
         assert got.shape == x.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
@@ -99,9 +104,13 @@ class TestAperture:
     def test_segment_count(self, aperture):
         assert len(aperture) == 36
 
+    def test_centers_are_a_read_only_array(self, aperture):
+        assert aperture.shape == (36, 2) and aperture.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            aperture[0, 0] = 0.0
+
     def test_flat_to_flat_spacing(self, aperture):
-        c = aperture.centers
-        d = np.hypot(*(c[:, None, :] - c[None, :, :]).T)
+        d = np.hypot(*(aperture[:, None, :] - aperture[None, :, :]).T)
         np.fill_diagonal(d, np.inf)
         assert d.min() >= math.sqrt(3.0) * (1.0 - 1e-9)
 
@@ -110,13 +119,13 @@ class TestAperture:
         corner = polygon_boundary_radius(ang)[:, None] * np.column_stack(
             [np.cos(ang), np.sin(ang)]
         )
-        verts = (aperture.centers[:, None, :] + corner[None, :, :]).reshape(-1, 2)
+        verts = (aperture[:, None, :] + corner[None, :, :]).reshape(-1, 2)
         assert np.max(np.hypot(verts[:, 0], verts[:, 1])) <= 6.5
 
     def test_characteristic_functions_disjoint(self, aperture):
         # segment j holds a point strictly inside its hexagon around center j
         for k in range(36):
-            d = aperture.centers[k] - aperture.centers
+            d = aperture[k] - aperture
             inside = np.hypot(d[:, 0], d[:, 1]) < polygon_boundary_radius(
                 np.arctan2(d[:, 1], d[:, 0])
             )
@@ -130,7 +139,7 @@ class TestAperture:
 class TestTranslation:
     @pytest.fixture(scope="class")
     def translations(self, aperture):
-        return _translations(aperture.centers, _local_modes(hexagon_grid()))
+        return _translations(aperture, _local_modes(hexagon_grid()))
 
     @given(
         polar=st.lists(
@@ -150,7 +159,7 @@ class TestTranslation:
         frac, theta = np.array(polar).T
         r = frac * polygon_boundary_radius(theta)
         p = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        pts = aperture.centers[:, None, :] + p
+        pts = aperture[:, None, :] + p
         want = np.moveaxis(wavefront_modes(pts[..., 0], pts[..., 1]), 0, 1)
         got = translations @ zernike_matrix(4, r, theta)
         assert got.shape == want.shape == (36, 14, len(p))
@@ -171,7 +180,7 @@ def on_segments(wavefront, centers, local):
     (segments, P)."""
     pts = centers[:, None] + local
     return np.tensordot(
-        wavefront.coefficients, wavefront_modes(pts[..., 0], pts[..., 1]), axes=1
+        wavefront, wavefront_modes(pts[..., 0], pts[..., 1]), axes=1
     )
 
 
@@ -215,16 +224,16 @@ class TestRrmse:
 
 class TestZonal:
     def test_zero_wavefront_is_defined_error(self, aperture):
-        flat = Wavefront(np.zeros(14))
+        flat = np.zeros(14)
         with pytest.raises(ZeroDenominatorError):
-            reconstruction_rrmse(flat, aperture.centers, ocs_nodes(2), "K")
+            reconstruction_rrmse(flat, aperture, ocs_nodes(2), "K")
 
     def test_degree_one_wavefront_error_level(self, aperture):
         # affine surfaces are not inside the span of the composed family, so
         # reconstruction is not exact; the measured plateau is held here
-        tilt = Wavefront(np.array([0.3, 0.5, -0.2] + [0.0] * 11))
-        r5 = reconstruction_rrmse(tilt, aperture.centers, ocs_nodes(5), "K")
-        r10 = reconstruction_rrmse(tilt, aperture.centers, ocs_nodes(10), "K")
+        tilt = np.array([0.3, 0.5, -0.2] + [0.0] * 11)
+        r5 = reconstruction_rrmse(tilt, aperture, ocs_nodes(5), "K")
+        r10 = reconstruction_rrmse(tilt, aperture, ocs_nodes(10), "K")
         assert r5 < 0.02
         assert r10 < r5
 
@@ -238,12 +247,12 @@ class TestZonal:
         def synthetic(x, y):
             out = np.empty_like(x)
             for k in range(36):
-                lx = x[k] - aperture.centers[k, 0]
-                ly = y[k] - aperture.centers[k, 1]
+                lx = x[k] - aperture[k, 0]
+                ly = y[k] - aperture[k, 1]
                 out[k] = coeffs[k] @ zi.basis.matrix_xy(lx, ly)
             return out
 
-        pts = aperture.centers[:, None] + zi.local_nodes.nodes
+        pts = aperture[:, None] + zi.local_nodes.nodes
         got = zi.solve(synthetic(pts[..., 0], pts[..., 1]))
         assert np.max(np.abs(got - coeffs)) < 1e-7
 
@@ -251,7 +260,7 @@ class TestZonal:
         # segment k results depend only on segment k samples
         w = kolmogorov_wavefront(5)
         zi = interpolator(ocs_nodes(4), "K")
-        samples = on_segments(w, aperture.centers, zi.local_nodes.nodes)
+        samples = on_segments(w, aperture, zi.local_nodes.nodes)
         base_coeffs = zi.solve(samples)
         base_approx = zi.approximate(base_coeffs)
         perturbed = samples.copy()
@@ -268,14 +277,14 @@ class TestZonal:
         w = kolmogorov_wavefront(11)
         shift = np.array([0.37, -1.21])
         zi = interpolator(ocs_nodes(5), "H")
-        ca = zi.solve(on_segments(w, aperture.centers, zi.local_nodes.nodes))
+        ca = zi.solve(on_segments(w, aperture, zi.local_nodes.nodes))
 
         def shifted(x, y):
             return np.tensordot(
-                w.coefficients, wavefront_modes(x - shift[0], y - shift[1]), axes=1
+                w, wavefront_modes(x - shift[0], y - shift[1]), axes=1
             )
 
-        moved = aperture.centers[:, None] + shift + zi.local_nodes.nodes
+        moved = aperture[:, None] + shift + zi.local_nodes.nodes
         cb = zi.solve(shifted(moved[..., 0], moved[..., 1]))
         assert np.max(np.abs(ca - cb)) < 1e-10
 
@@ -407,11 +416,11 @@ class TestExperiment:
         # pointwise reconstructions on the grid serves every count
         counts = [1, 2, 33]
         fronts = [
-            kolmogorov_wavefront(_trial_seed(seed, t)).coefficients
+            kolmogorov_wavefront(_trial_seed(seed, t))
             for t in range(max(counts))
         ]
         single = zonal_rrmse(
-            fronts, build_aperture().centers, generate_nodes("ocs", order), basis
+            fronts, build_aperture(), generate_nodes("ocs", order), basis
         )
         for trials in counts:
             (cell,) = run_experiment([order], trials, bases=[basis], master_seed=seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CLASSIC_ZERNIKES, disk_gram, radial_poly_sum
+from oracles import CLASSIC_ZERNIKES, disk_gram, radial_poly_sum, zernike_row
 from zernkit.domains import DiskZernikeBasis
 from zernkit.zernike import (
     ZernikeIndex,
@@ -15,7 +15,6 @@ from zernkit.zernike import (
     nm_to_index,
     normalization,
     polar_to_cartesian,
-    radial_poly,
     zernike_matrix,
     zernike_polar,
     zernike_xy,
@@ -66,6 +65,12 @@ class TestIndexing:
             ZernikeIndex(2, 0, 5)
 
 
+def radial_poly(n, m, rho):
+    """R_n^m(rho) for m >= 0, from the kernel's cosine row (n, m) at
+    theta = 0 over its normalization constant."""
+    return zernike_matrix(n, rho, 0.0)[nm_to_index(n, m)] / normalization(n, m)
+
+
 class TestRadial:
     def test_constant_mode(self):
         rho = np.linspace(0, 1, 7)
@@ -111,6 +116,13 @@ class TestEvaluation:
         # j=1 -> (1, -1): 2 rho sin(theta)
         assert zernike_polar(1, 0.5, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
+    def test_one_polynomial_is_a_kernel_row(self):
+        rho, theta = np.linspace(0.0, 2.0, 9), np.linspace(-3.0, 3.0, 9)
+        for j in (0, 4, 17, 495):
+            assert np.array_equal(zernike_polar(j, rho, theta), zernike_row(j, rho, theta))
+            value = zernike_polar(j, 0.3, 1.1)
+            assert type(value) is float and value == zernike_row(j, 0.3, 1.1)
+
     @pytest.mark.parametrize("j", sorted(CLASSIC_ZERNIKES))
     def test_against_classic_formulas(self, j):
         rng = np.random.default_rng(5)
@@ -140,7 +152,7 @@ class TestBatchedKernel:
         values = zernike_matrix(order, rho, theta)
         assert values.shape == (basis_size(order), rho.size)
         for j in range(basis_size(order)):
-            assert np.array_equal(values[j], zernike_polar(j, rho, theta)), j
+            assert np.array_equal(values[j], zernike_row(j, rho, theta)), j
 
     @given(st.integers(min_value=0, max_value=30), RADII, ANGLES)
     @settings(max_examples=60)
@@ -148,7 +160,7 @@ class TestBatchedKernel:
         values = zernike_matrix(order, rho, theta)
         assert values.shape == (basis_size(order),)
         for j in range(basis_size(order)):
-            assert np.array_equal(values[j], zernike_polar(j, rho, theta)), j
+            assert np.array_equal(values[j], zernike_row(j, rho, theta)), j
 
     @given(
         st.integers(min_value=0, max_value=30).flatmap(
@@ -175,7 +187,7 @@ class TestBatchedKernel:
         values = zernike_matrix(6, rho, theta)
         assert values.shape == (28, 4, 5)
         for j in range(28):
-            assert np.array_equal(values[j], zernike_polar(j, rho, theta))
+            assert np.array_equal(values[j], zernike_row(j, rho, theta))
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
