@@ -35,6 +35,10 @@ FILE_SCHEMES = ("lebesgue", "fekete")
 
 _LEBESGUE_CSV_HEADER = "n,scheme,basis,domain,lebesgue"
 
+# --A, --B, --a and --eps; ``nodes`` leaves them unset while parsing, so
+# that it can refuse one given off its domain
+DOMAIN_DEFAULTS = {"semi_major": 2.0, "semi_minor": 1.0, "inner": 0.5, "eps": 0.01}
+
 
 def parse_orders(text):
     """'2..20' -> range, '7' -> single order."""
@@ -166,12 +170,20 @@ def _check_basis_domain(basis, domain):
 
 
 def cmd_nodes(cfg):
-    for flag, value, schemes in (
-        ("--from-file", cfg.from_file, FILE_SCHEMES),
-        ("--mesh-density", cfg.mesh_density, ("approx-fekete",)),
+    for flag, value, key, allowed in (
+        ("--from-file", cfg.from_file, "scheme", FILE_SCHEMES),
+        ("--node-dir", cfg.node_dir, "scheme", FILE_SCHEMES),
+        ("--mesh-density", cfg.mesh_density, "scheme", ("approx-fekete",)),
+        ("--A", cfg.semi_major, "domain", ("ellipse",)),
+        ("--B", cfg.semi_minor, "domain", ("ellipse",)),
+        ("--a", cfg.inner, "domain", ("annulus",)),
+        ("--eps", cfg.eps, "domain", ("annulus",)),
     ):
-        if value is not None and cfg.scheme not in schemes:
-            raise ConfigError(f"{flag} needs scheme {' or '.join(schemes)}")
+        if value is not None and getattr(cfg, key) not in allowed:
+            raise ConfigError(f"{flag} needs {key} {' or '.join(allowed)}")
+    for key, default in DOMAIN_DEFAULTS.items():
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, default)
     with open_output(cfg.output) as fh:
         nodes = _resolve_nodes(
             cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,
@@ -284,21 +296,22 @@ def build_parser():
                        help=f"directory of node files (or ${NODE_DIR_ENV})")
         p.add_argument("--seed", type=int, default=0)
 
-    def domain_flags(p):
+    def domain_flags(p, defaults=DOMAIN_DEFAULTS):
         kinds = tuple(m.kind for m in domains.MAPS)
         p.add_argument("--domain", default="disk", type=_name("domain", kinds),
                        help=f"one of {', '.join(kinds)}")
-        p.add_argument("--A", dest="semi_major", type=float, default=2.0)
-        p.add_argument("--B", dest="semi_minor", type=float, default=1.0)
-        p.add_argument("--a", dest="inner", type=float, default=0.5)
-        p.add_argument("--eps", type=float, default=0.01)
+        p.add_argument("--A", dest="semi_major", type=float)
+        p.add_argument("--B", dest="semi_minor", type=float)
+        p.add_argument("--a", dest="inner", type=float)
+        p.add_argument("--eps", type=float)
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("nodes", help="emit one node set as a text file")
     common(p)
     p.add_argument("--scheme", type=_name("scheme", all_schemes),
                    help=f"required; one of {', '.join(all_schemes)}")
     p.add_argument("--n", type=int, help="required; the order")
-    domain_flags(p)
+    domain_flags(p, {})
     p.add_argument("--from-file", dest="from_file")
     p.add_argument("--mesh-density", dest="mesh_density", type=int)
     p.set_defaults(func=cmd_nodes)

@@ -35,8 +35,9 @@ CONDITION_CSV_HEADER = "n,scheme,basis,domain,kappa2,sigma_max,sigma_min"
 # time
 RADIAL_BLOCK = 8
 
-# condition_number keeps the mirror split only when the dropped off-block is
-# within this many N eps sigma_max; the benchmark's cells reach 1.3
+# condition_number keeps the mirror split, and lebesgue_constant takes half
+# the grid angles, only when the dropped off-block is within this many
+# N eps sigma_max; the benchmark's cells reach 1.3
 MIRROR_SLACK = 4
 # From this size (order 11) on, the split's two SVDs and column change beat
 # one full SVD in every timing on one BLAS thread (order 11: 0.38-0.54 ms
@@ -187,8 +188,25 @@ def condition_number(matrix):
 def _mirror_split(matrix):
     """(sigma_max, sigma_min, off) from the two mirror blocks of
     ``condition_number``, or None where its guard fails."""
-    entries, mirror, size = matrix.entries, matrix.mirror, matrix.size
-    index = np.arange(size)
+    blocks = _mirror_blocks(matrix)
+    if blocks is None:
+        return None
+    cos_block, sin_block, off = blocks
+    sigma = [np.linalg.svd(b, compute_uv=False) for b in (cos_block, sin_block)]
+    s_max = max(float(s[0]) for s in sigma)
+    s_min = min(float(s[-1]) for s in sigma)
+    tol = matrix.size * np.finfo(float).eps
+    if off <= MIRROR_SLACK * tol * s_max and s_min - off > tol * (s_max + off):
+        return s_max, s_min, off
+    return None
+
+
+def _mirror_blocks(matrix):
+    """The mirror column change of a matrix whose node set has a ``mirror``:
+    the cosine block, the sine block and the Frobenius norm ``off`` of the
+    two blocks it drops, or None when the blocks are not square."""
+    entries, mirror = matrix.entries, matrix.mirror
+    index = np.arange(matrix.size)
     fixed = index[mirror == index]
     p = index[mirror > index]
     q = mirror[p]
@@ -199,14 +217,7 @@ def _mirror_split(matrix):
         return None
     cos_block, cos_off = _mirror_block(entries, ~sine, fixed, p, q, True)
     sin_block, sin_off = _mirror_block(entries, sine, fixed, p, q, False)
-    off = math.hypot(cos_off, sin_off)
-    sigma = [np.linalg.svd(b, compute_uv=False) for b in (cos_block, sin_block)]
-    s_max = max(float(s[0]) for s in sigma)
-    s_min = min(float(s[-1]) for s in sigma)
-    tol = size * np.finfo(float).eps
-    if off <= MIRROR_SLACK * tol * s_max and s_min - off > tol * (s_max + off):
-        return s_max, s_min, off
-    return None
+    return cos_block, sin_block, math.hypot(cos_off, sin_off)
 
 
 def _mirror_block(entries, rows, fixed, p, q, even):
@@ -224,10 +235,23 @@ def _mirror_block(entries, rows, fixed, p, q, even):
     return (evens, np.linalg.norm(odds)) if even else (odds, np.linalg.norm(evens))
 
 
+def _mirror_holds(matrix, report):
+    """Whether the node set's mirror y -> -y holds for ``matrix`` by the
+    split's rule: square blocks and a dropped off-block of Frobenius norm
+    at most MIRROR_SLACK N eps sigma_max, with sigma_max from ``report``,
+    the matrix's ConditionReport.  A report of a kept split has passed it."""
+    if report.off_block is not None:
+        return True
+    blocks = None if matrix.mirror is None else _mirror_blocks(matrix)
+    bound = MIRROR_SLACK * matrix.size * np.finfo(float).eps * report.sigma_max
+    return blocks is not None and blocks[2] <= bound
+
+
 def require_nonsingular(matrix):
     """The singularity rule: raise SingularMatrixError, carrying sigma_min,
     when the N x N collocation matrix is singular to working precision,
-    sigma_min <= N eps sigma_max (sigma from ``condition_number``)."""
+    sigma_min <= N eps sigma_max (sigma from ``condition_number``).
+    Returns the ConditionReport otherwise."""
     report = condition_number(matrix)
     if report.sigma_min <= matrix.size * np.finfo(float).eps * report.sigma_max:
         raise SingularMatrixError(
@@ -235,6 +259,7 @@ def require_nonsingular(matrix):
             f"n={matrix.order}) is singular to working precision",
             sigma_min=report.sigma_min,
         )
+    return report
 
 
 def solve_interpolation(matrix, values):
@@ -270,6 +295,13 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     that block's N x RADIAL_BLOCK x n_t values and the n_r x N x (2n + 1)
     contraction; the N x (n_r n_t) grid matrix is never built.
 
+    When the node set's ``mirror`` holds for the collocation matrix, by the
+    rule of ``condition_number``'s split, only the angles l = 0 .. n_t // 2
+    are evaluated.  Every map and weight commutes with y -> -y, so then
+    l_j(r, -t) = l_mirror(j)(r, t): the Lebesgue function is even in t, and
+    the grid angle 2 pi (n_t - l)/n_t is -2 pi l/n_t.  Other sets get the
+    whole grid.
+
     A collocation matrix singular to working precision raises
     SingularMatrixError (``require_nonsingular``) before C is formed, a
     grid without points ValueError.
@@ -278,9 +310,10 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     if n_r < 1 or n_t < 1:
         raise ValueError(f"grid_shape needs positive sizes, got {grid_shape}")
     r = (np.arange(n_r) + 1.0) / n_r
-    t = 2.0 * np.pi * np.arange(n_t) / n_t
     matrix = assemble(basis, nodes)
-    require_nonsingular(matrix)
+    report = require_nonsingular(matrix)
+    n_angles = n_t // 2 + 1 if _mirror_holds(matrix, report) else n_t
+    t = 2.0 * np.pi * np.arange(n_angles) / n_t
     inverse = np.linalg.inv(matrix.entries)
     order = basis.order
     index = [index_to_nm(j) for j in range(basis.size)]
@@ -304,7 +337,7 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
         block = contracted[start : start + RADIAL_BLOCK]
         lagrange = block.reshape(-1, freqs.size) @ trig
         np.abs(lagrange, out=lagrange)
-        total = lagrange.reshape(len(block), basis.size, n_t).sum(axis=1)
+        total = lagrange.reshape(len(block), basis.size, n_angles).sum(axis=1)
         if weight is not None:
             total *= weight[start : start + RADIAL_BLOCK]
         best = max(best, float(total.max()))

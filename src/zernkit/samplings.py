@@ -92,8 +92,9 @@ class NodeSet:
     permutation: node ``mirror[i]`` is the reflection of node i, up to
     rounding.  It must be an involution of 0 .. N-1 (ValueError otherwise).
     ``bos_array`` records it and ``transfer_nodes`` keeps it, so that
-    ``condition_number`` can split the collocation matrix in two; every
-    other set has none.
+    ``condition_number`` can split the collocation matrix in two and
+    ``lebesgue_constant`` evaluate half the grid angles; every other set
+    has none.
     """
 
     order: int
@@ -126,9 +127,12 @@ class NodeSet:
         if self.mirror is not None:
             mirror = np.array(self.mirror)
             index = np.arange(len(nodes))
+            # an involution of 0 .. N-1 is a permutation; the range check
+            # comes first, as mirror[mirror] wraps negative indices
             if not (
                 mirror.dtype.kind in "iu"
-                and np.array_equal(np.sort(mirror), index)
+                and mirror.shape == index.shape
+                and np.all((mirror >= 0) & (mirror < len(nodes)))
                 and np.array_equal(mirror[mirror], index)
             ):
                 raise ValueError("mirror must be an involution of the node indices")

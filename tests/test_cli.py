@@ -636,10 +636,12 @@ def test_hard_error_leaves_no_new_output_file(capsys, tmp_path, argv):
     ("approx-fekete", "--from-file", "/nonexistent.txt"),
     ("ocs", "--mesh-density", "5"),
     ("lebesgue", "--mesh-density", "5"),
+    ("ocs", "--node-dir", "/nonexistent"),
+    ("approx-fekete", "--node-dir", "/nonexistent"),
 ])
 def test_nodes_flag_of_another_scheme_rejected(capsys, tmp_path, scheme, flag, value):
-    # --from-file serves only the file schemes, --mesh-density only
-    # approx-fekete; either flag elsewhere is refused before any output
+    # --from-file and --node-dir serve only the file schemes, --mesh-density
+    # only approx-fekete; such a flag elsewhere is refused before any output
     target = tmp_path / "nodes.txt"
     code, out, err = run(capsys, "nodes", "--scheme", scheme, "--n", "1",
                          flag, value, "--output", str(target))
@@ -658,3 +660,50 @@ def test_nodes_mesh_density_below_the_node_count_rejected(capsys, density):
     assert code == 1
     assert out == ""
     assert "mesh_density must be >= 100 for order 3" in err, err
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["--A", "7"], "", "--A needs domain ellipse"),
+    (["--domain", "hexagon", "--B", "1"], "", "--B needs domain ellipse"),
+    (["--domain", "annulus"], "semi_major=2", "--A needs domain ellipse"),
+    (["--domain", "ellipse", "--a", "0.3"], "", "--a needs domain annulus"),
+    (["--eps", "0.01"], "", "--eps needs domain annulus"),
+    (["--domain", "hexagon"], "eps=0.01", "--eps needs domain annulus"),
+    (["--domain", "disk"], "node_dir=/nonexistent",
+     "--node-dir needs scheme lebesgue or fekete"),
+])
+def test_nodes_flag_of_another_domain_rejected(capsys, tmp_path, argv, config,
+                                               message):
+    # --A and --B serve only the ellipse, --a and --eps only the annulus;
+    # given as a flag or as a config key, even at its default value, such
+    # a flag is refused before any output, as one of another scheme is
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    target = tmp_path / "nodes.txt"
+    code, out, err = run(capsys, "nodes", "--scheme", "ocs", "--n", "1", *argv,
+                         "--config", str(cfg), "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"zernkit: error: {message}\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("domain,flags", [
+    ("ellipse", ["--A", "2", "--B", "1"]),
+    ("annulus", ["--a", "0.5", "--eps", "0.01"]),
+])
+def test_nodes_domain_flags_keep_their_defaults(capsys, domain, flags):
+    argv = ["nodes", "--scheme", "ocs", "--n", "3", "--domain", domain]
+    code, implicit, _ = run(capsys, *argv)
+    assert code == 0
+    code, explicit, _ = run(capsys, *argv, *flags)
+    assert code == 0
+    assert implicit == explicit
+
+
+def test_nodes_node_dir_serves_a_file_scheme(capsys, tmp_path):
+    save_nodes(tmp_path / "fekete_n2.txt", ocs_nodes(2))
+    code, out, _ = run(capsys, "nodes", "--scheme", "fekete", "--n", "2",
+                       "--node-dir", str(tmp_path))
+    assert code == 0
+    assert len([l for l in out.splitlines() if not l.startswith("#")]) == 6

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_lebesgue_constant
 
+from zernkit import collocation
 from zernkit.collocation import (
     MIRROR_MIN_SIZE,
     RADIAL_BLOCK,
@@ -561,3 +562,51 @@ class TestLebesgue:
         nodes = transfer_nodes(HexagonMap(), ocs_nodes(4))
         lam = lebesgue_constant(nodes, HexagonBasis(4, "K"), grid_shape=(60, 128))
         assert lam >= 1.0
+
+
+class TestLebesgueHalfGrid:
+    """A Bos array whose mirror holds is evaluated on the angles l = 0 ..
+    n_t // 2 only; its Lebesgue constant is that of the same nodes without
+    a mirror, which get the whole grid."""
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        seen = []
+
+        def spy(matrix, report):
+            seen.append(holds(matrix, report))
+            return seen[-1]
+
+        holds = collocation._mirror_holds
+        monkeypatch.setattr(collocation, "_mirror_holds", spy)
+        return seen
+
+    @pytest.mark.parametrize("family", list("ZKHEOC"))
+    @pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt"])
+    def test_half_grid_matches_whole_grid(self, verdicts, family, scheme):
+        domain_map = _LEBESGUE_MAPS[family]
+        for n in range(1, 13):
+            nodes = generate_nodes(scheme, n)
+            if domain_map is not None:
+                nodes = transfer_nodes(
+                    domain_map, nodes, inner_eps=0.01 if family == "O" else None
+                )
+            whole = dataclasses.replace(nodes, mirror=None)
+            basis = make_basis(family, n, domain_map)
+            for grid_shape in [(200, 512), (45, 255)]:
+                got = lebesgue_constant(nodes, basis, grid_shape)
+                want = lebesgue_constant(whole, basis, grid_shape)
+                assert verdicts[-2:] == [True, False], (n, grid_shape)
+                assert got == pytest.approx(want, rel=1e-12)
+                assert f"{got:.6e}" == f"{want:.6e}"
+
+    def test_perturbed_pair_takes_whole_grid(self, verdicts):
+        nodes = ocs_nodes(4)
+        points = np.array(nodes.nodes)
+        points[nodes.mirror[1]] += [0.0, 1e-6]  # node 1's mirror leaves y = -y_1
+        moved = dataclasses.replace(nodes, nodes=points, polar=None)
+        basis = DiskZernikeBasis(4)
+        got = lebesgue_constant(moved, basis)
+        want = lebesgue_constant(dataclasses.replace(moved, mirror=None), basis)
+        assert verdicts == [False, False]
+        assert got == want

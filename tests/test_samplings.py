@@ -348,8 +348,26 @@ class TestNodeSetInvariants:
 
     @pytest.mark.parametrize(
         "mirror",
-        [[0, 2], [0, 2, 1, 3], [0, 0, 2], [1, 2, 0], [0.0, 2.0, 1.0]],
-        ids=["short", "long", "not a permutation", "not an involution", "float"],
+        [
+            [0, 2],
+            [0, 2, 1, 3],
+            [0, 0, 2],
+            [1, 2, 0],
+            [0.0, 2.0, 1.0],
+            [0, -1, 1],
+            [0, 3, 1],
+            [[0, 2, 1]],
+        ],
+        ids=[
+            "short",
+            "long",
+            "not a permutation",
+            "not an involution",
+            "float",
+            "negative",
+            "out of range",
+            "two-dimensional",
+        ],
     )
     def test_bad_mirror_refused(self, mirror):
         points = bos_array(1, (1.0,)).nodes
