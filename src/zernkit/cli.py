@@ -32,11 +32,12 @@ NODE_DIR_ENV = "ZERNKIT_NODE_DIR"
 
 GENERABLE_SCHEMES = tuple(str(scheme) for scheme in samplings.GENERATORS)
 FILE_SCHEMES = ("lebesgue", "fekete")
+_FILE_SCHEMES_TEXT = " or ".join(FILE_SCHEMES)
 
 _LEBESGUE_CSV_HEADER = "n,scheme,basis,domain,lebesgue"
 
-# --A, --B, --a and --eps; ``nodes`` leaves them unset while parsing, so
-# that it can refuse one given off its domain
+# --A, --B, --a and --eps; the parser leaves them unset, so that a command
+# can refuse one given where it does not act (``_refuse_unused``)
 DOMAIN_DEFAULTS = {"semi_major": 2.0, "semi_minor": 1.0, "inner": 0.5, "eps": 0.01}
 
 
@@ -169,21 +170,33 @@ def _check_basis_domain(basis, domain):
         )
 
 
-def cmd_nodes(cfg):
-    for flag, value, key, allowed in (
-        ("--from-file", cfg.from_file, "scheme", FILE_SCHEMES),
-        ("--node-dir", cfg.node_dir, "scheme", FILE_SCHEMES),
-        ("--mesh-density", cfg.mesh_density, "scheme", ("approx-fekete",)),
-        ("--A", cfg.semi_major, "domain", ("ellipse",)),
-        ("--B", cfg.semi_minor, "domain", ("ellipse",)),
-        ("--a", cfg.inner, "domain", ("annulus",)),
-        ("--eps", cfg.eps, "domain", ("annulus",)),
-    ):
-        if value is not None and getattr(cfg, key) not in allowed:
-            raise ConfigError(f"{flag} needs {key} {' or '.join(allowed)}")
+def _refuse_unused(cfg, rules):
+    """Refuse, before any output, a flag or config key given where it does
+    not act: --A and --B off the ellipse, --a off the annulus, and the
+    command's own ``rules``, each (flag, dest, acts, what it needs).  Then
+    fill in DOMAIN_DEFAULTS for the domain flags left unset."""
+    rules = [
+        ("--A", "semi_major", cfg.domain == "ellipse", "domain ellipse"),
+        ("--B", "semi_minor", cfg.domain == "ellipse", "domain ellipse"),
+        ("--a", "inner", cfg.domain == "annulus", "domain annulus"),
+    ] + rules
+    for flag, dest, acts, needs in rules:
+        if getattr(cfg, dest) is not None and not acts:
+            raise ConfigError(f"{flag} needs {needs}")
     for key, default in DOMAIN_DEFAULTS.items():
         if getattr(cfg, key) is None:
             setattr(cfg, key, default)
+
+
+def cmd_nodes(cfg):
+    file_scheme = cfg.scheme in FILE_SCHEMES
+    _refuse_unused(cfg, [
+        ("--eps", "eps", cfg.domain == "annulus", "domain annulus"),
+        ("--from-file", "from_file", file_scheme, f"scheme {_FILE_SCHEMES_TEXT}"),
+        ("--node-dir", "node_dir", file_scheme, f"scheme {_FILE_SCHEMES_TEXT}"),
+        ("--mesh-density", "mesh_density", cfg.scheme == "approx-fekete",
+         "scheme approx-fekete"),
+    ])
     with open_output(cfg.output) as fh:
         nodes = _resolve_nodes(
             cfg.node_dir, cfg.scheme, cfg.n, cfg.seed, cfg.from_file,
@@ -211,6 +224,11 @@ def _sweep(cfg, default_basis, header, measure):
     standard error."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
+    _refuse_unused(cfg, [
+        ("--eps", "eps", _transfer_eps(cfg, basis_code) is not None, "basis O"),
+        ("--node-dir", "node_dir", any(s in FILE_SCHEMES for s in cfg.schemes),
+         f"a scheme {_FILE_SCHEMES_TEXT}"),
+    ])
     dom = _domain_map(cfg)
     blanks = "," * (header.count(",") - 4)  # the columns after the marker
     with open_output(cfg.output) as fh:
@@ -296,7 +314,7 @@ def build_parser():
                        help=f"directory of node files (or ${NODE_DIR_ENV})")
         p.add_argument("--seed", type=int, default=0)
 
-    def domain_flags(p, defaults=DOMAIN_DEFAULTS):
+    def domain_flags(p):
         kinds = tuple(m.kind for m in domains.MAPS)
         p.add_argument("--domain", default="disk", type=_name("domain", kinds),
                        help=f"one of {', '.join(kinds)}")
@@ -304,14 +322,13 @@ def build_parser():
         p.add_argument("--B", dest="semi_minor", type=float)
         p.add_argument("--a", dest="inner", type=float)
         p.add_argument("--eps", type=float)
-        p.set_defaults(**defaults)
 
     p = sub.add_parser("nodes", help="emit one node set as a text file")
     common(p)
     p.add_argument("--scheme", type=_name("scheme", all_schemes),
                    help=f"required; one of {', '.join(all_schemes)}")
     p.add_argument("--n", type=int, help="required; the order")
-    domain_flags(p, {})
+    domain_flags(p)
     p.add_argument("--from-file", dest="from_file")
     p.add_argument("--mesh-density", dest="mesh_density", type=int)
     p.set_defaults(func=cmd_nodes)

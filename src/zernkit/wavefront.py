@@ -186,10 +186,11 @@ class ZonalInterpolator:
     local collocation matrix and the same basis values on the local
     evaluation grid.
 
-    Those grid values are the first ``basis.size`` rows of ``table``, a
-    ``_grid_table`` at this order or higher: a view for K, and for H a copy
-    weighed by the map's 1/R(theta), which is ``basis.matrix_xy`` on the
-    grid bit for bit.
+    Both families read the first ``basis.size`` rows of ``table``, a
+    ``_grid_table`` at this order or higher, as a view of the K family on
+    the grid.  For H, ``approximate`` weighs the (..., M) product with that
+    view by the map's 1/R(theta) instead: sum_j c_j (K_j w) = (sum_j c_j
+    K_j) w, so no cell copies or divides the (N, M) slice.
     """
 
     def __init__(self, disk_nodes, basis_family, table):
@@ -206,11 +207,11 @@ class ZonalInterpolator:
                 f"grid table of shape {table.shape} cannot serve order "
                 f"{order}: need at least {rows} rows of {len(grid)} grid points"
             )
-        values = table[:rows]
-        if self.basis.weighted:
-            polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
-            values = self.basis.map.weigh(values.copy(), *polar)
-        self._grid_values = values
+        self._grid_values = table[:rows]
+        self._grid_polar = (
+            cartesian_to_polar(grid[:, 0], grid[:, 1])
+            if self.basis.weighted else None
+        )
 
     def solve(self, samples):
         """Interpolation coefficients for every row of samples (rows, N), all
@@ -219,8 +220,12 @@ class ZonalInterpolator:
         return np.linalg.solve(self._system, np.asarray(samples, float).T).T
 
     def approximate(self, coefficients):
-        """Reconstructed values on the evaluation grid, (..., M)."""
-        return np.asarray(coefficients) @ self._grid_values
+        """Reconstructed values on the evaluation grid, (..., M); a weighted
+        family weighs the product in place."""
+        values = np.asarray(coefficients) @ self._grid_values
+        if self._grid_polar is not None:
+            values = self.basis.map.weigh(values, *self._grid_polar)
+        return values
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,8 @@ def run_experiment(
 
     The grid values of every cell's interpolant are rows of one K-family
     grid table, evaluated once per call at ``max(orders)`` and sliced per
-    cell (weighed by 1/R(theta) for H), so no cell evaluates the grid.
+    cell; an H cell weighs its 15 x M product by 1/R(theta), so no cell
+    evaluates the grid or copies the table.
 
     A cell whose node set cannot be had (``node_provider`` raises a
     ZernkitError, OSError or ValueError: a missing node file, an unknown

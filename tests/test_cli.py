@@ -707,3 +707,91 @@ def test_nodes_node_dir_serves_a_file_scheme(capsys, tmp_path):
                        "--node-dir", str(tmp_path))
     assert code == 0
     assert len([l for l in out.splitlines() if not l.startswith("#")]) == 6
+
+
+_SWEEP_COMMANDS = ["condition-table", "lebesgue"]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", _SWEEP_COMMANDS)
+@pytest.mark.parametrize("argv,flag,dest,value,message", [
+    (["--domain", "disk"], "--A", "semi_major", "7", "--A needs domain ellipse"),
+    (["--domain", "annulus"], "--B", "semi_minor", "1", "--B needs domain ellipse"),
+    (["--domain", "hexagon"], "--a", "inner", "0.5", "--a needs domain annulus"),
+    (["--domain", "ellipse"], "--a", "inner", "0.3", "--a needs domain annulus"),
+    (["--domain", "disk"], "--eps", "eps", "0.01", "--eps needs basis O"),
+    (["--domain", "annulus", "--basis", "C"], "--eps", "eps", "0.01",
+     "--eps needs basis O"),
+    (["--domain", "disk"], "--node-dir", "node_dir", "/nonexistent",
+     "--node-dir needs a scheme lebesgue or fekete"),
+    (["--domain", "hexagon", "--schemes", "ocs,approx-fekete"], "--node-dir",
+     "node_dir", "/nonexistent", "--node-dir needs a scheme lebesgue or fekete"),
+])
+def test_sweep_flag_where_it_does_not_act_rejected(
+    capsys, tmp_path, command, given, argv, flag, dest, value, message
+):
+    # --A and --B act only on the ellipse, --a only on the annulus, --eps
+    # only for basis O and --node-dir only for a file scheme; given as a
+    # flag or as a config key, such a flag is refused before any output
+    argv = [command, "--schemes", "ocs", "--orders", "2"] + argv
+    if given == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={value}\n")
+        argv += ["--config", str(cfg)]
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"zernkit: error: {message}\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", _SWEEP_COMMANDS)
+@pytest.mark.parametrize("argv,flag,dest,default,other", [
+    # E and C rows do not depend on A, B or a (an affine image, and the
+    # disk family composed with the map), so only O's rows move
+    (["--domain", "ellipse"], "--A", "semi_major", "2", None),
+    (["--domain", "ellipse"], "--B", "semi_minor", "1", None),
+    (["--domain", "annulus", "--basis", "C"], "--a", "inner", "0.5", None),
+    (["--domain", "annulus", "--basis", "O"], "--a", "inner", "0.5", "0.3"),
+    (["--domain", "annulus", "--basis", "O"], "--eps", "eps", "0.01", "0.05"),
+])
+def test_sweep_flag_where_it_acts(capsys, tmp_path, command, argv, flag, dest,
+                                  default, other):
+    # accepted as a flag or a config key; at its default value it changes
+    # nothing, and another value reaches the rows
+    argv = [command, "--schemes", "ocs", "--orders", "4"] + argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest}={default}\n")
+    outputs = []
+    for extra in ([], [flag, default], ["--config", str(cfg)]):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        outputs.append(out)
+    implicit, flagged, configured = outputs
+    assert flagged == implicit
+    assert configured == implicit
+    if other is not None:
+        code, moved, _ = run(capsys, *argv, flag, other)
+        assert code == 0
+        assert moved != implicit
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", _SWEEP_COMMANDS)
+def test_sweep_node_dir_serves_a_file_scheme(capsys, tmp_path, command, given):
+    save_nodes(tmp_path / "lebesgue_n2.txt", ocs_nodes(2))
+    argv = [command, "--schemes", "lebesgue,ocs", "--orders", "2"]
+    if given == "flag":
+        argv += ["--node-dir", str(tmp_path)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"node_dir={tmp_path}\n")
+        argv += ["--config", str(cfg)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # the file holds the generated set, so both rows carry the same values
+    from_file, generated = (line.split(",") for line in out.splitlines()[1:])
+    assert from_file[4:] == generated[4:]

@@ -1,5 +1,6 @@
-"""Smoke tests of the two sweep scripts in ``scripts/``, loaded as modules
-and run at small sizes."""
+"""Tests of the two sweep scripts in ``scripts/``, loaded as modules: smoke
+runs at small sizes, and the wavefront script at its paper-scale defaults
+against reference tables."""
 
 import importlib.util
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "condition-tables"
+# the paper-scale wavefront tables (orders 2..20, 100 trials, seed 7)
+WAVEFRONT_REFERENCE = ROOT / "tests" / "reference"
 
 
 def _load(name):
@@ -42,3 +45,10 @@ def test_wavefront_experiment_writes_both_tables(tmp_path):
         assert lines[0] == "n,scheme,basis,mean_rrmse,trials"
         assert len(lines) == 1 + rows
         assert all(line.endswith(",2") and ",error," not in line for line in lines[1:])
+
+
+def test_wavefront_experiment_at_paper_scale_matches_reference(tmp_path):
+    assert _load("run_wavefront_experiment").run(tmp_path) == 0
+    for name in ("wavefront_stable.csv", "wavefront_unstable.csv"):
+        got = (tmp_path / name).read_text()
+        assert got == (WAVEFRONT_REFERENCE / name).read_text(), name

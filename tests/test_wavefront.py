@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import wavefront_sum, zonal_rrmse
-from zernkit.domains import HexagonBasis, polygon_boundary_radius
+from zernkit.domains import HexagonBasis, HexagonMap, polygon_boundary_radius
 from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import generate_nodes, ocs_nodes
-from zernkit.zernike import zernike_matrix
+from zernkit.zernike import cartesian_to_polar, zernike_matrix
 from zernkit.wavefront import (
     ExperimentCell,
     _local_modes,
@@ -305,18 +306,48 @@ class TestGridTable:
     @pytest.mark.parametrize("order,wider", [(2, 2), (5, 9), (11, 20), (20, 20)])
     def test_slice_is_the_basis_on_the_grid(self, family, order, wider):
         grid = hexagon_grid()
+        polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
         table = _grid_table(wider)
         zi = ZonalInterpolator(ocs_nodes(order), family, table)
+        rows = zi.basis.size
+        # both families read the shared K table in place
+        assert np.shares_memory(zi._grid_values, table)
+        assert np.array_equal(zi._grid_values, table[:rows])
+        assert np.array_equal(
+            table[:rows], HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
+        )
+
+        def weigh(values):
+            return HexagonMap().weigh(values, *polar) if family == "H" else values
+
         want = HexagonBasis(order, family).matrix_xy(grid[:, 0], grid[:, 1])
-        assert np.array_equal(zi._grid_values, want)
-        # K reads the shared table in place; H weighs its own copy
-        assert np.shares_memory(zi._grid_values, table) == (family == "K")
+        assert np.array_equal(weigh(table[:rows].copy()), want)
+        # H weighs the product, not the table: the same function
+        coefficients = np.random.default_rng(order).standard_normal((3, rows))
+        assert np.array_equal(
+            zi.approximate(coefficients), weigh(coefficients @ table[:rows])
+        )
 
     def test_weighing_leaves_the_shared_table_alone(self):
         table = _grid_table(8)
         before = table.copy()
-        ZonalInterpolator(ocs_nodes(8), "H", table)
+        zi = ZonalInterpolator(ocs_nodes(8), "H", table)
+        zi.approximate(np.ones((2, zi.basis.size)))
         assert np.array_equal(table, before)
+
+    def test_weighted_set_up_allocates_no_slice(self):
+        # an H cell at the paper's top order allocates less than one
+        # (231, 2515) slice of the table while it is built
+        nodes, table = ocs_nodes(20), _grid_table(20)
+        ZonalInterpolator(nodes, "H", table)  # warms every cache
+        tracemalloc.start()
+        try:
+            ZonalInterpolator(nodes, "H", table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table[:231].nbytes == 231 * 2515 * 8
+        assert peak < table[:231].nbytes
 
     @pytest.mark.parametrize(
         "shape", [(20, 2515), (21, 2514), (21,), (21, 2515, 1)]
@@ -427,6 +458,14 @@ class TestExperiment:
             assert cell.mean_rrmse == pytest.approx(
                 np.mean(single[:trials]), rel=1e-12, abs=0.0
             )
+
+    def test_paper_order_weighted_cell_equals_single_reconstructions(self):
+        # the top order of the paper's sweep, with the weighted family the
+        # benchmark runs; the property test above draws orders 1..5
+        fronts = [kolmogorov_wavefront(_trial_seed(0, t)) for t in range(3)]
+        single = zonal_rrmse(fronts, build_aperture(), generate_nodes("ocs", 20), "H")
+        (cell,) = run_experiment([20], 3, bases=["H"])
+        assert cell.mean_rrmse == pytest.approx(np.mean(single), rel=1e-12, abs=0.0)
 
     def test_approx_fekete_cell_with_default_nodes(self):
         cells = run_experiment([2], 1, schemes=["approx-fekete"], bases=["K"])
