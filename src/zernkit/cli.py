@@ -34,6 +34,7 @@ GENERABLE_SCHEMES = tuple(str(scheme) for scheme in samplings.GENERATORS)
 FILE_SCHEMES = ("lebesgue", "fekete")
 _FILE_SCHEMES_TEXT = " or ".join(FILE_SCHEMES)
 
+CONDITION_CSV_HEADER = "n,scheme,basis,domain,kappa2,sigma_max,sigma_min"
 _LEBESGUE_CSV_HEADER = "n,scheme,basis,domain,lebesgue"
 
 # --A, --B, --a and --eps; the parser leaves them unset, so that a command
@@ -170,19 +171,29 @@ def _check_basis_domain(basis, domain):
         )
 
 
-def _refuse_unused(cfg, rules):
+def _refuse(cfg, rules):
     """Refuse, before any output, a flag or config key given where it does
-    not act: --A and --B off the ellipse, --a off the annulus, and the
-    command's own ``rules``, each (flag, dest, acts, what it needs).  Then
-    fill in DOMAIN_DEFAULTS for the domain flags left unset."""
-    rules = [
-        ("--A", "semi_major", cfg.domain == "ellipse", "domain ellipse"),
-        ("--B", "semi_minor", cfg.domain == "ellipse", "domain ellipse"),
-        ("--a", "inner", cfg.domain == "annulus", "domain annulus"),
-    ] + rules
+    not act, by ``rules``, each (flag, dest, acts, what it needs)."""
     for flag, dest, acts, needs in rules:
         if getattr(cfg, dest) is not None and not acts:
             raise ConfigError(f"{flag} needs {needs}")
+
+
+def _node_dir_rule(cfg):
+    """--node-dir acts only where a scheme is read from a file."""
+    return ("--node-dir", "node_dir", any(s in FILE_SCHEMES for s in cfg.schemes),
+            f"a scheme {_FILE_SCHEMES_TEXT}")
+
+
+def _refuse_unused(cfg, rules):
+    """``_refuse`` --A and --B off the ellipse, --a off the annulus, and the
+    command's own ``rules``.  Then fill in DOMAIN_DEFAULTS for the domain
+    flags left unset."""
+    _refuse(cfg, [
+        ("--A", "semi_major", cfg.domain == "ellipse", "domain ellipse"),
+        ("--B", "semi_minor", cfg.domain == "ellipse", "domain ellipse"),
+        ("--a", "inner", cfg.domain == "annulus", "domain annulus"),
+    ] + rules)
     for key, default in DOMAIN_DEFAULTS.items():
         if getattr(cfg, key) is None:
             setattr(cfg, key, default)
@@ -216,18 +227,18 @@ def _transfer_eps(cfg, basis_code):
 
 
 def _sweep(cfg, default_basis, header, measure):
-    """One CSV row per (order, scheme): ``measure(basis, nodes, prefix)``
-    with prefix "n,scheme,basis,domain", or a marked row when the node set
-    cannot be resolved: ``missing`` when its file does not exist, ``invalid``
-    when it cannot be opened, read or built (a directory in its place, a
-    parse, count or containment error).  The reason for a marker goes to
-    standard error."""
+    """One CSV row per (order, scheme): the labels "n,scheme,basis,domain",
+    with the scheme's own name also for a file scheme, then the value
+    columns ``measure(basis, nodes)``, or a marker when the node set cannot
+    be resolved: ``missing`` when its file does not exist, ``invalid`` when
+    it cannot be opened, read or built (a directory in its place, a parse,
+    count or containment error).  The reason for a marker goes to standard
+    error."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     _refuse_unused(cfg, [
         ("--eps", "eps", _transfer_eps(cfg, basis_code) is not None, "basis O"),
-        ("--node-dir", "node_dir", any(s in FILE_SCHEMES for s in cfg.schemes),
-         f"a scheme {_FILE_SCHEMES_TEXT}"),
+        _node_dir_rule(cfg),
     ])
     dom = _domain_map(cfg)
     blanks = "," * (header.count(",") - 4)  # the columns after the marker
@@ -251,22 +262,29 @@ def _sweep(cfg, default_basis, header, measure):
                 nodes = domains.transfer_nodes(
                     dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
                 )
-                fh.write(measure(basis, nodes, prefix) + "\n")
+                fh.write(f"{prefix},{measure(basis, nodes)}\n")
     return 0
+
+
+def _condition_columns(basis, nodes):
+    report = collocation.condition_number(collocation.assemble(basis, nodes))
+    return (
+        f"{collocation.format_kappa(report.kappa2)},"
+        f"{report.sigma_max:.6e},{report.sigma_min:.6e}"
+    )
 
 
 def cmd_condition_table(cfg):
     return _sweep(
         cfg,
         {"disk": "Z", "hexagon": "H", "ellipse": "E", "annulus": "O"},
-        collocation.CONDITION_CSV_HEADER,
-        lambda basis, nodes, prefix: collocation.condition_number(
-            collocation.assemble(basis, nodes)
-        ).csv_row(),
+        CONDITION_CSV_HEADER,
+        _condition_columns,
     )
 
 
 def cmd_wavefront(cfg):
+    _refuse(cfg, [_node_dir_rule(cfg)])
     with open_output(cfg.output) as fh:
         cells = wavefront.run_experiment(
             cfg.orders,
@@ -290,9 +308,7 @@ def cmd_lebesgue(cfg):
         cfg,
         {"disk": "Z", "hexagon": "K", "ellipse": "E", "annulus": "C"},
         _LEBESGUE_CSV_HEADER,
-        lambda basis, nodes, prefix: (
-            f"{prefix},{collocation.lebesgue_constant(nodes, basis):.6e}"
-        ),
+        lambda basis, nodes: f"{collocation.lebesgue_constant(nodes, basis):.6e}",
     )
 
 

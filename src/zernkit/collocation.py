@@ -20,7 +20,6 @@ __all__ = [
     "CollocationMatrix",
     "ConditionReport",
     "InterpolationResult",
-    "CONDITION_CSV_HEADER",
     "assemble",
     "condition_number",
     "require_nonsingular",
@@ -28,8 +27,6 @@ __all__ = [
     "lebesgue_constant",
     "format_kappa",
 ]
-
-CONDITION_CSV_HEADER = "n,scheme,basis,domain,kappa2,sigma_max,sigma_min"
 
 # lebesgue_constant forms the Lagrange functions this many grid radii at a
 # time
@@ -48,18 +45,17 @@ SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class CollocationMatrix:
-    """Dense square matrix of basis evaluations at nodes, with provenance.
+    """Dense square matrix of basis evaluations at nodes.
 
-    ``metadata`` carries the node set's free-form provenance (seed, source
-    file, transfer chain), ``mirror`` its mirror permutation, if any.
+    ``order``, ``scheme`` and ``basis`` name the matrix in the message of
+    ``require_nonsingular``; ``mirror`` is the node set's mirror
+    permutation, if any, for the split of ``condition_number``.
     """
 
     entries: np.ndarray
     order: int
     scheme: str
     basis: str
-    domain: str
-    metadata: str = ""
     mirror: np.ndarray | None = None
 
     @property
@@ -80,22 +76,14 @@ class ConditionReport:
 
     ``off_block`` is the Frobenius norm of the two blocks the mirror split
     of ``condition_number`` dropped, None when the full SVD ran.
+
+    A report carries numbers only; the CLI labels its table row.
     """
 
-    order: int
-    scheme: str
-    basis: str
-    domain: str
     kappa2: float
     sigma_max: float
     sigma_min: float
     off_block: float | None = None
-
-    def csv_row(self):
-        return (
-            f"{self.order},{self.scheme},{self.basis},{self.domain},"
-            f"{format_kappa(self.kappa2)},{self.sigma_max:.6e},{self.sigma_min:.6e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -139,8 +127,6 @@ def assemble(basis, nodes):
         order=nodes.order,
         scheme=str(nodes.scheme),
         basis=basis.family,
-        domain=basis.domain,
-        metadata=nodes.metadata,
         mirror=nodes.mirror,
     )
 
@@ -173,16 +159,7 @@ def condition_number(matrix):
     else:
         s_max, s_min, off = split
     kappa = s_max / s_min if s_min > 0.0 else math.inf
-    return ConditionReport(
-        order=matrix.order,
-        scheme=matrix.scheme,
-        basis=matrix.basis,
-        domain=matrix.domain,
-        kappa2=kappa,
-        sigma_max=s_max,
-        sigma_min=s_min,
-        off_block=off,
-    )
+    return ConditionReport(kappa, s_max, s_min, off)
 
 
 def _mirror_split(matrix):

@@ -6,7 +6,7 @@ import pytest
 
 from zernkit.cli import main, parse_orders
 from zernkit.errors import ConfigError
-from zernkit.samplings import generate_nodes, ocs_nodes, save_nodes
+from zernkit.samplings import cuyt_nodes, generate_nodes, ocs_nodes, save_nodes
 
 
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -108,6 +108,13 @@ class TestConditionTable:
         assert lines[0] == "n,scheme,basis,domain,kappa2,sigma_max,sigma_min"
         assert lines[1].startswith("1,ocs,Z,disk,1.0894")
         assert lines[2].startswith("2,ocs,Z,disk,1.3050")
+
+    def test_csv_row_format(self, capsys):
+        code, out, _ = run(
+            capsys, "condition-table", "--schemes", "ocs", "--orders", "1"
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("1,ocs,Z,disk,1.0894,")
 
     def test_annulus_anchor(self, capsys):
         code, out, _ = run(
@@ -280,6 +287,35 @@ class TestWavefrontCommand:
         assert "error" in lines[1]
         assert "error" not in lines[2]
 
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_node_dir_without_a_file_scheme_rejected(self, capsys, tmp_path, given):
+        argv = ["wavefront", "--schemes", "ocs", "--orders", "2", "--trials", "1",
+                "--bases", "K"]
+        if given == "flag":
+            argv += ["--node-dir", "/nonexistent"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("node_dir=/nonexistent\n")
+            argv += ["--config", str(cfg)]
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == "zernkit: error: --node-dir needs a scheme lebesgue or fekete\n"
+        assert not target.exists()
+
+    def test_node_dir_serves_a_file_scheme(self, capsys, tmp_path):
+        save_nodes(tmp_path / "lebesgue_n2.txt", ocs_nodes(2))
+        code, out, _ = run(
+            capsys,
+            "wavefront", "--schemes", "lebesgue,ocs", "--orders", "2", "--trials", "1",
+            "--bases", "K", "--node-dir", str(tmp_path),
+        )
+        assert code == 0
+        from_file, generated = (line.split(",") for line in out.splitlines()[1:])
+        assert from_file[1] == "lebesgue"
+        assert from_file[2:] == generated[2:]
 
     def test_eps_accepted_and_unused(self, tmp_path):
         # kept so config files that set eps still load; the hexagonal
@@ -795,3 +831,29 @@ def test_sweep_node_dir_serves_a_file_scheme(capsys, tmp_path, command, given):
     # the file holds the generated set, so both rows carry the same values
     from_file, generated = (line.split(",") for line in out.splitlines()[1:])
     assert from_file[4:] == generated[4:]
+
+
+@pytest.mark.parametrize("command,domain", [
+    ("condition-table", "disk"),
+    ("condition-table", "hexagon"),
+    ("lebesgue", "hexagon"),
+])
+def test_sweep_file_scheme_rows_carry_their_names(capsys, tmp_path, command, domain):
+    # the files hold generated sets, so each file row carries the values of
+    # the row of the set it holds, under its own scheme's name
+    for n in (1, 2, 3):
+        save_nodes(tmp_path / f"lebesgue_n{n}.txt", ocs_nodes(n))
+        save_nodes(tmp_path / f"fekete_n{n}.txt", cuyt_nodes(n))
+    code, out, _ = run(
+        capsys, command, "--schemes", "lebesgue,fekete,ocs,cuyt", "--orders", "1..3",
+        "--domain", domain, "--node-dir", str(tmp_path),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 12
+    for order, (lebesgue, fekete, ocs, cuyt) in zip((1, 2, 3), zip(*[iter(rows)] * 4)):
+        assert [row[:2] for row in (lebesgue, fekete, ocs, cuyt)] == [
+            [str(order), s] for s in ("lebesgue", "fekete", "ocs", "cuyt")
+        ]
+        assert lebesgue[2:] == ocs[2:]
+        assert fekete[2:] == cuyt[2:]

@@ -78,7 +78,7 @@ class TestAssemble:
 
     def test_provenance(self):
         mat = assemble(DiskZernikeBasis(2), ocs_nodes(2))
-        assert (mat.order, mat.scheme, mat.basis, mat.domain) == (2, "ocs", "Z", "disk")
+        assert (mat.order, mat.scheme, mat.basis) == (2, "ocs", "Z")
 
 
 _FAMILY_MAPS = {
@@ -194,7 +194,7 @@ class TestDiagonalScalingBound:
 
 class TestConditionNumber:
     def test_identity(self):
-        mat = CollocationMatrix(np.eye(4), 1, "custom", "Z", "disk")
+        mat = CollocationMatrix(np.eye(4), 1, "custom", "Z")
         report = condition_number(mat)
         assert report.kappa2 == 1.0
         assert report.sigma_max == report.sigma_min == 1.0
@@ -202,7 +202,7 @@ class TestConditionNumber:
     def test_singular_reports_infinity(self):
         entries = np.ones((3, 3))
         entries[:, 2] = 0.0  # an exactly zero column survives the SVD as 0
-        report = condition_number(CollocationMatrix(entries, 1, "x", "Z", "disk"))
+        report = condition_number(CollocationMatrix(entries, 1, "x", "Z"))
         assert math.isinf(report.kappa2)
         assert report.sigma_min == 0.0
 
@@ -212,16 +212,11 @@ class TestConditionNumber:
         rng = np.random.default_rng(6)
         perm = rng.permutation(mat.size)
         shuffled = CollocationMatrix(
-            np.ascontiguousarray(mat.entries[:, perm]), 8, "ocs", "Z", "disk"
+            np.ascontiguousarray(mat.entries[:, perm]), 8, "ocs", "Z"
         )
         a = condition_number(mat).kappa2
         b = condition_number(shuffled).kappa2
         assert abs(a - b) < 1e-10 * a
-
-    def test_csv_row_format(self):
-        report = condition_number(assemble(DiskZernikeBasis(1), ocs_nodes(1)))
-        row = report.csv_row()
-        assert row.startswith("1,ocs,Z,disk,1.0894,")
 
     def test_kappa_formatting(self):
         assert format_kappa(1.08941) == "1.0894"
@@ -354,7 +349,7 @@ class TestSolve:
             entries = np.diag(sigma)
             # the SVD of a diagonal matrix returns its entries exactly
             assert np.array_equal(np.linalg.svd(entries, compute_uv=False), sigma)
-            return CollocationMatrix(entries, 1, "custom", "Z", "disk")
+            return CollocationMatrix(entries, 1, "custom", "Z")
 
         require_nonsingular(diagonal([1.0, 1.0, 6.0 * eps]))
         with pytest.raises(

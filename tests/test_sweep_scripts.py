@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from zernkit.samplings import cuyt_nodes, ocs_nodes, save_nodes
+
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "condition-tables"
 # the paper-scale wavefront tables (orders 2..20, 100 trials, seed 7)
@@ -36,6 +38,26 @@ def test_condition_tables_open_the_reference_tables(condition_tables, name):
     got = (condition_tables / name).read_text().splitlines()
     want = (REFERENCE / name).read_text().splitlines()[:10]
     assert got == want
+
+
+def test_condition_tables_name_the_file_schemes(tmp_path):
+    # with a node directory the file schemes add two rows per order, each
+    # under its own name
+    nodes = tmp_path / "nodes"
+    nodes.mkdir()
+    for n in (1, 2, 3):
+        save_nodes(nodes / f"lebesgue_n{n}.txt", ocs_nodes(n))
+        save_nodes(nodes / f"fekete_n{n}.txt", cuyt_nodes(n))
+    out = tmp_path / "tables"
+    run = _load("make_condition_tables").run
+    assert run(out, node_dir=str(nodes), orders="1..3") == 0
+    schemes = ["cuyt", "carnicer", "ocs", "lebesgue", "fekete"]
+    for name in ("disk_zernike.csv", "hexagon_weighted.csv",
+                 "annulus_sqrt_jacobian.csv"):
+        rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [
+            [str(n), s] for n in (1, 2, 3) for s in schemes
+        ], name
 
 
 def test_wavefront_experiment_writes_both_tables(tmp_path):
