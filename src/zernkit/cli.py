@@ -11,10 +11,11 @@ lebesgue         grid estimates of the Lebesgue constant as CSV
 File-based schemes (lebesgue, fekete) are read from --node-dir (or the
 ZERNKIT_NODE_DIR environment variable) as <scheme>_n<order>.txt, or from an
 explicit --from-file.  A missing file marks the affected row ``missing``, an
-unreadable or malformed one ``invalid``, with the reason on standard error,
-and the sweep continues; only hard errors exit nonzero.  All output is
-deterministic for a fixed configuration; progress goes to standard error,
-data to --output (default standard output via '-').
+unreadable or malformed one ``invalid``, and a node set whose collocation
+matrix a Lebesgue estimate refuses as singular ``singular``, with the reason
+on standard error, and the sweep continues; only hard errors exit nonzero.
+All output is deterministic for a fixed configuration; progress goes to
+standard error, data to --output (default standard output via '-').
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from contextlib import contextmanager
 
 from . import collocation, domains, samplings, wavefront
-from .errors import ConfigError, ZernkitError
+from .errors import ConfigError, SingularMatrixError, ZernkitError
 
 NODE_DIR_ENV = "ZERNKIT_NODE_DIR"
 
@@ -136,10 +137,11 @@ def _log(message):
 
 
 def _resolve_nodes(node_dir, scheme, order, seed, from_file=None, mesh_density=None):
-    """Disk NodeSet for a scheme name; file-based schemes hit the node dir."""
+    """Disk NodeSet for a scheme name; file-based schemes hit the node dir
+    and carry the scheme's name."""
     if scheme in FILE_SCHEMES:
         if from_file:
-            return samplings.load_nodes(from_file, order)
+            return samplings.load_nodes(from_file, order, scheme)
         directory = node_dir or os.environ.get(NODE_DIR_ENV)
         if not directory:
             raise FileNotFoundError(
@@ -147,7 +149,7 @@ def _resolve_nodes(node_dir, scheme, order, seed, from_file=None, mesh_density=N
                 f"(--node-dir or ${NODE_DIR_ENV})"
             )
         return samplings.load_nodes(
-            os.path.join(directory, f"{scheme}_n{order}.txt"), order
+            os.path.join(directory, f"{scheme}_n{order}.txt"), order, scheme
         )
     if scheme == "approx-fekete" and mesh_density is not None:
         return samplings.approximate_fekete(order, mesh_density)
@@ -232,8 +234,9 @@ def _sweep(cfg, default_basis, header, measure):
     columns ``measure(basis, nodes)``, or a marker when the node set cannot
     be resolved: ``missing`` when its file does not exist, ``invalid`` when
     it cannot be opened, read or built (a directory in its place, a parse,
-    count or containment error).  The reason for a marker goes to standard
-    error."""
+    count or containment error); or ``singular`` when ``measure`` refuses a
+    collocation matrix singular to working precision.  The reason for a
+    marker goes to standard error."""
     basis_code = cfg.basis or default_basis[cfg.domain]
     _check_basis_domain(basis_code, cfg.domain)
     _refuse_unused(cfg, [
@@ -256,13 +259,20 @@ def _sweep(cfg, default_basis, header, measure):
                     marker = (
                         "missing" if isinstance(exc, FileNotFoundError) else "invalid"
                     )
-                    _log(f"{label}: {marker}: {type(exc).__name__}: {exc}")
-                    fh.write(f"{prefix},{marker}{blanks}\n")
-                    continue
-                nodes = domains.transfer_nodes(
-                    dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
-                )
-                fh.write(f"{prefix},{measure(basis, nodes)}\n")
+                    failure = exc
+                else:
+                    nodes = domains.transfer_nodes(
+                        dom, nodes, inner_eps=_transfer_eps(cfg, basis_code)
+                    )
+                    try:
+                        values = measure(basis, nodes)
+                    except SingularMatrixError as exc:
+                        marker, failure = "singular", exc
+                    else:
+                        fh.write(f"{prefix},{values}\n")
+                        continue
+                _log(f"{label}: {marker}: {type(failure).__name__}: {failure}")
+                fh.write(f"{prefix},{marker}{blanks}\n")
     return 0
 
 

@@ -73,6 +73,9 @@ class Scheme(str, Enum):
     RANDOM_THINNED = "random"
     APPROX_FEKETE = "approx-fekete"
     FILE_LOADED = "file"
+    # the file schemes, for a set loaded under one of their names
+    LEBESGUE = "lebesgue"
+    FEKETE = "fekete"
 
     def __str__(self):
         return self.value
@@ -430,8 +433,9 @@ def approximate_fekete(n, mesh_density):
     )
 
 
-def load_nodes(path, n):
+def load_nodes(path, n, scheme=Scheme.FILE_LOADED):
     """Read a node file: one ``x y`` pair per line, ``#`` comments allowed.
+    The set carries ``scheme``, the name it is loaded as.
 
     Validates that every coordinate is finite, the point count against
     basis_size(n) and containment in the closed unit disk (tolerance
@@ -472,7 +476,7 @@ def load_nodes(path, n):
             f"{path}: node {worst} at radius {math.sqrt(r2[worst]):.12f} "
             "lies outside the closed unit disk"
         )
-    return NodeSet(n, Scheme.FILE_LOADED, nodes, metadata=str(path))
+    return NodeSet(n, Scheme(scheme), nodes, metadata=str(path))
 
 
 def save_nodes(path_or_handle, nodeset):

@@ -24,7 +24,7 @@ import numpy.random  # noqa: F401
 from .collocation import assemble, require_nonsingular
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
 from .errors import ZeroDenominatorError, ZernkitError
-from .samplings import generate_nodes
+from .samplings import generate_nodes, ocs_nodes
 # zernike_xy stays importable from this module for tools that wrap it here
 from .zernike import cartesian_to_polar, zernike_matrix, zernike_xy  # noqa: F401
 
@@ -256,12 +256,22 @@ def _local_modes(points):
     return zernike_matrix(4, *cartesian_to_polar(points[:, 0], points[:, 1]))
 
 
-def _translations(centers, grid_modes):
+def _translations(centers):
     """T_k with wavefront_modes(c_k + p) = T_k @ _local_modes(p), (segments,
-    14, 15), by least squares on the evaluation grid."""
-    grid = hexagon_grid()
-    solver = np.linalg.pinv(grid_modes)
-    return np.array([wavefront_modes(*(c + grid).T) @ solver for c in centers])
+    14, 15), by interpolation at 15 points.
+
+    Every wavefront mode has degree <= 4 and a shift keeps the degree, so
+    wavefront_modes(c_k + p) lies in the span of the 15 local modes and any
+    15 unisolvent points P fix T_k = W_k(P) Z15(P)^-1 exactly.  P is the
+    order-4 OCS set (kappa_2 of Z15(P) is 2.05).  All segments' shifted
+    points are evaluated in one ``wavefront_modes`` call, and Z15(P)^-1 is
+    applied to each segment by one stacked matmul.
+    """
+    points = ocs_nodes(4).nodes
+    inverse = np.linalg.inv(_local_modes(points))
+    shifted = centers[:, None, :] + points  # (segments, 15, 2)
+    values = wavefront_modes(shifted[..., 0], shifted[..., 1])
+    return np.moveaxis(values, 0, 1) @ inverse
 
 
 def _local_squares(local, root):
@@ -282,6 +292,15 @@ def _mean_rrmse(nodes, basis_family, table, grid_modes, local, truth_sq):
     return float(np.mean(_rrmse(_local_squares(local, root), truth_sq)))
 
 
+def _provide(node_provider, scheme, order, seed):
+    """The disk node set of (scheme, order), or the ZernkitError, OSError or
+    ValueError that says why it cannot be had."""
+    try:
+        return node_provider(scheme, order, seed)
+    except (ZernkitError, OSError, ValueError) as exc:
+        return exc
+
+
 def run_experiment(
     orders,
     trials,
@@ -300,7 +319,8 @@ def run_experiment(
     cells) and reconstructs it zonally, in closed form.  A wavefront a has
     degree <= 4, so on segment k it is exactly y = a @ T_k in the 15 local
     modes Z of degree <= 4 (a translation; Lundstrom & Unsbo, JOSA A 24,
-    2007).  Interpolation is linear, so a cell's grid error is y @ E, with
+    2007), fixed exactly by interpolation at 15 points (``_translations``).
+    Interpolation is linear, so a cell's grid error is y @ E, with
     E = (interpolant of Z) - Z from one solve with 15 right-hand sides, and
     the error and truth sums on the grid are sums of 15 squares.
 
@@ -309,13 +329,15 @@ def run_experiment(
     cell; an H cell weighs its 15 x M product by 1/R(theta), so no cell
     evaluates the grid or copies the table.
 
-    A cell whose node set cannot be had (``node_provider`` raises a
-    ZernkitError, OSError or ValueError: a missing node file, an unknown
-    scheme) or whose numerics raise a ZernkitError (a singular local
-    system) is recorded as an error marker, not raised, and its reason goes
-    to ``progress``; any other exception propagates.
     ``node_provider(scheme, order, seed)`` overrides how disk node sets are
-    obtained, e.g. to load file-based schemes.
+    obtained, e.g. to load file-based schemes; it is called once per
+    (order, scheme), and every basis's cell shares the set.  A cell whose
+    node set cannot be had (``node_provider`` raises a ZernkitError,
+    OSError or ValueError: a missing node file, an unknown scheme) or whose
+    numerics raise a ZernkitError (a singular local system) is recorded as
+    an error marker, not raised, and its reason goes to ``progress``; a
+    failed provider marks every basis's cell of that (order, scheme) with
+    the same reason.  Any other exception propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -336,22 +358,22 @@ def run_experiment(
         for t in range(trials)
     ])
     grid_modes = _local_modes(hexagon_grid())
-    translations = _translations(build_aperture(), grid_modes)
+    translations = _translations(build_aperture())
     local = np.einsum("tj,kjl->tkl", stack, translations)  # (trials, segments, 15)
     truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
     table = _grid_table(max(orders))
     cells = []
     for order in orders:
         for scheme in schemes:
+            nodes = None  # resolved at the first basis, shared by the rest
             for basis in bases:
                 label = f"n={order} scheme={scheme} basis={basis}"
                 if progress:
                     progress(label)
-                try:
-                    nodes = node_provider(scheme, order, node_seed)
-                except (ZernkitError, OSError, ValueError) as exc:
-                    failure = exc
-                else:
+                if nodes is None:
+                    nodes = _provide(node_provider, scheme, order, node_seed)
+                failure = nodes if isinstance(nodes, Exception) else None
+                if failure is None:
                     try:
                         mean = _mean_rrmse(
                             nodes, basis, table, grid_modes, local, truth_sq

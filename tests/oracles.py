@@ -6,6 +6,7 @@ recurrence, a one-row evaluator with its own copy of the recurrence and
 the normalization instead of the batched kernel, classic hand-derived
 low-order formulas, numpy's companion-matrix roots instead of our Newton
 iteration, pointwise zonal reconstruction instead of the closed form,
+grid least squares instead of the 15-point translation interpolation,
 scipy's public pivoted QR instead of the direct LAPACK call, and an
 element-by-element radius snap instead of the maps' vectorised one.
 """
@@ -316,6 +317,29 @@ def _hexagon_grid(nx=55, ny=61):
     gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
     inside = np.hypot(gx, gy) < _hexagon_radius(np.arctan2(gy, gx))
     return gx[inside], gy[inside]
+
+
+def grid_translations(centers):
+    """Translation matrices T_k, (segments, 14, 15), with
+    Z_j(c_k + p) = sum_l T_k[j, l] Z_l(p) for the 14 wavefront modes j and
+    the 15 modes l of degree <= 4, fitted by least squares over the local
+    evaluation grid of ``_hexagon_grid``: the local modes there are
+    ``zernike_row`` values, each segment's shifted values are
+    ``wavefront_sum`` of a unit coefficient vector, and every segment gets
+    its own ``np.linalg.lstsq``."""
+    gx, gy = _hexagon_grid()
+    local = np.array(
+        [zernike_row(l, np.hypot(gx, gy), np.arctan2(gy, gx)) for l in range(15)]
+    )
+    cx, cy = centers[:, :1], centers[:, 1:]
+    # shifted[j, k]: mode j over segment k's grid
+    shifted = np.array(
+        [wavefront_sum(unit, cx + gx, cy + gy) for unit in np.eye(14)]
+    )
+    return np.array([
+        np.linalg.lstsq(local.T, shifted[:, k].T, rcond=None)[0].T
+        for k in range(len(centers))
+    ])
 
 
 def zonal_rrmse(coefficients, centers, disk_nodes, family):

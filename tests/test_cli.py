@@ -636,9 +636,8 @@ def test_hard_error_keeps_previous_output_of_every_command(capsys, tmp_path):
     previous = b"n,scheme,basis,domain,lebesgue\n" + b"4,ocs,O,annulus,1.0\n" * 50
     target.write_bytes(previous)
     for argv, message in (
-        # eps 0 puts the center node on the inner circle, where O vanishes
-        (["lebesgue", "--domain", "annulus", "--basis", "O", "--eps", "0",
-          "--schemes", "ocs", "--orders", "4"], "singular to working precision"),
+        (["lebesgue", "--schemes", "ocs", "--orders", "0..1"],
+         "order must be >= 1"),
         (["nodes", "--scheme", "fekete", "--n", "4",
           "--from-file", str(tmp_path / "absent.txt")], "absent.txt"),
     ):
@@ -857,3 +856,59 @@ def test_sweep_file_scheme_rows_carry_their_names(capsys, tmp_path, command, dom
         ]
         assert lebesgue[2:] == ocs[2:]
         assert fekete[2:] == cuyt[2:]
+
+
+def _singular_lebesgue_file(directory):
+    """lebesgue_n1.txt holding a repeated point: a well-formed order-1 file
+    whose collocation matrix is singular."""
+    (directory / "lebesgue_n1.txt").write_text("0 0\n0 0\n0.5 0\n")
+
+
+def test_lebesgue_marks_a_singular_file_set_and_continues(capsys, tmp_path):
+    _singular_lebesgue_file(tmp_path)
+    code, out, err = run(
+        capsys, "lebesgue", "--schemes", "lebesgue,ocs", "--orders", "1",
+        "--node-dir", str(tmp_path),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "1,lebesgue,Z,disk,singular"
+    assert lines[2].startswith("1,ocs,Z,disk,")
+    assert float(lines[2].split(",")[4]) > 1.0
+    assert (
+        "lebesgue n=1 scheme=lebesgue: singular: SingularMatrixError: "
+        "collocation matrix (lebesgue, Z, n=1) is singular to working precision"
+    ) in err.splitlines()
+
+
+def test_condition_table_measures_a_singular_file_set(capsys, tmp_path):
+    _singular_lebesgue_file(tmp_path)
+    code, out, err = run(
+        capsys, "condition-table", "--schemes", "lebesgue,ocs", "--orders", "1",
+        "--node-dir", str(tmp_path),
+    )
+    assert code == 0
+    singular, generated = (line.split(",") for line in out.splitlines()[1:])
+    assert singular[:4] == ["1", "lebesgue", "Z", "disk"]
+    # kappa as measured: huge or infinite, never a marker
+    assert float(singular[4]) > 1e15
+    assert generated[:2] == ["1", "ocs"]
+    assert "singular:" not in err
+
+
+def test_wavefront_error_reason_names_the_file_scheme(capsys, tmp_path):
+    _singular_lebesgue_file(tmp_path)
+    code, out, err = run(
+        capsys, "wavefront", "--schemes", "lebesgue,ocs", "--orders", "1",
+        "--trials", "1", "--bases", "K,H", "--node-dir", str(tmp_path),
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert rows[:2] == ["1,lebesgue,K,error,1", "1,lebesgue,H,error,1"]
+    assert "error" not in rows[2] + rows[3]
+    for basis in "KH":
+        assert (
+            f"n=1 scheme=lebesgue basis={basis}: SingularMatrixError: "
+            f"collocation matrix (lebesgue, {basis}, n=1) is singular to "
+            "working precision"
+        ) in err.splitlines()

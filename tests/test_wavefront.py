@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import wavefront_sum, zonal_rrmse
+from oracles import grid_translations, wavefront_sum, zernike_row, zonal_rrmse
 from zernkit.domains import HexagonBasis, HexagonMap, polygon_boundary_radius
 from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import generate_nodes, ocs_nodes
@@ -140,7 +140,7 @@ class TestAperture:
 class TestTranslation:
     @pytest.fixture(scope="class")
     def translations(self, aperture):
-        return _translations(aperture, _local_modes(hexagon_grid()))
+        return _translations(aperture)
 
     @given(
         polar=st.lists(
@@ -166,6 +166,20 @@ class TestTranslation:
         assert got.shape == want.shape == (36, 14, len(p))
         worst = np.max(np.abs(got - want), axis=(1, 2))
         assert np.all(worst <= 1e-12 * np.max(np.abs(want), axis=(1, 2)))
+
+    def test_equal_to_grid_least_squares(self, aperture, translations):
+        want = grid_translations(aperture)
+        assert translations.shape == want.shape == (36, 14, 15)
+        worst = np.max(np.abs(translations - want), axis=(1, 2))
+        assert np.all(worst <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
+
+    def test_interpolation_points_are_unisolvent(self):
+        # the 15 points that fix T_k: the order-4 OCS set, whose matrix of
+        # the 15 local modes is well conditioned
+        nodes = ocs_nodes(4)
+        modes = np.array([zernike_row(j, nodes.rho, nodes.theta) for j in range(15)])
+        assert modes.shape == (15, 15)
+        assert np.linalg.cond(modes) <= 3.0
 
 
 def rrmse(approx, truth):
@@ -434,6 +448,45 @@ class TestExperiment:
         assert messages == [
             "n=2 scheme=ocs basis=K",
             "n=2 scheme=ocs basis=K: NodeParseError: line 3: expected two numbers",
+        ]
+
+    def test_node_set_resolved_once_per_order_and_scheme(self):
+        calls = []
+
+        def counting(scheme, order, seed):
+            calls.append((scheme, order))
+            return generate_nodes(scheme, order, seed)
+
+        shared = run_experiment(
+            [2, 3], 1, schemes=["ocs", "spiral"], bases=["K", "H"],
+            node_provider=counting,
+        )
+        assert calls == [("ocs", 2), ("spiral", 2), ("ocs", 3), ("spiral", 3)]
+        assert experiment_csv(shared) == experiment_csv(
+            run_experiment([2, 3], 1, schemes=["ocs", "spiral"], bases=["K", "H"])
+        )
+
+    def test_failed_provider_marks_every_basis(self):
+        calls = []
+
+        def unreadable(scheme, order, seed):
+            calls.append((scheme, order))
+            raise NodeParseError("line 3: expected two numbers")
+
+        messages = []
+        cells = run_experiment(
+            [2], 1, bases=["K", "H"], node_provider=unreadable,
+            progress=messages.append,
+        )
+        assert calls == [("ocs", 2)]
+        assert [(c.basis, c.error) for c in cells] == [
+            ("K", "NodeParseError"), ("H", "NodeParseError"),
+        ]
+        assert messages == [
+            "n=2 scheme=ocs basis=K",
+            "n=2 scheme=ocs basis=K: NodeParseError: line 3: expected two numbers",
+            "n=2 scheme=ocs basis=H",
+            "n=2 scheme=ocs basis=H: NodeParseError: line 3: expected two numbers",
         ]
 
     @given(
