@@ -4,8 +4,8 @@
 Produces the two error-versus-order curves: the stable schemes with both
 hexagon bases, and the unstable spiral/random baselines with the weighted
 basis.  With default settings (orders 2..20, 100 trials, 95 cells) the run
-took 0.57-0.79 s on a shared 2-vCPU host with OPENBLAS_NUM_THREADS=1, and
-0.63-1.62 s with OpenBLAS's default two threads (Python 3.11, numpy 2.4,
+took 0.65-0.77 s on a shared 2-vCPU host with OPENBLAS_NUM_THREADS=1, and
+0.65-0.77 s with OpenBLAS's default two threads (Python 3.11, numpy 2.4,
 scipy 1.17; wall time of the whole script, four runs each).
 """
 

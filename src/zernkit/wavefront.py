@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here keeps that cost in
 # set-up rather than in the first run_experiment call
 import numpy.random  # noqa: F401
 
-from .collocation import assemble, require_nonsingular
+from .collocation import CollocationMatrix, require_nonsingular
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
-from .errors import ZeroDenominatorError, ZernkitError
+from .errors import NonFiniteError, ZeroDenominatorError, ZernkitError
 from .samplings import generate_nodes, ocs_nodes
 # zernike_xy stays importable from this module for tools that wrap it here
 from .zernike import cartesian_to_polar, zernike_matrix, zernike_xy  # noqa: F401
@@ -178,13 +178,62 @@ def _grid_table(order):
     return HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
 
 
+def _local_system(disk_nodes):
+    """The step every family of one disk node set shares: the set moved
+    onto the unit hexagon and the K family's collocation entries there,
+    (N, N), rows basis functions and columns nodes.
+
+    The entries pass every check of ``assemble``: ``transfer_nodes``
+    labels the set with the hexagon domain, a NodeSet has basis_size(order)
+    nodes, ``matrix`` raises DomainError for a node outside the hexagon,
+    and non-finite entries raise NonFiniteError here.  Unlike assemble's,
+    the array stays writable, so a weighted family can weigh it in place.
+    """
+    nodes = transfer_nodes(HexagonMap(), disk_nodes)
+    entries = HexagonBasis(nodes.order, "K").matrix(nodes)
+    if not np.all(np.isfinite(entries)):
+        raise NonFiniteError("collocation matrix has non-finite entries")
+    return nodes, entries
+
+
+def _family_matrix(nodes, entries, basis, in_place):
+    """The collocation matrix of ``basis`` at the local nodes, from the K
+    entries of ``_local_system``.
+
+    K uses the entries as they are.  H is K times 1/R(theta) at each node,
+    so it weighs them with the map's ``weigh``: in place when ``in_place``
+    (their last use), else on a copy.  The result is ``assemble``'s matrix
+    bit for bit, since assemble weighs the same K values the same way.
+    """
+    if basis.weighted:
+        entries = entries if in_place else entries.copy()
+        entries = basis.map.weigh(entries, nodes.rho, nodes.theta)
+    return CollocationMatrix(
+        entries, nodes.order, str(nodes.scheme), basis.family, nodes.mirror
+    )
+
+
+def _on_grid(coefficients, basis, rows):
+    """The interpolants with ``coefficients`` (..., N) on the evaluation
+    grid, (..., M), from ``rows``, the K family's rows of the grid table;
+    a weighted family weighs the product in place."""
+    values = coefficients @ rows
+    if basis.weighted:
+        grid = hexagon_grid()
+        values = basis.map.weigh(values, *cartesian_to_polar(grid[:, 0], grid[:, 1]))
+    return values
+
+
 class ZonalInterpolator:
     """Per-segment critical interpolation machinery for one node layout.
 
     The disk node set is transferred to the unit hexagon once; because the
     basis shifts together with the nodes, every segment shares the same
     local collocation matrix and the same basis values on the local
-    evaluation grid.
+    evaluation grid.  The matrix comes from the steps ``run_experiment``
+    takes for every family of a node set: ``_local_system`` and, in place,
+    ``_family_matrix``.  ``table`` is checked first, so a table that cannot
+    serve the order raises ValueError before any transfer or SVD.
 
     Both families read the first ``basis.size`` rows of ``table``, a
     ``_grid_table`` at this order or higher, as a view of the K family on
@@ -196,22 +245,18 @@ class ZonalInterpolator:
     def __init__(self, disk_nodes, basis_family, table):
         order = disk_nodes.order
         self.basis = HexagonBasis(order, basis_family)
-        self.local_nodes = transfer_nodes(HexagonMap(), disk_nodes)
-        matrix = assemble(self.basis, self.local_nodes)
-        require_nonsingular(matrix)
-        self._system = matrix.entries.T
-        grid = hexagon_grid()
+        points = len(hexagon_grid())
         rows = self.basis.size
-        if table.ndim != 2 or table.shape[0] < rows or table.shape[1] != len(grid):
+        if table.ndim != 2 or table.shape[0] < rows or table.shape[1] != points:
             raise ValueError(
                 f"grid table of shape {table.shape} cannot serve order "
-                f"{order}: need at least {rows} rows of {len(grid)} grid points"
+                f"{order}: need at least {rows} rows of {points} grid points"
             )
         self._grid_values = table[:rows]
-        self._grid_polar = (
-            cartesian_to_polar(grid[:, 0], grid[:, 1])
-            if self.basis.weighted else None
-        )
+        self.local_nodes, entries = _local_system(disk_nodes)
+        matrix = _family_matrix(self.local_nodes, entries, self.basis, in_place=True)
+        require_nonsingular(matrix)
+        self._system = matrix.entries.T
 
     def solve(self, samples):
         """Interpolation coefficients for every row of samples (rows, N), all
@@ -222,10 +267,7 @@ class ZonalInterpolator:
     def approximate(self, coefficients):
         """Reconstructed values on the evaluation grid, (..., M); a weighted
         family weighs the product in place."""
-        values = np.asarray(coefficients) @ self._grid_values
-        if self._grid_polar is not None:
-            values = self.basis.map.weigh(values, *self._grid_polar)
-        return values
+        return _on_grid(np.asarray(coefficients), self.basis, self._grid_values)
 
 
 @dataclass(frozen=True)
@@ -280,25 +322,73 @@ def _local_squares(local, root):
     return np.sum(np.square(local @ root.T), axis=-1)
 
 
-def _mean_rrmse(nodes, basis_family, table, grid_modes, local, truth_sq):
-    """One cell's mean reconstruction error over the trials, from the local
-    modes ``local`` (trials, segments, 15) and their grid sums of squares
-    ``truth_sq`` (trials, segments)."""
-    zi = ZonalInterpolator(nodes, basis_family, table)
-    at_nodes = _local_modes(zi.local_nodes.nodes)
-    error = zi.approximate(zi.solve(at_nodes)) - grid_modes
-    del zi  # freed before the QR below
+def _mean_rrmse(basis, coefficients, table, grid_modes, local, truth_sq):
+    """One cell's mean reconstruction error over the trials, from the
+    coefficients (15, N) of its interpolants of the 15 local modes, the
+    trials' local modes ``local`` (trials, segments, 15) and their grid
+    sums of squares ``truth_sq`` (trials, segments)."""
+    error = _on_grid(coefficients, basis, table[: basis.size]) - grid_modes
     root = np.linalg.qr(error.T, mode="r")
     return float(np.mean(_rrmse(_local_squares(local, root), truth_sq)))
 
 
-def _provide(node_provider, scheme, order, seed):
-    """The disk node set of (scheme, order), or the ZernkitError, OSError or
-    ValueError that says why it cannot be had."""
+def _shared_step(node_provider, scheme, order, seed):
+    """What every family of one (order, scheme) shares: the node set moved
+    onto the hexagon, its K entries (``_local_system``) and the 15 local
+    modes at its nodes, (15, N).  Or the exception that says why they
+    cannot be had: a ZernkitError, OSError or ValueError from
+    ``node_provider``, a ZernkitError from the numerics."""
     try:
-        return node_provider(scheme, order, seed)
+        disk_nodes = node_provider(scheme, order, seed)
     except (ZernkitError, OSError, ValueError) as exc:
         return exc
+    try:
+        nodes, entries = _local_system(disk_nodes)
+    except ZernkitError as exc:
+        return exc
+    return nodes, entries, _local_modes(nodes.nodes)
+
+
+def _report(progress, label, failure):
+    if progress:
+        progress(f"{label}: {type(failure).__name__}: {failure}")
+
+
+def _solve_families(shared_step, bases, labels, progress):
+    """Per family of ``bases``, in order: its basis and the coefficients
+    (15, N) of its interpolants of the 15 local modes, or the exception
+    that fails its cell.  ``labels[i]`` goes to ``progress`` as family i
+    starts, and the reason of its failure right after.
+
+    ``shared_step()`` runs once, at the first family.  Each family takes
+    the shared K entries through ``_family_matrix``, the last one in place,
+    passes ``require_nonsingular`` on its own matrix and solves with one
+    ``np.linalg.solve`` with 15 right-hand sides.
+    Nothing returned holds the N x N entries.
+    """
+    shared = None
+    outcomes = []
+    for i, (family, label) in enumerate(zip(bases, labels)):
+        if progress:
+            progress(label)
+        if shared is None:
+            shared = shared_step()
+        outcome = shared
+        if not isinstance(shared, Exception):
+            nodes, entries, at_nodes = shared
+            basis = HexagonBasis(nodes.order, family)
+            last = i == len(bases) - 1
+            matrix = _family_matrix(nodes, entries, basis, in_place=last)
+            try:
+                require_nonsingular(matrix)
+            except ZernkitError as exc:
+                outcome = exc
+            else:
+                outcome = basis, np.linalg.solve(matrix.entries.T, at_nodes.T).T
+        if isinstance(outcome, Exception):
+            _report(progress, label, outcome)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def run_experiment(
@@ -324,6 +414,15 @@ def run_experiment(
     E = (interpolant of Z) - Z from one solve with 15 right-hand sides, and
     the error and truth sums on the grid are sums of 15 squares.
 
+    Every family of one (order, scheme) shares one step: the node set is
+    transferred to the hexagon once, and the K family and the 15 local
+    modes are evaluated at the moved nodes once.  Each family builds its
+    own matrix from the K entries (H weighs them by 1/R(theta), in place
+    at their last use, else on a copy), runs ``require_nonsingular`` on it
+    and solves for its 15 x N coefficients with one ``np.linalg.solve``.
+    Only when every family has solved, and the N x N entries are freed,
+    does each cell form its grid error E and its QR.
+
     The grid values of every cell's interpolant are rows of one K-family
     grid table, evaluated once per call at ``max(orders)`` and sliced per
     cell; an H cell weighs its 15 x M product by 1/R(theta), so no cell
@@ -335,9 +434,13 @@ def run_experiment(
     node set cannot be had (``node_provider`` raises a ZernkitError,
     OSError or ValueError: a missing node file, an unknown scheme) or whose
     numerics raise a ZernkitError (a singular local system) is recorded as
-    an error marker, not raised, and its reason goes to ``progress``; a
-    failed provider marks every basis's cell of that (order, scheme) with
-    the same reason.  Any other exception propagates.
+    an error marker, not raised, and its reason goes to ``progress`` right
+    after the cell's label.  A failure of the shared step marks every
+    basis's cell of that (order, scheme) with the same reason; a singular
+    matrix marks its own family's cell.  A failure of the grid error (a
+    wavefront that is zero on the grid) is reported after the last label
+    of its node set, since E comes after every family's solve.  Any other
+    exception propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -347,6 +450,7 @@ def run_experiment(
             "master seeds coincide"
         )
     orders = tuple(orders)
+    bases = tuple(bases)
     if not orders:
         return []
     if min(orders) < 0:
@@ -365,32 +469,33 @@ def run_experiment(
     cells = []
     for order in orders:
         for scheme in schemes:
-            nodes = None  # resolved at the first basis, shared by the rest
-            for basis in bases:
-                label = f"n={order} scheme={scheme} basis={basis}"
-                if progress:
-                    progress(label)
-                if nodes is None:
-                    nodes = _provide(node_provider, scheme, order, node_seed)
-                failure = nodes if isinstance(nodes, Exception) else None
-                if failure is None:
+            labels = [f"n={order} scheme={scheme} basis={basis}" for basis in bases]
+            # every family solves, and the N x N entries are freed, before
+            # any cell forms its grid error and QR
+            outcomes = _solve_families(
+                partial(_shared_step, node_provider, scheme, order, node_seed),
+                bases, labels, progress,
+            )
+            for basis, label, outcome in zip(bases, labels, outcomes):
+                if not isinstance(outcome, Exception):
                     try:
                         mean = _mean_rrmse(
-                            nodes, basis, table, grid_modes, local, truth_sq
+                            *outcome, table, grid_modes, local, truth_sq
                         )
                     except ZernkitError as exc:
-                        failure = exc
+                        _report(progress, label, exc)
+                        outcome = exc
                     else:
                         cells.append(
                             ExperimentCell(order, str(scheme), basis, mean, trials)
                         )
                         continue
-                if progress:
-                    progress(f"{label}: {type(failure).__name__}: {failure}")
                 cells.append(ExperimentCell(
                     order, str(scheme), basis, math.nan, trials,
-                    error=type(failure).__name__,
+                    error=type(outcome).__name__,
                 ))
+            # freed before the next node set's singularity checks
+            outcomes = outcome = None
     return cells
 
 

@@ -7,13 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_translations, wavefront_sum, zernike_row, zonal_rrmse
-from zernkit.domains import HexagonBasis, HexagonMap, polygon_boundary_radius
+from zernkit import domains, wavefront
+from zernkit.collocation import assemble
+from zernkit.domains import (
+    HexagonBasis,
+    HexagonMap,
+    polygon_boundary_radius,
+    transfer_nodes,
+)
 from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
-from zernkit.samplings import generate_nodes, ocs_nodes
-from zernkit.zernike import cartesian_to_polar, zernike_matrix
+from zernkit.samplings import GENERATORS, NodeSet, Scheme, generate_nodes, ocs_nodes
+from zernkit.zernike import basis_size, cartesian_to_polar, zernike_matrix
 from zernkit.wavefront import (
     ExperimentCell,
+    _family_matrix,
     _local_modes,
+    _local_squares,
+    _local_system,
     _rrmse,
     _translations,
     _trial_seed,
@@ -363,6 +373,17 @@ class TestGridTable:
         assert table[:231].nbytes == 231 * 2515 * 8
         assert peak < table[:231].nbytes
 
+    def test_table_checked_before_the_node_set(self):
+        # a singular set with a table that cannot serve it is refused for
+        # the table, before any transfer, assembly or SVD
+        points = np.array(ocs_nodes(3).nodes)
+        points[1] = points[0]
+        singular = NodeSet(3, Scheme.BOS_CUSTOM, points)
+        with pytest.raises(SingularMatrixError):
+            ZonalInterpolator(singular, "K", _grid_table(3))
+        with pytest.raises(ValueError, match="grid table of shape"):
+            ZonalInterpolator(singular, "K", np.zeros((1, 1)))
+
     @pytest.mark.parametrize(
         "shape", [(20, 2515), (21, 2514), (21,), (21, 2515, 1)]
     )
@@ -371,6 +392,97 @@ class TestGridTable:
         assert len(hexagon_grid()) == 2515
         with pytest.raises(ValueError, match="grid table of shape"):
             ZonalInterpolator(ocs_nodes(5), "K", np.zeros(shape))
+
+
+class TestSharedLocalSystem:
+    """Every family of one node set is built from one transfer and one
+    evaluation of the K family at the moved nodes."""
+
+    @pytest.mark.parametrize("scheme", sorted(GENERATORS))
+    def test_families_equal_assemble(self, scheme):
+        for order in range(1, 21):
+            disk_nodes = generate_nodes(scheme, order)
+            moved = transfer_nodes(HexagonMap(), disk_nodes)
+            for family in ("K", "H"):
+                basis = HexagonBasis(order, family)
+                want = assemble(basis, moved)
+                nodes, entries = _local_system(disk_nodes)
+                shared = entries.copy()
+                copied = _family_matrix(nodes, entries, basis, False)
+                assert np.array_equal(entries, shared)  # the copy path leaves them
+                in_place = _family_matrix(nodes, entries, basis, True)
+                for got in (copied, in_place):
+                    assert got.entries.tobytes() == want.entries.tobytes()
+                    assert (got.order, got.scheme, got.basis) == (
+                        want.order, want.scheme, want.basis
+                    )
+                    assert np.array_equal(got.mirror, want.mirror)
+
+    def test_one_transfer_and_evaluation_per_node_set(self, monkeypatch):
+        orders, schemes, bases = [16, 17], ["ocs", "spiral"], ["K", "H"]
+        transfers = []
+        collocation = []  # points of each K evaluation off the grid table
+        local_modes = []  # points of each 15-mode evaluation at the nodes
+
+        def counting_transfer(domain_map, nodeset, *args):
+            transfers.append((nodeset.order, str(nodeset.scheme)))
+            return transfer_nodes(domain_map, nodeset, *args)
+
+        def counting(kernel, calls):
+            def counted(order, rho, theta):
+                if np.size(rho) != len(hexagon_grid()):
+                    calls.append(np.size(rho))
+                return kernel(order, rho, theta)
+            return counted
+
+        monkeypatch.setattr(wavefront, "transfer_nodes", counting_transfer)
+        monkeypatch.setattr(
+            domains, "zernike_matrix", counting(zernike_matrix, collocation)
+        )
+        monkeypatch.setattr(
+            wavefront, "zernike_matrix", counting(zernike_matrix, local_modes)
+        )
+        cells = run_experiment(orders, 1, schemes=schemes, bases=bases)
+        monkeypatch.undo()
+        sizes = [basis_size(order) for order in orders for _ in schemes]
+        assert transfers == [(order, s) for order in orders for s in schemes]
+        assert collocation == sizes
+        # the segment translations come first: 15 points, then their
+        # shifts onto the 36 segments
+        assert local_modes == [15, 36 * 15] + sizes
+
+        alone = [
+            interpolator_cell(order, scheme, basis, trials=1)
+            for order in orders
+            for scheme in schemes
+            for basis in bases
+        ]
+        assert cells == alone
+
+    @pytest.mark.parametrize("bases", [("H", "K"), ("H",), ("K",)])
+    def test_weighing_in_place_leaves_other_families_alone(self, bases):
+        # H weighs the shared entries in place only as their last user
+        both = run_experiment([5, 9], 2, schemes=["ocs", "spiral"], bases=["K", "H"])
+        cells = run_experiment([5, 9], 2, schemes=["ocs", "spiral"], bases=bases)
+        key = {(c.order, c.scheme, c.basis): c for c in both}
+        assert cells == [key[c.order, c.scheme, c.basis] for c in cells]
+        assert len(cells) == 4 * len(bases)
+
+
+def interpolator_cell(order, scheme, family, trials, master_seed=0):
+    """One experiment cell built alone, with a ZonalInterpolator."""
+    zi = ZonalInterpolator(generate_nodes(scheme, order), family, _grid_table(order))
+    grid_modes = _local_modes(hexagon_grid())
+    error = zi.approximate(zi.solve(_local_modes(zi.local_nodes.nodes))) - grid_modes
+    stack = np.array([
+        kolmogorov_wavefront(_trial_seed(master_seed, t)) for t in range(trials)
+    ])
+    local = np.einsum("tj,kjl->tkl", stack, _translations(build_aperture()))
+    truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
+    error_sq = _local_squares(local, np.linalg.qr(error.T, mode="r"))
+    return ExperimentCell(
+        order, scheme, family, float(np.mean(_rrmse(error_sq, truth_sq))), trials
+    )
 
 
 class TestExperiment:
@@ -487,6 +599,67 @@ class TestExperiment:
             "n=2 scheme=ocs basis=K: NodeParseError: line 3: expected two numbers",
             "n=2 scheme=ocs basis=H",
             "n=2 scheme=ocs basis=H: NodeParseError: line 3: expected two numbers",
+        ]
+
+    def test_singular_set_marks_every_basis(self):
+        # each family runs the singularity check on its own matrix, and its
+        # reason follows its own label
+        def doubled(scheme, order, seed):
+            points = np.array(ocs_nodes(order).nodes)
+            points[1] = points[0]
+            return NodeSet(order, Scheme.BOS_CUSTOM, points)
+
+        messages = []
+        cells = run_experiment(
+            [3], 1, bases=["K", "H"], node_provider=doubled,
+            progress=messages.append,
+        )
+        assert [(c.basis, c.error) for c in cells] == [
+            ("K", "SingularMatrixError"), ("H", "SingularMatrixError"),
+        ]
+        singular = "SingularMatrixError: collocation matrix (bos, {}, n=3) is " \
+            "singular to working precision"
+        assert messages == [
+            "n=3 scheme=ocs basis=K",
+            "n=3 scheme=ocs basis=K: " + singular.format("K"),
+            "n=3 scheme=ocs basis=H",
+            "n=3 scheme=ocs basis=H: " + singular.format("H"),
+        ]
+
+    @pytest.mark.parametrize("broken,reason", [
+        (2, "NonFiniteError: collocation matrix has non-finite entries"),
+        (None, "DomainError: can only transfer disk node sets, got hexagon"),
+    ])
+    def test_failed_shared_step_marks_every_basis(self, monkeypatch, broken, reason):
+        # a node with NaN coordinates fails the K entries; a set that is
+        # already on the hexagon fails the transfer
+        def provider(scheme, order, seed):
+            points = np.array(ocs_nodes(order).nodes)
+            if broken is None:
+                return NodeSet(order, Scheme.OCS, points, domain="hexagon")
+            points[broken] = np.nan
+            return NodeSet(order, Scheme.BOS_CUSTOM, points)
+
+        transfers = []
+
+        def counting_transfer(domain_map, nodeset, *args):
+            transfers.append(nodeset.order)
+            return transfer_nodes(domain_map, nodeset, *args)
+
+        monkeypatch.setattr(wavefront, "transfer_nodes", counting_transfer)
+        messages = []
+        cells = run_experiment(
+            [3], 1, bases=["K", "H"], node_provider=provider,
+            progress=messages.append,
+        )
+        assert transfers == [3]
+        error = reason.split(":")[0]
+        assert [(c.basis, c.error) for c in cells] == [("K", error), ("H", error)]
+        assert messages == [
+            "n=3 scheme=ocs basis=K",
+            f"n=3 scheme=ocs basis=K: {reason}",
+            "n=3 scheme=ocs basis=H",
+            f"n=3 scheme=ocs basis=H: {reason}",
         ]
 
     @given(
