@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NodeCountError, NonFiniteError, SingularMatrixError
-from .zernike import index_to_nm, nm_to_index, zernike_matrix
+from .zernike import zernike_matrix
 
 __all__ = [
     "CollocationMatrix",
@@ -293,15 +293,16 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     t = 2.0 * np.pi * np.arange(n_angles) / n_t
     inverse = np.linalg.inv(matrix.entries)
     order = basis.order
-    index = [index_to_nm(j) for j in range(basis.size)]
-    ms = np.array([idx.m for idx in index])
+    # row j = (n(n + 2) + m)/2 of degree n has frequency m = 2j - n(n + 2)
+    degrees = np.repeat(np.arange(order + 1), np.arange(1, order + 2))
+    ms = 2 * np.arange(basis.size) - degrees * (degrees + 2)
     # at theta = 0 the row of (n, |m|) is N R_n^|m|(r) exactly
     at_zero = zernike_matrix(order, r, 0.0)
-    radial = at_zero[[nm_to_index(idx.n, abs(idx.m)) for idx in index]]
+    radial = at_zero[(degrees * (degrees + 2) + np.abs(ms)) // 2]
     freqs = np.arange(-order, order + 1)
-    trig = np.where(
-        freqs[:, None] >= 0, np.cos(freqs[:, None] * t), np.sin(-freqs[:, None] * t)
-    )
+    trig = np.empty((freqs.size, n_angles))
+    np.cos(freqs[order:, None] * t, out=trig[order:])
+    np.sin(-freqs[:order, None] * t, out=trig[:order])
     # contracted[a, j, k]: Lagrange function j at radius r[a], coefficient
     # of trig row k (frequency freqs[k])
     contracted = np.empty((n_r, basis.size, freqs.size))

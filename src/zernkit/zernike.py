@@ -103,37 +103,80 @@ def zernike_matrix(order, rho, theta):
     recurrence.  Unlike the explicit factorial sum the recurrence keeps
     intermediates of order one: against exact rational evaluation it stays
     below 1e-14 up to n = 30, where the sum has lost seven digits to
-    cancellation.  It runs once per |m| and writes the (n, +m) and (n, -m)
-    rows as it passes each n, so a row does not depend on the order asked.
+    cancellation.
+
+    The recurrence runs once per distinct radius (distinct bit pattern, so
+    -0.0 keeps its own rows), for every |m| at once: step k advances
+    P_k^(|m|,0) for each |m| <= order - 2k, and the step's (n, +m) and
+    (n, -m) rows are gathered from the radii to the points.  Each value
+    takes the scalar recurrence's operations for its own (n, m) in the same
+    order, so a row depends neither on the order asked nor on the other
+    points (a NaN's sign bit aside: numpy's vector and scalar loops pass on
+    different operands' NaNs).  The angle then enters one degree at a time:
+    the rows of degree n, with m = -n, -n + 2, .., n, are a stride-2 slice
+    of the table of sin(|m| theta) (m < 0) and cos(m theta).
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    out = np.empty((basis_size(order),) + np.broadcast_shapes(rho.shape, theta.shape))
-    for m in range(order + 1):
-        # x per |m|, not hoisted: a hoisted x moved lebesgue-grid's peak RSS up 2 MB
-        x = 1.0 - 2.0 * rho * rho
-        cos_m = np.cos(m * theta)
-        sin_m = np.sin(m * theta) if m else None
-        rho_m = rho**m if m else None
-        p_prev = p = np.ones_like(x)
-        for k in range((order - m) // 2 + 1):
-            if k == 1:
-                p = ((m + 2) * x + m) / 2.0
-            elif k > 1:
-                c = 2 * k + m
-                a1 = 2 * k * (k + m) * (c - 2)
-                a2 = (c - 1) * (c * (c - 2) * x + m * m)
-                a3 = 2 * (k + m - 1) * (k - 1) * c
-                p_prev, p = p, (a2 * p - a3 * p_prev) / a1
-            radial = p if k % 2 == 0 else -p
-            if rho_m is not None:
-                radial = radial * rho_m
-            n = m + 2 * k
-            radial = normalization(n, m) * radial
-            out[nm_to_index(n, m)] = radial * cos_m
-            if m:
-                out[nm_to_index(n, -m)] = radial * sin_m
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    out = np.empty((basis_size(order),) + shape)
+    _radial_rows(order, rho, out)
+    # row order + m holds cos(m theta), row order - m sin(m theta)
+    trig = np.empty((2 * order + 1,) + theta.shape)
+    np.multiply.outer(np.arange(order + 1), theta, out=trig[order:])
+    np.sin(trig[order + 1 :], out=trig[:order][::-1])
+    np.cos(trig[order:], out=trig[order:])
+    trig = trig.reshape((len(trig),) + (1,) * (len(shape) - theta.ndim) + theta.shape)
+    for n in range(order + 1):
+        start = n * (n + 1) // 2
+        out[start : start + n + 1] *= trig[order - n : order + n + 1 : 2]
     return out
+
+
+def _radial_rows(order, rho, out):
+    """Fill rows (n, m) and (n, -m) of ``out`` with N_n^m R_n^|m|(rho)."""
+    radii, where = np.unique(rho.view(np.uint64), return_inverse=True)
+    radii = radii.view(float)
+    # each point's radius, in the layout of out's points
+    where = where.reshape((1,) * (out.ndim - 1 - rho.ndim) + rho.shape)
+    x = 1.0 - 2.0 * radii * radii
+    # step k down, |m| across; c = 2k + |m| = n, and every integer product
+    # is exact in float64
+    k = np.arange(order // 2 + 1.0)[:, None]
+    m = np.arange(order + 1.0)
+    n = 2.0 * k + m
+    k_m = k + m
+    a1 = 2.0 * k * k_m * (n - 2.0)
+    a2_in = n * (n - 2.0)
+    a3 = (2.0 * k - 2.0) * (k_m - 1.0) * n
+    # 2(n + 1)/(1 + delta_{m,0}), exactly
+    scale = np.sqrt((n + 1.0) * np.where(m == 0.0, 1.0, 2.0))
+    plus = ((n * (n + 2.0) + m) / 2.0).astype(np.intp)
+    minus = plus - m.astype(np.intp)
+    m = m[:, None]
+    rho_m = np.empty((order + 1, radii.size))
+    for j in range(order + 1):
+        # row by row, as rho**m: one power over a column of exponents
+        # rounds some rho^2 differently
+        np.power(radii, j, out=rho_m[j])
+    p_prev = p = np.ones_like(rho_m)
+    for step in range(order // 2 + 1):
+        live = order - 2 * step + 1
+        if step == 1:
+            p = ((m[:live] + 2.0) * x + m[:live]) / 2.0
+        elif step > 1:
+            a2 = a2_in[step, :live, None] * x
+            a2 += m[:live] * m[:live]
+            a2 *= n[step, :live, None] - 1.0
+            a2 *= p[:live]
+            a2 -= a3[step, :live, None] * p_prev[:live]
+            a2 /= a1[step, :live, None]
+            p_prev, p = p[:live], a2
+        radial = (-p if step % 2 else p) * rho_m[:live]
+        radial *= scale[step, :live, None]
+        radial = radial.take(where, axis=1)
+        out[plus[step, :live]] = radial
+        out[minus[step, 1:live]] = radial[1:]
 
 
 def zernike_xy(j, x, y):

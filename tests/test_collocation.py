@@ -192,6 +192,51 @@ class TestDiagonalScalingBound:
         assert k_hex <= (2.0 * math.sqrt(3.0) / 3.0) * k_disk * (1.0 + 1e-10)
 
 
+def _kappa(basis, nodes):
+    return condition_number(assemble(basis, nodes)).kappa2
+
+
+def _assert_two_sided(kappa_w, kappa_partner, weights):
+    # kappa_partner / kappa(D) <= kappa_w <= kappa_partner * kappa(D) with
+    # kappa(D) = max w / min w: the weighted matrix is its partner's columns
+    # scaled by the node weights
+    kappa_d = weights.max() / weights.min()
+    assert kappa_partner / kappa_d <= kappa_w * (1.0 + 1e-10)
+    assert kappa_w <= kappa_partner * kappa_d * (1.0 + 1e-10)
+
+
+class TestTwoSidedConditionBound:
+    """The paper's bound for a weighted family against its constant-weight
+    partner on the same nodes, at every order of the condition tables."""
+
+    @pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt"])
+    def test_hexagon_h_against_k(self, scheme):
+        for n in range(1, 31):
+            moved = transfer_nodes(HexagonMap(), generate_nodes(scheme, n))
+            weights = 1.0 / polygon_boundary_radius(moved.theta, math.pi / 6)
+            _assert_two_sided(
+                _kappa(HexagonBasis(n, "H"), moved),
+                _kappa(HexagonBasis(n, "K"), moved),
+                weights,
+            )
+
+    @pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt"])
+    @pytest.mark.parametrize("inner, eps", [(0.5, 1e-2), (0.3, 1e-4)])
+    def test_annulus_o_against_c(self, scheme, inner, eps):
+        annulus = AnnulusMap(inner, 1.0)
+        for n in range(1, 31):
+            moved = transfer_nodes(annulus, generate_nodes(scheme, n), inner_eps=eps)
+            # sqrt|J| = sqrt((r - a)/r)/(A - a); the shift keeps r > a
+            r = moved.rho
+            assert r.min() > inner
+            weights = np.sqrt((r - inner) / r) / (1.0 - inner)
+            _assert_two_sided(
+                _kappa(make_basis("O", n, annulus), moved),
+                _kappa(make_basis("C", n, annulus), moved),
+                weights,
+            )
+
+
 class TestConditionNumber:
     def test_identity(self):
         mat = CollocationMatrix(np.eye(4), 1, "custom", "Z")

@@ -139,6 +139,35 @@ class TestEvaluation:
         assert np.isfinite(zernike_xy(7, 4.0, -3.0))
 
 
+def assert_same_bits(values, expected):
+    """Equal shapes and bit patterns, so -0.0 and 0.0 count as different.
+
+    A NaN only has to be a NaN: numpy's vector and scalar loops return
+    different operands' NaNs, so the sign bit of a NaN result follows the
+    point's position in the array, in the kernel and in the oracle alike.
+    """
+    values = np.asarray(values, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert values.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(values), nan)
+    assert np.array_equal(values[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def assert_rows_are_oracle_rows(order, rho, theta):
+    values = zernike_matrix(order, rho, theta)
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(theta))
+    assert values.shape == (basis_size(order),) + shape
+    assert values.flags.c_contiguous
+    for j in range(basis_size(order)):
+        assert_same_bits(values[j], zernike_row(j, rho, theta))
+
+
+# a few radii that every table shares: the origin with either sign, the rim
+# and a point beyond it
+SHARED_RADII = [0.0, -0.0, 1.0, 1.25]
+
+
 class TestBatchedKernel:
     @given(
         st.integers(min_value=0, max_value=30),
@@ -149,18 +178,86 @@ class TestBatchedKernel:
         rho, theta = (np.array(c) for c in zip(*points))
         rho = np.concatenate([rho, [0.0, 1.0]])
         theta = np.concatenate([theta, [0.7, -2.0]])
-        values = zernike_matrix(order, rho, theta)
-        assert values.shape == (basis_size(order), rho.size)
-        for j in range(basis_size(order)):
-            assert np.array_equal(values[j], zernike_row(j, rho, theta)), j
+        assert_rows_are_oracle_rows(order, rho, theta)
 
     @given(st.integers(min_value=0, max_value=30), RADII, ANGLES)
     @settings(max_examples=60)
     def test_scalar_points(self, order, rho, theta):
-        values = zernike_matrix(order, rho, theta)
-        assert values.shape == (basis_size(order),)
-        for j in range(basis_size(order)):
-            assert np.array_equal(values[j], zernike_row(j, rho, theta)), j
+        assert_rows_are_oracle_rows(order, rho, theta)
+
+    @given(
+        st.integers(min_value=0, max_value=30),
+        st.lists(RADII, max_size=3),
+        st.lists(ANGLES, min_size=1, max_size=40),
+        st.data(),
+    )
+    @settings(max_examples=60)
+    def test_repeated_radii(self, order, radii, angles, data):
+        # every radius at every angle, in a drawn order: the recurrence runs
+        # once per distinct radius and its rows are gathered to the points
+        rho = np.repeat(SHARED_RADII + radii, len(angles))
+        theta = np.tile(angles, len(SHARED_RADII) + len(radii))
+        perm = np.array(data.draw(st.permutations(range(rho.size))))
+        assert_rows_are_oracle_rows(order, rho[perm], theta[perm])
+
+    def test_signed_zero_radius_keeps_its_rows(self):
+        # R_n^m(-0.0) = -0.0 * P for odd m; radii told apart by value alone
+        # would give both columns the sign of one of them
+        values = zernike_matrix(5, np.array([0.0, -0.0]), np.array([0.4, 0.4]))
+        assert np.signbit(values[nm_to_index(5, 1), 1])
+        assert not np.signbit(values[nm_to_index(5, 1), 0])
+        assert_rows_are_oracle_rows(5, np.array([0.0, -0.0]), np.array([0.4, 0.4]))
+
+    @pytest.mark.parametrize("order", [1, 10, 30])
+    def test_polar_tensor_mesh(self, order):
+        # the layout of approximate_fekete's mesh: the origin, then every
+        # area-uniform radius crossed with the same angles
+        n_theta, n_r = 4 * (order + 1), 12
+        r = np.sqrt(np.arange(1, n_r + 1) / n_r)
+        t = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        rho = np.concatenate([[0.0], np.repeat(r, n_theta)])
+        theta = np.concatenate([[0.0], np.tile(t, n_r)])
+        assert_rows_are_oracle_rows(order, rho, theta)
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 30])
+    def test_non_finite_points(self, order):
+        rho = np.array([np.nan, 0.5, np.nan, np.inf, 0.5, 0.0, 7.0])
+        theta = np.array([0.3, np.nan, np.nan, 1.0, np.inf, np.nan, -np.inf])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_rows_are_oracle_rows(order, rho, theta)
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_empty_points(self, order):
+        assert zernike_matrix(order, np.array([]), np.array([])).shape == (
+            basis_size(order),
+            0,
+        )
+        assert zernike_matrix(order, np.array([]), 0.5).shape == (basis_size(order), 0)
+        assert zernike_matrix(order, 0.5, np.zeros((2, 0))).shape == (
+            basis_size(order),
+            2,
+            0,
+        )
+
+    def test_order_zero_is_the_piston(self):
+        rho = np.array([0.0, -0.0, 0.5, 1.0, 3.0])
+        theta = np.array([0.0, -1.0, 2.0, -0.0, 9.0])
+        values = zernike_matrix(0, rho, theta)
+        assert values.shape == (1, 5)
+        assert np.all(values == 1.0)
+        assert_rows_are_oracle_rows(0, rho, theta)
+
+    @pytest.mark.parametrize("order", [0, 2, 15])
+    def test_scalar_radius_with_array_angles(self, order):
+        assert_rows_are_oracle_rows(order, 0.7, np.linspace(-4.0, 4.0, 9))
+        assert_rows_are_oracle_rows(order, -0.0, np.linspace(-4.0, 4.0, 9))
+
+    def test_strided_points(self):
+        rng = np.random.default_rng(3)
+        rho = rng.uniform(0.0, 1.5, (8, 6))[:, ::2]
+        theta = rng.uniform(-4.0, 4.0, (8, 6))[::1, 1::2]
+        assert not rho.flags.c_contiguous
+        assert_rows_are_oracle_rows(12, rho, theta)
 
     @given(
         st.integers(min_value=0, max_value=30).flatmap(
@@ -179,15 +276,14 @@ class TestBatchedKernel:
         rho, theta = (np.array(c) for c in zip(*points))
         low = zernike_matrix(order, rho, theta)
         high = zernike_matrix(higher, rho, theta)
-        assert np.array_equal(low, high[: basis_size(order)])
+        assert_same_bits(low, high[: basis_size(order)])
 
     def test_broadcasts_like_single_polynomials(self):
         rho = np.linspace(0.0, 1.0, 4)[:, None]
         theta = np.linspace(-3.0, 3.0, 5)
         values = zernike_matrix(6, rho, theta)
         assert values.shape == (28, 4, 5)
-        for j in range(28):
-            assert np.array_equal(values[j], zernike_row(j, rho, theta))
+        assert_rows_are_oracle_rows(6, rho, theta)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
