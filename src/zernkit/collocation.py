@@ -28,9 +28,10 @@ __all__ = [
     "format_kappa",
 ]
 
-# lebesgue_constant forms the Lagrange functions this many grid radii at a
-# time
-RADIAL_BLOCK = 8
+# lebesgue_constant forms the Lagrange functions a block of grid radii at a
+# time, as many radii as keep the block within this many values (512 KiB),
+# but at least two
+LAGRANGE_BLOCK_VALUES = 2**16
 
 # condition_number keeps the mirror split, and lebesgue_constant takes half
 # the grid angles, only when the dropped off-block is within this many
@@ -265,12 +266,15 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     separable, N_n^m R_n^|m|(r) trig_m(t) times the map's weight sqrt|J| at
     the image for a weighted family, so the map enters only through that
     weight.  With C = A^-1 for the N x N collocation matrix A, the Lagrange
-    functions at radius
-    r are sum over signed m of D_m(r) trig_m(t), where D_m contracts C's
-    columns with the radial table of the rows of frequency m.  They are
-    formed ``RADIAL_BLOCK`` radii at a time, so the largest temporaries are
-    that block's N x RADIAL_BLOCK x n_t values and the n_r x N x (2n + 1)
-    contraction; the N x (n_r n_t) grid matrix is never built.
+    functions at radius r are sum over signed m of D_m(r) trig_m(t), where
+    D_m contracts C's columns with the radial table of the rows of
+    frequency m (one slice of each, once both are sorted by frequency).
+    They are formed in blocks of max(2, LAGRANGE_BLOCK_VALUES // (N n_a))
+    radii, n_a the angles evaluated, in one buffer reused by every block:
+    at most 512 KiB unless two radii need more (N n_a > 2^15: from order
+    10 on the whole default grid, from order 15 on its half).  The largest
+    temporaries are that buffer and the n_r x N x (2n + 1) contraction;
+    the N x (n_r n_t) grid matrix is never built.
 
     When the node set's ``mirror`` holds for the collocation matrix, by the
     rule of ``condition_number``'s split, only the angles l = 0 .. n_t // 2
@@ -296,27 +300,46 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     # row j = (n(n + 2) + m)/2 of degree n has frequency m = 2j - n(n + 2)
     degrees = np.repeat(np.arange(order + 1), np.arange(1, order + 2))
     ms = 2 * np.arange(basis.size) - degrees * (degrees + 2)
+    freqs = np.arange(-order, order + 1)
+    # sorted by frequency, in index order within one, each frequency's rows
+    # are one slice: frequency m has a row in degrees |m|, |m| + 2, .., order
+    by_freq = np.argsort(ms, kind="stable")
+    ends = np.cumsum((order - np.abs(freqs)) // 2 + 1)
     # at theta = 0 the row of (n, |m|) is N R_n^|m|(r) exactly
     at_zero = zernike_matrix(order, r, 0.0)
-    radial = at_zero[(degrees * (degrees + 2) + np.abs(ms)) // 2]
-    freqs = np.arange(-order, order + 1)
+    radial = at_zero[((degrees * (degrees + 2) + np.abs(ms)) // 2)[by_freq]]
+    inverse = inverse.take(by_freq, axis=1)
     trig = np.empty((freqs.size, n_angles))
     np.cos(freqs[order:, None] * t, out=trig[order:])
     np.sin(-freqs[:order, None] * t, out=trig[:order])
     # contracted[a, j, k]: Lagrange function j at radius r[a], coefficient
     # of trig row k (frequency freqs[k])
     contracted = np.empty((n_r, basis.size, freqs.size))
-    for k, m in enumerate(freqs):
-        rows = ms == m
-        contracted[:, :, k] = (inverse[:, rows] @ radial[rows]).T
+    start = 0
+    for k, end in enumerate(ends):
+        contracted[:, :, k] = (inverse[:, start:end] @ radial[start:end]).T
+        start = end
     weight = basis.map.image_weight(r[:, None], t) if basis.weighted else None
+    block_radii = min(n_r, _radial_block(basis.size, n_angles))
+    lagrange = np.empty((block_radii * basis.size, n_angles))
+    totals = np.empty((block_radii, n_angles))
     best = 0.0
-    for start in range(0, n_r, RADIAL_BLOCK):
-        block = contracted[start : start + RADIAL_BLOCK]
-        lagrange = block.reshape(-1, freqs.size) @ trig
-        np.abs(lagrange, out=lagrange)
-        total = lagrange.reshape(len(block), basis.size, n_angles).sum(axis=1)
+    for start in range(0, n_r, block_radii):
+        block = contracted[start : start + block_radii]
+        count = len(block)
+        values = lagrange[: count * basis.size]
+        np.matmul(block.reshape(-1, freqs.size), trig, out=values)
+        np.abs(values, out=values)
+        total = totals[:count]
+        np.sum(values.reshape(count, basis.size, n_angles), axis=1, out=total)
         if weight is not None:
-            total *= weight[start : start + RADIAL_BLOCK]
+            total *= weight[start : start + block_radii]
         best = max(best, float(total.max()))
     return best
+
+
+def _radial_block(size, n_angles):
+    """Grid radii per Lagrange block of ``lebesgue_constant`` for a basis of
+    ``size`` functions on ``n_angles`` grid angles: as many as fit
+    ``LAGRANGE_BLOCK_VALUES`` values, and at least two."""
+    return max(2, LAGRANGE_BLOCK_VALUES // (size * n_angles))

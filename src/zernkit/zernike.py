@@ -13,6 +13,7 @@ with respect to the measure dx dy / pi on the unit disk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,43 +141,59 @@ def _radial_rows(order, rho, out):
     # each point's radius, in the layout of out's points
     where = where.reshape((1,) * (out.ndim - 1 - rho.ndim) + rho.shape)
     x = 1.0 - 2.0 * radii * radii
-    # step k down, |m| across; c = 2k + |m| = n, and every integer product
-    # is exact in float64
-    k = np.arange(order // 2 + 1.0)[:, None]
-    m = np.arange(order + 1.0)
-    n = 2.0 * k + m
-    k_m = k + m
-    a1 = 2.0 * k * k_m * (n - 2.0)
-    a2_in = n * (n - 2.0)
-    a3 = (2.0 * k - 2.0) * (k_m - 1.0) * n
-    # 2(n + 1)/(1 + delta_{m,0}), exactly
-    scale = np.sqrt((n + 1.0) * np.where(m == 0.0, 1.0, 2.0))
-    plus = ((n * (n + 2.0) + m) / 2.0).astype(np.intp)
-    minus = plus - m.astype(np.intp)
-    m = m[:, None]
     rho_m = np.empty((order + 1, radii.size))
     for j in range(order + 1):
         # row by row, as rho**m: one power over a column of exponents
         # rounds some rho^2 differently
         np.power(radii, j, out=rho_m[j])
+    a1, a2_in, n1, a3, scale, plus, minus = _recurrence_tables(order)
+    m = np.arange(order + 1.0)[:, None]
     p_prev = p = np.ones_like(rho_m)
     for step in range(order // 2 + 1):
         live = order - 2 * step + 1
         if step == 1:
             p = ((m[:live] + 2.0) * x + m[:live]) / 2.0
         elif step > 1:
-            a2 = a2_in[step, :live, None] * x
+            a2 = a2_in[step, :live] * x
             a2 += m[:live] * m[:live]
-            a2 *= n[step, :live, None] - 1.0
+            a2 *= n1[step, :live]
             a2 *= p[:live]
-            a2 -= a3[step, :live, None] * p_prev[:live]
-            a2 /= a1[step, :live, None]
+            a2 -= a3[step, :live] * p_prev[:live]
+            a2 /= a1[step, :live]
             p_prev, p = p[:live], a2
         radial = (-p if step % 2 else p) * rho_m[:live]
-        radial *= scale[step, :live, None]
+        radial *= scale[step, :live]
         radial = radial.take(where, axis=1)
         out[plus[step, :live]] = radial
         out[minus[step, 1:live]] = radial[1:]
+
+
+# a sweep calls one order after another, the wavefront run order 4 in
+# between
+@functools.lru_cache(maxsize=4)
+def _recurrence_tables(order):
+    """The tables of ``_radial_rows`` at ``order``, read-only: step k down,
+    |m| across, n = 2k + |m|.  The recurrence's a1, the factors n(n - 2)
+    and n - 1 of its a2, its a3 and the normalization, each with a
+    trailing axis over the radii; then the rows of (n, |m|) and of
+    (n, -|m|).  Every integer product is exact in float64, and the
+    normalization is the root of the exact 2(n + 1)/(1 + delta_{m,0})."""
+    k = np.arange(order // 2 + 1.0)[:, None]
+    m = np.arange(order + 1.0)
+    n = 2.0 * k + m
+    k_m = k + m
+    plus = ((n * (n + 2.0) + m) / 2.0).astype(np.intp)
+    tables = (
+        2.0 * k * k_m * (n - 2.0),
+        n * (n - 2.0),
+        n - 1.0,
+        (2.0 * k - 2.0) * (k_m - 1.0) * n,
+        np.sqrt((n + 1.0) * np.where(m == 0.0, 1.0, 2.0)),
+    )
+    tables = tuple(t[:, :, None] for t in tables) + (plus, plus - m.astype(np.intp))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def zernike_xy(j, x, y):

@@ -10,7 +10,6 @@ from oracles import dense_lebesgue_constant
 from zernkit import collocation
 from zernkit.collocation import (
     MIRROR_MIN_SIZE,
-    RADIAL_BLOCK,
     CollocationMatrix,
     assemble,
     condition_number,
@@ -235,6 +234,28 @@ class TestTwoSidedConditionBound:
                 _kappa(make_basis("C", n, annulus), moved),
                 weights,
             )
+
+
+@pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt"])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_annulus_o_kappa_grows_as_inverse_sqrt_eps(scheme, order):
+    # The centre node of an even-order Bos array lands at r = a + eps(A - a),
+    # where the sqrt|J| weight is about sqrt(eps), so kappa_O grows as
+    # eps^(-1/2): tenfold per hundredfold smaller eps.  Measured: the step
+    # 1e-2 -> 1e-4 is 1.0-1.9% short of tenfold at these orders (3.6% at
+    # order 10, and more as the other nodes' share of kappa grows), the step
+    # 1e-4 -> 1e-6 within 0.02%.  Odd orders have no centre node.
+    annulus = AnnulusMap(0.5, 1.0)
+    nodes = generate_nodes(scheme, order)
+    kappas = [
+        _kappa(
+            make_basis("O", order, annulus),
+            transfer_nodes(annulus, nodes, inner_eps=eps),
+        )
+        for eps in (1e-2, 1e-4, 1e-6)
+    ]
+    assert kappas[1] / kappas[0] == pytest.approx(10.0, rel=0.03)
+    assert kappas[2] / kappas[1] == pytest.approx(10.0, rel=1e-3)
 
 
 class TestConditionNumber:
@@ -559,18 +580,11 @@ class TestLebesgue:
     @given(
         order=st.integers(1, 8),
         scheme=st.sampled_from(["ocs", "cuyt"]),
-        # one radius, fewer than a block, and a ragged last block
-        n_r=st.one_of(
-            st.just(1),
-            st.integers(2, RADIAL_BLOCK - 1),
-            st.integers(RADIAL_BLOCK + 1, 5 * RADIAL_BLOCK).filter(
-                lambda k: k % RADIAL_BLOCK
-            ),
-        ),
         n_t=st.integers(1, 48),
+        data=st.data(),
     )
     @settings(max_examples=40)
-    def test_matches_dense_oracle(self, family, order, scheme, n_r, n_t):
+    def test_matches_dense_oracle(self, family, order, scheme, n_t, data):
         domain_map = _LEBESGUE_MAPS[family]
         nodes = generate_nodes(scheme, order)
         if domain_map is not None:
@@ -578,6 +592,17 @@ class TestLebesgue:
                 domain_map, nodes, inner_eps=0.01 if family == "O" else None
             )
         basis = make_basis(family, order, domain_map)
+        matrix = assemble(basis, nodes)
+        half = collocation._mirror_holds(matrix, condition_number(matrix))
+        block = collocation._radial_block(basis.size, n_t // 2 + 1 if half else n_t)
+        # one radius, fewer than a block, and a ragged last block
+        n_r = data.draw(
+            st.one_of(
+                st.just(1),
+                st.integers(2, block - 1),
+                st.integers(block + 1, 3 * block).filter(lambda k: k % block),
+            )
+        )
         want = dense_lebesgue_constant(nodes, family, domain_map, (n_r, n_t))
         got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))
         assert got == pytest.approx(want, rel=1e-12)

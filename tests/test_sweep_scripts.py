@@ -1,18 +1,21 @@
 """Tests of the two sweep scripts in ``scripts/``, loaded as modules: smoke
 runs at small sizes, and the wavefront script at its paper-scale defaults
-against reference tables."""
+against reference tables; and the Lebesgue sweep at the paper's orders
+against its reference table."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from zernkit import cli
 from zernkit.samplings import cuyt_nodes, ocs_nodes, save_nodes
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference" / "condition-tables"
-# the paper-scale wavefront tables (orders 2..20, 100 trials, seed 7)
-WAVEFRONT_REFERENCE = ROOT / "tests" / "reference"
+# the paper-scale wavefront tables (orders 2..20, 100 trials, seed 7) and
+# the disk Lebesgue table of the three Bos schemes at orders 1..30
+PAPER_REFERENCE = ROOT / "tests" / "reference"
 
 
 def _load(name):
@@ -73,4 +76,13 @@ def test_wavefront_experiment_at_paper_scale_matches_reference(tmp_path):
     assert _load("run_wavefront_experiment").run(tmp_path) == 0
     for name in ("wavefront_stable.csv", "wavefront_unstable.csv"):
         got = (tmp_path / name).read_text()
-        assert got == (WAVEFRONT_REFERENCE / name).read_text(), name
+        assert got == (PAPER_REFERENCE / name).read_text(), name
+
+
+def test_lebesgue_sweep_at_paper_orders_matches_reference(tmp_path):
+    # orders 1..30 span blocks of many radii down to the two-radius floor
+    out = tmp_path / "lebesgue.csv"
+    argv = ["lebesgue", "--schemes", "cuyt,carnicer,ocs", "--orders", "1..30",
+            "--domain", "disk", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_text() == (PAPER_REFERENCE / "lebesgue_disk_1_30.csv").read_text()
