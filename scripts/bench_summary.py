@@ -12,6 +12,10 @@ at the repository root, per program version and workload:
 * the SHA-256 of every CSV the sweeps wrote;
 * the run count, seeds and failed cells.
 
+With ``--junitxml FILE``, a pytest ``--junitxml`` report of the Tier-1
+suite, the file also records that run's wall time and its counts of
+tests, failures, errors and skipped tests under ``tier1``.
+
 Give record directories or files as ``[NAME=]PATH``.  The records under a
 NAME form one group; the others are grouped by program version, the git
 SHA and source digest they carry (``git_sha`` is null for a checkout that
@@ -32,6 +36,7 @@ import json
 import pathlib
 import statistics
 import sys
+import xml.etree.ElementTree as ET
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFAULT_RECORDS = ROOT / "perfbench" / "results" / "records"
@@ -133,12 +138,24 @@ def compare(summary):
     return out
 
 
+def tier1_record(path):
+    """{"time", "tests", "failures", "errors", "skipped"} of a pytest
+    ``--junitxml`` file, summed over its test suites (pytest writes one)."""
+    out = {"time": 0.0, "tests": 0, "failures": 0, "errors": 0, "skipped": 0}
+    for suite in ET.parse(path).getroot().iter("testsuite"):
+        out["time"] += float(suite.get("time", 0.0))
+        for key in ("tests", "failures", "errors", "skipped"):
+            out[key] += int(suite.get(key, 0))
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="writes BENCH_<label>.json")
     parser.add_argument("records", nargs="*", default=[str(DEFAULT_RECORDS)],
                         help="[NAME=]PATH of a record directory or file")
     parser.add_argument("--out-dir", default=str(ROOT))
+    parser.add_argument("--junitxml", help="pytest --junitxml file of the Tier-1 run")
     ns = parser.parse_args(argv)
     named = [pair for spec in ns.records for pair in load_records(spec)]
     if not named:
@@ -147,6 +164,8 @@ def main(argv=None):
     result = {"label": ns.label, "groups": summary}
     if len(summary) > 1:
         result["comparison"] = compare(summary)
+    if ns.junitxml:
+        result["tier1"] = tier1_record(ns.junitxml)
     target = pathlib.Path(ns.out_dir) / f"BENCH_{ns.label}.json"
     target.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {target}", file=sys.stderr)

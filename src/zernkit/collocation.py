@@ -23,6 +23,7 @@ __all__ = [
     "assemble",
     "condition_number",
     "require_nonsingular",
+    "scaled_nonsingular",
     "solve_interpolation",
     "lebesgue_constant",
     "format_kappa",
@@ -41,6 +42,14 @@ MIRROR_SLACK = 4
 # one full SVD in every timing on one BLAS thread (order 11: 0.38-0.54 ms
 # against 0.59-0.73 ms); at orders 8 to 10 they were within the noise.
 MIRROR_MIN_SIZE = 78
+# scaled_nonsingular certifies A S, S a positive diagonal, from the report of
+# A only when the rule passes with this many times its N eps tolerance.  The
+# margin covers the backward errors of both SVDs and of the mirror split
+# (off <= MIRROR_SLACK N eps sigma_max) and the per-entry rounding of the
+# weighing (<= sqrt(N) eps sigma_max), each within a few N eps sigma_max.
+# The K matrices of the wavefront runs (n = 2..20, five schemes) pass it
+# with 6e3 (random, n = 20) to 5e11 to spare.
+SCALED_MARGIN = 2**10
 SQRT_HALF = math.sqrt(0.5)
 
 
@@ -188,8 +197,7 @@ def _mirror_blocks(matrix):
     fixed = index[mirror == index]
     p = index[mirror > index]
     q = mirror[p]
-    freqs = np.concatenate([np.arange(-k, k + 1, 2) for k in range(matrix.order + 1)])
-    sine = freqs < 0
+    sine = _row_frequencies(matrix.order)[1] < 0
     # both blocks are square when there are as many sine rows as pairs
     if np.count_nonzero(sine) != p.size:
         return None
@@ -238,6 +246,23 @@ def require_nonsingular(matrix):
             sigma_min=report.sigma_min,
         )
     return report
+
+
+def scaled_nonsingular(report, scale):
+    """Whether the singularity rule accepts A S, for the positive diagonal
+    S = diag(``scale``) of one entry per column, from ``report``, the
+    ConditionReport of the N x N matrix A.
+
+    sigma_i(A) min S <= sigma_i(A S) <= sigma_i(A) max S (multiplicative
+    perturbation; Eisenstat & Ipsen, SIAM J. Numer. Anal. 32 (1995)), so
+    sigma_min(A) min S > SCALED_MARGIN N eps sigma_max(A) max S certifies
+    that ``require_nonsingular`` passes on A S as computed.  False means
+    only that the bound is inconclusive: the caller then applies
+    ``require_nonsingular`` to A S itself.
+    """
+    tol = SCALED_MARGIN * len(scale) * np.finfo(float).eps
+    low, high = float(np.min(scale)), float(np.max(scale))
+    return report.sigma_min * low > tol * report.sigma_max * high
 
 
 def solve_interpolation(matrix, values):
@@ -297,9 +322,7 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     t = 2.0 * np.pi * np.arange(n_angles) / n_t
     inverse = np.linalg.inv(matrix.entries)
     order = basis.order
-    # row j = (n(n + 2) + m)/2 of degree n has frequency m = 2j - n(n + 2)
-    degrees = np.repeat(np.arange(order + 1), np.arange(1, order + 2))
-    ms = 2 * np.arange(basis.size) - degrees * (degrees + 2)
+    degrees, ms = _row_frequencies(order)
     freqs = np.arange(-order, order + 1)
     # sorted by frequency, in index order within one, each frequency's rows
     # are one slice: frequency m has a row in degrees |m|, |m| + 2, .., order
@@ -336,6 +359,15 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
             total *= weight[start : start + block_radii]
         best = max(best, float(total.max()))
     return best
+
+
+def _row_frequencies(order):
+    """(degrees, frequencies) of the rows of a basis of degree <= order, in
+    row order, as integers: row j = (n(n + 2) + m)/2 has degree n and
+    signed frequency m = 2j - n(n + 2), so degree n holds m = -n, -n + 2,
+    .., n."""
+    degrees = np.repeat(np.arange(order + 1), np.arange(1, order + 2))
+    return degrees, 2 * np.arange(degrees.size) - degrees * (degrees + 2)
 
 
 def _radial_block(size, n_angles):

@@ -186,15 +186,14 @@ def bos_array(n, radii, scheme=Scheme.BOS_CUSTOM):
         raise ValueError("radii must be non-negative")
     if radii[-1] == 0.0 and counts[-1] != 1:
         raise ValueError("a zero radius is only allowed for a single-point ring")
-    pts = []
-    mirror = []
-    starts = np.cumsum((0,) + counts[:-1])
-    for r, count, start in zip(radii, counts, starts):
-        i = np.arange(count)
-        ang = 2.0 * np.pi * i / count
-        pts.append(np.column_stack(polar_to_cartesian(r, ang)))
-        mirror.append(start + (-i) % count)
-    return NodeSet(n, scheme, np.vstack(pts), mirror=np.concatenate(mirror))
+    # every ring at once: point i of ring j is global index start_j + i
+    ring = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum((0,) + counts[:-1])[ring]
+    count = np.array(counts)[ring]
+    i = np.arange(ring.size) - start
+    ang = 2.0 * np.pi * i / count
+    pts = np.column_stack(polar_to_cartesian(np.array(radii)[ring], ang))
+    return NodeSet(n, scheme, pts, mirror=start + (-i) % count)
 
 
 def _check_order(n):

@@ -21,7 +21,7 @@ import numpy as np
 # set-up rather than in the first run_experiment call
 import numpy.random  # noqa: F401
 
-from .collocation import CollocationMatrix, require_nonsingular
+from .collocation import CollocationMatrix, require_nonsingular, scaled_nonsingular
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
 from .errors import NonFiniteError, ZeroDenominatorError, ZernkitError
 from .samplings import generate_nodes, ocs_nodes
@@ -362,11 +362,16 @@ def _solve_families(shared_step, bases, labels, progress):
 
     ``shared_step()`` runs once, at the first family.  Each family takes
     the shared K entries through ``_family_matrix``, the last one in place,
-    passes ``require_nonsingular`` on its own matrix and solves with one
-    ``np.linalg.solve`` with 15 right-hand sides.
+    and solves with one ``np.linalg.solve`` with 15 right-hand sides.
+    Only the first family to pass ``require_nonsingular`` pays for an SVD:
+    every other family's matrix is that one's times a positive diagonal
+    (``_certified``), and where ``scaled_nonsingular`` is inconclusive, or
+    no family has passed yet, the family runs ``require_nonsingular`` on
+    its own matrix, so a refusal carries its own sigma_min.
     Nothing returned holds the N x N entries.
     """
     shared = None
+    first = None
     outcomes = []
     for i, (family, label) in enumerate(zip(bases, labels)):
         if progress:
@@ -380,7 +385,9 @@ def _solve_families(shared_step, bases, labels, progress):
             last = i == len(bases) - 1
             matrix = _family_matrix(nodes, entries, basis, in_place=last)
             try:
-                require_nonsingular(matrix)
+                if not _certified(first, nodes, basis):
+                    report = require_nonsingular(matrix)
+                    first = first or (report, basis.weighted)
             except ZernkitError as exc:
                 outcome = exc
             else:
@@ -389,6 +396,21 @@ def _solve_families(shared_step, bases, labels, progress):
             _report(progress, label, outcome)
         outcomes.append(outcome)
     return outcomes
+
+
+def _certified(first, nodes, basis):
+    """Whether ``scaled_nonsingular`` accepts ``basis``'s matrix at the local
+    nodes from ``first``, the ConditionReport and weightedness of a family
+    that passed ``require_nonsingular`` at the same nodes, or None.
+
+    Both matrices are the K entries, weighed by w = 1/R(theta_j) for H, so
+    the second is the first times the diagonal w (H after K), 1/w (K after
+    H) or 1 (the same family)."""
+    if first is None:
+        return False
+    report, weighted = first
+    weights = basis.map.weigh(np.ones(len(nodes)), nodes.rho, nodes.theta)
+    return scaled_nonsingular(report, weights ** (basis.weighted - weighted))
 
 
 def run_experiment(
@@ -418,10 +440,14 @@ def run_experiment(
     transferred to the hexagon once, and the K family and the 15 local
     modes are evaluated at the moved nodes once.  Each family builds its
     own matrix from the K entries (H weighs them by 1/R(theta), in place
-    at their last use, else on a copy), runs ``require_nonsingular`` on it
-    and solves for its 15 x N coefficients with one ``np.linalg.solve``.
-    Only when every family has solved, and the N x N entries are freed,
-    does each cell form its grid error E and its QR.
+    at their last use, else on a copy) and solves for its 15 x N
+    coefficients with one ``np.linalg.solve``.  The node set pays for one
+    SVD: the first family runs ``require_nonsingular``, and a later one
+    takes its verdict from that report and the diagonal between the two
+    matrices (``scaled_nonsingular``), or, where that bound is
+    inconclusive, runs ``require_nonsingular`` on its own matrix.  Only
+    when every family has solved, and the N x N entries are freed, does
+    each cell form its grid error E and its QR.
 
     The grid values of every cell's interpolant are rows of one K-family
     grid table, evaluated once per call at ``max(orders)`` and sliced per

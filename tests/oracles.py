@@ -7,8 +7,9 @@ the normalization instead of the batched kernel, classic hand-derived
 low-order formulas, numpy's companion-matrix roots instead of our Newton
 iteration, pointwise zonal reconstruction instead of the closed form,
 grid least squares instead of the 15-point translation interpolation,
-scipy's public pivoted QR instead of the direct LAPACK call, and an
-element-by-element radius snap instead of the maps' vectorised one.
+scipy's public pivoted QR instead of the direct LAPACK call, an
+element-by-element radius snap instead of the maps' vectorised one, and
+Bos arrays built ring by ring instead of in one pass.
 """
 
 import math
@@ -196,6 +197,22 @@ def bos_layout(n, radii):
             angle = 2.0 * math.pi * i / count
             points.append((r * math.cos(angle), r * math.sin(angle)))
     return np.array(points)
+
+
+def bos_rings(n, radii):
+    """The Bos array of order n ring by ring, with numpy's arithmetic on
+    each ring's angles as ``bos_array`` does it for all rings at once:
+    (nodes (N, 2), mirror), point i of a ring mirroring point
+    (n_j - i) mod n_j of the same ring."""
+    points, mirror, start = [], [], 0
+    for j, r in enumerate(radii, start=1):
+        count = 2 * n - 4 * j + 5
+        i = np.arange(count)
+        angle = 2.0 * np.pi * i / count
+        points.append(np.column_stack([r * np.cos(angle), r * np.sin(angle)]))
+        mirror.append(start + (-i) % count)
+        start += count
+    return np.vstack(points), np.concatenate(mirror)
 
 
 def brute_force_thinning(points, count):

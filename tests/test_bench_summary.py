@@ -59,3 +59,30 @@ def test_unnamed_records_group_by_program_version(tmp_path):
     _record(tmp_path, 2, 2.0, source="bbb", digest="y")
     summary = bench_summary.summarize(bench_summary.load_records(str(tmp_path)))
     assert sorted(summary) == ["no-git-aaa", "no-git-bbb"]
+
+
+def test_tier1_wall_time_and_counts_from_junitxml(tmp_path):
+    _record(tmp_path / "runs", 1, 1.0)
+    report = tmp_path / "tier1.xml"
+    report.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites name="pytest tests">'
+        '<testsuite name="pytest" errors="1" failures="2" skipped="3" '
+        'tests="616" time="40.125" timestamp="2026-01-01T00:00:00" '
+        'hostname="h"><testcase classname="t" name="a" time="0.1"/>'
+        "</testsuite></testsuites>"
+    )
+    code = bench_summary.main(
+        ["t", str(tmp_path / "runs"), "--junitxml", str(report),
+         "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["tier1"] == {
+        "time": 40.125, "tests": 616, "failures": 2, "errors": 1, "skipped": 3
+    }
+
+
+def test_no_tier1_without_junitxml(tmp_path):
+    _record(tmp_path / "runs", 1, 1.0)
+    bench_summary.main(["t", str(tmp_path / "runs"), "--out-dir", str(tmp_path)])
+    assert "tier1" not in json.loads((tmp_path / "BENCH_t.json").read_text())

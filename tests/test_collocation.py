@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_lebesgue_constant
 
-from zernkit import collocation
+from zernkit import collocation, wavefront
 from zernkit.collocation import (
     MIRROR_MIN_SIZE,
     CollocationMatrix,
@@ -16,6 +17,7 @@ from zernkit.collocation import (
     format_kappa,
     lebesgue_constant,
     require_nonsingular,
+    scaled_nonsingular,
     solve_interpolation,
 )
 from zernkit.domains import (
@@ -42,7 +44,7 @@ from zernkit.samplings import (
     save_nodes,
     spiral_nodes,
 )
-from zernkit.wavefront import ZonalInterpolator, _grid_table
+from zernkit.wavefront import ZonalInterpolator, _grid_table, run_experiment
 from zernkit.zernike import CONTAIN_TOL, zernike_xy
 
 
@@ -446,30 +448,83 @@ class TestOneSingularityRule:
 
     @staticmethod
     def _callers(disk_nodes):
-        # each inverts the K-family matrix at the nodes moved onto the hexagon
+        # (report of the matrix it inverts, call) per caller: the K family's
+        # matrix at the nodes moved onto the hexagon, and the zonal H cell's,
+        # whose verdict run_experiment takes after the K cell's
         basis = HexagonBasis(2, "K")
         nodes = transfer_nodes(HexagonMap(), disk_nodes)
         matrix = assemble(basis, nodes)
-        calls = (
-            lambda: solve_interpolation(matrix, np.ones(basis.size)),
-            lambda: lebesgue_constant(nodes, basis, grid_shape=(10, 16)),
-            lambda: ZonalInterpolator(disk_nodes, "K", _grid_table(2)),
-        )
-        return condition_number(matrix), calls
+        report = condition_number(matrix)
+        h_report = condition_number(assemble(HexagonBasis(2, "H"), nodes))
+        solve_families = wavefront._solve_families
+
+        def zonal_h():
+            # the H cell of run_experiment, its refusal raised from the
+            # outcomes that mark it
+            outcomes = []
+
+            def recorded(*args):
+                outcomes.extend(solve_families(*args))
+                return outcomes
+
+            with mock.patch.object(wavefront, "_solve_families", recorded):
+                cells = run_experiment(
+                    [2], 1, bases=("K", "H"),
+                    node_provider=lambda scheme, order, seed: disk_nodes,
+                )
+            if cells[1].error is not None:
+                assert cells[1].error == type(outcomes[1]).__name__
+                raise outcomes[1]
+
+        return [
+            (report, lambda: solve_interpolation(matrix, np.ones(basis.size))),
+            (report, lambda: lebesgue_constant(nodes, basis, grid_shape=(10, 16))),
+            (report, lambda: ZonalInterpolator(disk_nodes, "K", _grid_table(2))),
+            (h_report, zonal_h),
+        ]
 
     def test_all_accept_above_working_precision(self):
-        report, calls = self._callers(self._near_double(1e-13))
-        assert 6 * np.finfo(float).eps * report.kappa2 < 0.5
-        for call in calls:
+        for report, call in self._callers(self._near_double(1e-13)):
+            assert 6 * np.finfo(float).eps * report.kappa2 < 0.5
             call()
 
     def test_all_refuse_at_working_precision(self):
-        report, calls = self._callers(self._near_double(1e-15))
-        assert 6 * np.finfo(float).eps * report.kappa2 > 2.0
-        for call in calls:
+        for report, call in self._callers(self._near_double(1e-15)):
+            assert 6 * np.finfo(float).eps * report.kappa2 > 2.0
             with pytest.raises(SingularMatrixError) as err:
                 call()
             assert err.value.sigma_min == report.sigma_min
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    log_kappa=st.floats(0.0, 17.0),
+    log_spread=st.floats(0.0, 3.0),
+)
+def test_scaled_certificate_implies_the_rule(seed, size, log_kappa, log_spread):
+    # K with singular values from 1 down to 10^-log_kappa, and positive
+    # column weights w with max w / min w up to 10^log_spread
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    v, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    k = (u * np.logspace(0.0, -log_kappa, size)) @ v.T
+    w = 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2, size)
+    report = condition_number(CollocationMatrix(k, 1, "random", "K"))
+    scaled = CollocationMatrix(k * w, 1, "random", "H")
+    certified = scaled_nonsingular(report, w)
+    if certified:
+        require_nonsingular(scaled)
+    # far from the rule's tolerance the certificate always speaks
+    if log_kappa + math.log10(w.max() / w.min()) < 8.0:
+        assert certified
+    # sigma_i(K) min w <= sigma_i(K w) <= sigma_i(K) max w, up to rounding
+    sigma = np.linalg.svd(k, compute_uv=False)
+    got = np.linalg.svd(k * w, compute_uv=False)
+    slack = 8 * size * np.finfo(float).eps * sigma[0] * w.max()
+    assert np.all(got >= sigma * w.min() - slack)
+    assert np.all(got <= sigma * w.max() + slack)
 
 
 class TestAnnulusTable:

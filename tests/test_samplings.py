@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     bos_layout,
+    bos_rings,
     brute_force_thinning,
     qr_fekete_points,
     reference_legendre_derivative_zeros,
@@ -97,6 +98,21 @@ class TestBosArrays:
         nodes = bos_array(n, radii)
         assert nodes.scheme == Scheme.BOS_CUSTOM
         assert np.array_equal(nodes.nodes, bos_layout(n, radii))
+
+    @pytest.mark.parametrize(
+        "radii", [ocs_radii, carnicer_radii, cuyt_radii], ids=["ocs", "carnicer", "cuyt"]
+    )
+    def test_one_pass_equals_ring_by_ring_bytes(self, radii):
+        # the vectorised build keeps every ring's arithmetic: coordinates,
+        # the polar columns derived from them and the mirror, byte for byte
+        for n in range(1, 41):
+            nodes = bos_array(n, radii(n))
+            points, mirror = bos_rings(n, radii(n))
+            want = NodeSet(n, Scheme.BOS_CUSTOM, points)
+            assert nodes.nodes.tobytes() == want.nodes.tobytes(), (radii, n)
+            assert nodes.polar.tobytes() == want.polar.tobytes(), (radii, n)
+            assert nodes.mirror.dtype == mirror.dtype
+            assert nodes.mirror.tobytes() == mirror.tobytes(), (radii, n)
 
     def test_outermost_first(self):
         nodes = ocs_nodes(6)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_translations, wavefront_sum, zernike_row, zonal_rrmse
-from zernkit import domains, wavefront
+from zernkit import collocation, domains, wavefront
 from zernkit.collocation import assemble
 from zernkit.domains import (
     HexagonBasis,
@@ -468,6 +468,46 @@ class TestSharedLocalSystem:
         assert cells == [key[c.order, c.scheme, c.basis] for c in cells]
         assert len(cells) == 4 * len(bases)
 
+    @staticmethod
+    def _counted_svds(monkeypatch, disk_nodes, bases):
+        # the cells of one node set and how many condition_number calls
+        # (one per SVD verdict) they made
+        calls = []
+        condition_number = collocation.condition_number
+
+        def counted(matrix):
+            calls.append(matrix.basis)
+            return condition_number(matrix)
+
+        monkeypatch.setattr(collocation, "condition_number", counted)
+        cells = run_experiment(
+            [disk_nodes.order], 2, bases=bases,
+            node_provider=lambda scheme, order, seed: disk_nodes,
+        )
+        monkeypatch.undo()
+        return cells, calls
+
+    @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
+    @pytest.mark.parametrize("order", [6, 12])
+    def test_one_svd_per_well_conditioned_node_set(self, monkeypatch, bases, order):
+        # the first family's SVD (split by the mirror from order 11 on)
+        # certifies the other by the diagonal scaling bound; each cell
+        # still equals the one built alone
+        disk_nodes = generate_nodes("ocs", order)
+        cells, calls = self._counted_svds(monkeypatch, disk_nodes, bases)
+        assert calls == [bases[0]]
+        assert cells == [interpolator_cell(order, "ocs", b, 2) for b in bases]
+
+    def test_inconclusive_bound_runs_the_rule_on_its_own_matrix(self, monkeypatch):
+        # node 1 within 1e-13 of node 0: K passes the rule, but too close
+        # to it for the bound to speak for H, which then takes its own SVD
+        points = np.array(ocs_nodes(2).nodes)
+        points[1] = points[0] + [1e-13, 0.0]
+        disk_nodes = NodeSet(2, Scheme.BOS_CUSTOM, points)
+        cells, calls = self._counted_svds(monkeypatch, disk_nodes, ("K", "H"))
+        assert calls == ["K", "H"]
+        assert [c.error for c in cells] == [None, None]
+
 
 def interpolator_cell(order, scheme, family, trials, master_seed=0):
     """One experiment cell built alone, with a ZonalInterpolator."""
@@ -602,8 +642,8 @@ class TestExperiment:
         ]
 
     def test_singular_set_marks_every_basis(self):
-        # each family runs the singularity check on its own matrix, and its
-        # reason follows its own label
+        # K fails the rule, so no report certifies H: H runs the rule on its
+        # own matrix, and each reason follows its own label
         def doubled(scheme, order, seed):
             points = np.array(ocs_nodes(order).nodes)
             points[1] = points[0]
