@@ -14,7 +14,10 @@ at the repository root, per program version and workload:
 
 With ``--junitxml FILE``, a pytest ``--junitxml`` report of the Tier-1
 suite, the file also records that run's wall time and its counts of
-tests, failures, errors and skipped tests under ``tier1``.
+tests, failures, errors and skipped tests under ``tier1``.  It always
+records, under ``source_lines``, the line count of every
+``src/zernkit/*.py`` of the checkout the script runs in, as ``wc -l``
+counts them, and their total.
 
 Give record directories or files as ``[NAME=]PATH``.  The records under a
 NAME form one group; the others are grouped by program version, the git
@@ -149,6 +152,16 @@ def tier1_record(path):
     return out
 
 
+def source_lines(package):
+    """{"modules": {file name: lines}, "total": lines} of the ``*.py`` files
+    of the directory ``package``, counting newlines as ``wc -l`` does."""
+    modules = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted(pathlib.Path(package).glob("*.py"))
+    }
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="writes BENCH_<label>.json")
@@ -166,6 +179,7 @@ def main(argv=None):
         result["comparison"] = compare(summary)
     if ns.junitxml:
         result["tier1"] = tier1_record(ns.junitxml)
+    result["source_lines"] = source_lines(ROOT / "src" / "zernkit")
     target = pathlib.Path(ns.out_dir) / f"BENCH_{ns.label}.json"
     target.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {target}", file=sys.stderr)

@@ -50,7 +50,6 @@ from .samplings import (
     spiral_nodes,
 )
 from .wavefront import (
-    ZonalInterpolator,
     build_aperture,
     kolmogorov_wavefront,
     run_experiment,

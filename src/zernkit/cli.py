@@ -83,6 +83,21 @@ def _names(kind, allowed):
     return parse
 
 
+def _seed(flag):
+    """Flag type: a non-negative integer seed.  A negative one raises
+    ConfigError naming ``flag``, while parsing, so also from a config
+    file; a non-integer stays argparse's usage error."""
+
+    def parse(text):
+        seed = int(text)
+        if seed < 0:
+            raise ConfigError(f"{flag} must be a non-negative integer, got {seed}")
+        return seed
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def read_config_file(path, allowed):
     """Key=value file; '#' comments; unknown keys are rejected."""
     values = {}
@@ -338,7 +353,7 @@ def build_parser():
         p.add_argument("--output", default="-", help="output path or '-'")
         p.add_argument("--node-dir", dest="node_dir",
                        help=f"directory of node files (or ${NODE_DIR_ENV})")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed("--seed"), default=0)
 
     def domain_flags(p):
         kinds = tuple(m.kind for m in domains.MAPS)
@@ -381,7 +396,8 @@ def build_parser():
     p.add_argument("--bases", type=_names("wavefront basis",
                                           tuple(domains.HexagonMap.families)))
     p.add_argument("--strength", type=float, default=1.0)
-    p.add_argument("--node-seed", dest="node_seed", type=int, default=0)
+    p.add_argument("--node-seed", dest="node_seed", type=_seed("--node-seed"),
+                   default=0)
     p.add_argument("--eps", type=float,
                    help="accepted for config-file compatibility; unused on "
                         "the hexagonal aperture")

@@ -80,8 +80,8 @@ class ConditionReport:
     kappa2 = sigma_max / sigma_min as measured, however large, and inf only
     when sigma_min is exactly zero.  A report refuses nothing, so
     perturbation sweeps can tabulate a singular matrix.  Whatever inverts a
-    collocation matrix (solves, Lebesgue estimates, the zonal interpolator)
-    first applies the one singularity rule, ``require_nonsingular``:
+    collocation matrix (solves, Lebesgue estimates, the zonal wavefront
+    cells) first applies the one singularity rule, ``require_nonsingular``:
     sigma_min <= N eps sigma_max, where an answer has no correct digit.
 
     ``off_block`` is the Frobenius norm of the two blocks the mirror split

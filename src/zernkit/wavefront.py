@@ -35,7 +35,6 @@ __all__ = [
     "kolmogorov_wavefront",
     "build_aperture",
     "hexagon_grid",
-    "ZonalInterpolator",
     "ExperimentCell",
     "run_experiment",
     "experiment_csv",
@@ -222,52 +221,6 @@ def _on_grid(coefficients, basis, rows):
         grid = hexagon_grid()
         values = basis.map.weigh(values, *cartesian_to_polar(grid[:, 0], grid[:, 1]))
     return values
-
-
-class ZonalInterpolator:
-    """Per-segment critical interpolation machinery for one node layout.
-
-    The disk node set is transferred to the unit hexagon once; because the
-    basis shifts together with the nodes, every segment shares the same
-    local collocation matrix and the same basis values on the local
-    evaluation grid.  The matrix comes from the steps ``run_experiment``
-    takes for every family of a node set: ``_local_system`` and, in place,
-    ``_family_matrix``.  ``table`` is checked first, so a table that cannot
-    serve the order raises ValueError before any transfer or SVD.
-
-    Both families read the first ``basis.size`` rows of ``table``, a
-    ``_grid_table`` at this order or higher, as a view of the K family on
-    the grid.  For H, ``approximate`` weighs the (..., M) product with that
-    view by the map's 1/R(theta) instead: sum_j c_j (K_j w) = (sum_j c_j
-    K_j) w, so no cell copies or divides the (N, M) slice.
-    """
-
-    def __init__(self, disk_nodes, basis_family, table):
-        order = disk_nodes.order
-        self.basis = HexagonBasis(order, basis_family)
-        points = len(hexagon_grid())
-        rows = self.basis.size
-        if table.ndim != 2 or table.shape[0] < rows or table.shape[1] != points:
-            raise ValueError(
-                f"grid table of shape {table.shape} cannot serve order "
-                f"{order}: need at least {rows} rows of {points} grid points"
-            )
-        self._grid_values = table[:rows]
-        self.local_nodes, entries = _local_system(disk_nodes)
-        matrix = _family_matrix(self.local_nodes, entries, self.basis, in_place=True)
-        require_nonsingular(matrix)
-        self._system = matrix.entries.T
-
-    def solve(self, samples):
-        """Interpolation coefficients for every row of samples (rows, N), all
-        from one ``np.linalg.solve`` of the shared local system (one LU
-        factorization, every row a right-hand side)."""
-        return np.linalg.solve(self._system, np.asarray(samples, float).T).T
-
-    def approximate(self, coefficients):
-        """Reconstructed values on the evaluation grid, (..., M); a weighted
-        family weighs the product in place."""
-        return _on_grid(np.asarray(coefficients), self.basis, self._grid_values)
 
 
 @dataclass(frozen=True)

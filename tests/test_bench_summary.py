@@ -86,3 +86,26 @@ def test_no_tier1_without_junitxml(tmp_path):
     _record(tmp_path / "runs", 1, 1.0)
     bench_summary.main(["t", str(tmp_path / "runs"), "--out-dir", str(tmp_path)])
     assert "tier1" not in json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
+def test_source_lines_per_module_and_total(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: 0, as wc -l
+    (package / "notes.txt").write_text("not counted\n")
+    assert bench_summary.source_lines(package) == {
+        "modules": {"a.py": 2, "b.py": 0}, "total": 2
+    }
+
+
+def test_summary_records_this_checkout_source_lines(tmp_path):
+    _record(tmp_path / "runs", 1, 1.0)
+    bench_summary.main(["t", str(tmp_path / "runs"), "--out-dir", str(tmp_path)])
+    recorded = json.loads((tmp_path / "BENCH_t.json").read_text())["source_lines"]
+    package = SCRIPT.parents[1] / "src" / "zernkit"
+    assert set(recorded["modules"]) == {p.name for p in package.glob("*.py")}
+    assert recorded["modules"]["wavefront.py"] == len(
+        (package / "wavefront.py").read_text().splitlines()
+    )
+    assert recorded["total"] == sum(recorded["modules"].values())

@@ -557,6 +557,36 @@ def test_empty_name_list_rejected_before_output(capsys, tmp_path, argv, config):
     assert target.read_bytes() == previous
 
 
+_SEED_COMMANDS = {
+    "nodes": ["nodes", "--scheme", "random", "--n", "3"],
+    "condition-table": ["condition-table", "--schemes", "random", "--orders", "2"],
+    "lebesgue": ["lebesgue", "--schemes", "random", "--orders", "2"],
+    "wavefront": ["wavefront", "--orders", "2", "--trials", "1",
+                  "--schemes", "random", "--bases", "K,H"],
+}
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command,flag", [
+    (command, "--seed") for command in sorted(_SEED_COMMANDS)
+] + [("wavefront", "--node-seed")])
+def test_negative_seed_rejected_before_output(capsys, tmp_path, command, flag, given):
+    # a configuration error, not numpy's message nor an error cell
+    argv = _SEED_COMMANDS[command]
+    if given == "flag":
+        argv = argv + [flag, "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}=-1\n")
+        argv = argv + ["--config", str(cfg)]
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"zernkit: error: {flag} must be a non-negative integer, got -1\n"
+    assert not target.exists()
+
+
 def test_parse_orders():
     assert parse_orders("2..4") == (2, 3, 4)
     assert parse_orders("7") == (7,)

@@ -44,7 +44,7 @@ from zernkit.samplings import (
     save_nodes,
     spiral_nodes,
 )
-from zernkit.wavefront import ZonalInterpolator, _grid_table, run_experiment
+from zernkit.wavefront import run_experiment
 from zernkit.zernike import CONTAIN_TOL, zernike_xy
 
 
@@ -171,6 +171,31 @@ class TestConstantFactorTransfer:
         ).kappa2
         assert abs(k_hex - k_disk) <= 1e-10 * k_disk
         assert abs(k_ann - k_disk) <= 1e-10 * k_disk
+
+
+    @pytest.mark.parametrize(
+        "scheme", ["ocs", "cuyt", "carnicer", "approx-fekete", "spiral", "random"]
+    )
+    def test_lebesgue_constant_equals_disk(self, scheme):
+        # the Lagrange functions of Z o phi^-1 at the moved nodes are the
+        # disk's composed with phi^-1, so Lambda over the image of the disk
+        # grid is Lambda_Z.  The entries differ by rounding, which moves the
+        # Lagrange functions by up to about kappa N eps relative.  Measured:
+        # at most 0.16 of that (C, ocs, n = 2); the largest difference is
+        # 2.3e-11 relative (K, random, n = 20, kappa 2.5e6); 39 of the 90
+        # cells agree bit for bit.  Without inner_eps=None the annulus's
+        # centre-node shift moves Lambda by up to 1.6e-3.
+        maps = {k: _LEBESGUE_MAPS[k] for k in "KEC"}
+        for n in (1, 2, 5, 10, 20):
+            nodes = generate_nodes(scheme, n)
+            disk = DiskZernikeBasis(n)
+            want = lebesgue_constant(nodes, disk)
+            kappa = condition_number(assemble(disk, nodes)).kappa2
+            tol = kappa * disk.size * np.finfo(float).eps * want
+            for family, domain_map in maps.items():
+                moved = transfer_nodes(domain_map, nodes, inner_eps=None)
+                got = lebesgue_constant(moved, make_basis(family, n, domain_map))
+                assert abs(got - want) <= tol, (family, n, got, want)
 
 
 class TestDiagonalScalingBound:
@@ -436,8 +461,8 @@ class TestSolve:
 
 
 class TestOneSingularityRule:
-    """Solves, Lebesgue estimates and the zonal interpolator refuse the same
-    matrices, with the same sigma_min."""
+    """Solves, Lebesgue estimates and the zonal wavefront cells refuse the
+    same matrices, with the same sigma_min."""
 
     @staticmethod
     def _near_double(delta):
@@ -449,8 +474,8 @@ class TestOneSingularityRule:
     @staticmethod
     def _callers(disk_nodes):
         # (report of the matrix it inverts, call) per caller: the K family's
-        # matrix at the nodes moved onto the hexagon, and the zonal H cell's,
-        # whose verdict run_experiment takes after the K cell's
+        # matrix at the nodes moved onto the hexagon, and the zonal K and H
+        # cells', where run_experiment takes H's verdict after K's
         basis = HexagonBasis(2, "K")
         nodes = transfer_nodes(HexagonMap(), disk_nodes)
         matrix = assemble(basis, nodes)
@@ -458,9 +483,9 @@ class TestOneSingularityRule:
         h_report = condition_number(assemble(HexagonBasis(2, "H"), nodes))
         solve_families = wavefront._solve_families
 
-        def zonal_h():
-            # the H cell of run_experiment, its refusal raised from the
-            # outcomes that mark it
+        def zonal(cell):
+            # cell 0 (K) or 1 (H) of run_experiment, its refusal raised from
+            # the outcomes that mark it
             outcomes = []
 
             def recorded(*args):
@@ -472,15 +497,15 @@ class TestOneSingularityRule:
                     [2], 1, bases=("K", "H"),
                     node_provider=lambda scheme, order, seed: disk_nodes,
                 )
-            if cells[1].error is not None:
-                assert cells[1].error == type(outcomes[1]).__name__
-                raise outcomes[1]
+            if cells[cell].error is not None:
+                assert cells[cell].error == type(outcomes[cell]).__name__
+                raise outcomes[cell]
 
         return [
             (report, lambda: solve_interpolation(matrix, np.ones(basis.size))),
             (report, lambda: lebesgue_constant(nodes, basis, grid_shape=(10, 16))),
-            (report, lambda: ZonalInterpolator(disk_nodes, "K", _grid_table(2))),
-            (h_report, zonal_h),
+            (report, lambda: zonal(0)),
+            (h_report, lambda: zonal(1)),
         ]
 
     def test_all_accept_above_working_precision(self):
@@ -682,6 +707,61 @@ class TestLebesgue:
         nodes = transfer_nodes(HexagonMap(), ocs_nodes(4))
         lam = lebesgue_constant(nodes, HexagonBasis(4, "K"), grid_shape=(60, 128))
         assert lam >= 1.0
+
+
+def _rotated(nodes, alpha):
+    """``nodes`` turned by ``alpha`` about the origin, as a plain NodeSet:
+    no mirror, so every path takes the whole matrix and the whole grid."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    x, y = nodes.nodes.T
+    turned = np.column_stack([c * x - s * y, s * x + c * y])
+    return NodeSet(nodes.order, nodes.scheme, turned)
+
+
+class TestRotation:
+    """A rotation of the disk turns each Zernike pair (n, +-m) by an
+    orthogonal 2 x 2 block, so the collocation matrix of a rotated set is
+    an orthogonal matrix times the original's.  Comparing a Bos array,
+    which takes the mirror paths, with its rotation, which has no mirror,
+    checks those paths against the plain ones by a relation they do not
+    share.  Both tolerances are kappa N eps relative, kappa of the set's
+    matrix, the size of a rounding change of the entries."""
+
+    @pytest.mark.parametrize("scheme", ["ocs", "cuyt", "carnicer"])
+    def test_kappa_invariant(self, scheme):
+        # from n = 11 on the original takes the mirror split.  Measured: at
+        # most 0.10 of the tolerance; the largest difference 6.8e-14
+        # relative (cuyt, n = 30)
+        for n in (3, 11, 20, 30):
+            nodes = generate_nodes(scheme, n)
+            basis = DiskZernikeBasis(n)
+            want = condition_number(assemble(basis, nodes))
+            assert (want.off_block is not None) == (n >= 11)
+            tol = want.kappa2 * basis.size * np.finfo(float).eps
+            for alpha in (0.3, 2.0 * math.pi * 37 / 512):
+                got = condition_number(assemble(basis, _rotated(nodes, alpha)))
+                assert got.off_block is None
+                assert got.kappa2 == pytest.approx(want.kappa2, rel=tol, abs=0.0)
+
+    @pytest.mark.parametrize("scheme", ["ocs", "cuyt", "carnicer"])
+    def test_grid_lebesgue_invariant(self, scheme):
+        # a turn by 2 pi k / n_t maps the grid onto itself, so Lambda is the
+        # maximum over the same values; the original evaluates half the
+        # angles, its rotation all of them.  Measured: at most 0.072 of the
+        # tolerance; the largest difference 1.1e-14 relative (ocs, n = 20)
+        n_t = 512
+        for n in (3, 8, 14, 20):
+            nodes = generate_nodes(scheme, n)
+            basis = DiskZernikeBasis(n)
+            matrix = assemble(basis, nodes)
+            report = condition_number(matrix)
+            assert collocation._mirror_holds(matrix, report)
+            want = lebesgue_constant(nodes, basis, (200, n_t))
+            got = lebesgue_constant(
+                _rotated(nodes, 2.0 * math.pi * 37 / n_t), basis, (200, n_t)
+            )
+            tol = report.kappa2 * basis.size * np.finfo(float).eps
+            assert got == pytest.approx(want, rel=tol, abs=0.0)
 
 
 class TestLebesgueHalfGrid:

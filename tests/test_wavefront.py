@@ -15,20 +15,19 @@ from zernkit.domains import (
     polygon_boundary_radius,
     transfer_nodes,
 )
-from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
+from zernkit.errors import NodeParseError, ZeroDenominatorError
 from zernkit.samplings import GENERATORS, NodeSet, Scheme, generate_nodes, ocs_nodes
 from zernkit.zernike import basis_size, cartesian_to_polar, zernike_matrix
 from zernkit.wavefront import (
     ExperimentCell,
     _family_matrix,
-    _local_modes,
-    _local_squares,
+    _grid_table,
     _local_system,
+    _on_grid,
     _rrmse,
+    _solve_families,
     _translations,
     _trial_seed,
-    ZonalInterpolator,
-    _grid_table,
     build_aperture,
     experiment_csv,
     hexagon_grid,
@@ -209,17 +208,24 @@ def on_segments(wavefront, centers, local):
     )
 
 
-def interpolator(nodes, family):
-    return ZonalInterpolator(nodes, family, _grid_table(nodes.order))
+def solve_segments(disk_nodes, family, sample):
+    """The basis and the coefficients (rows, N) of the interpolants of
+    ``sample(local)`` (rows, N), one right-hand side per row, at the local
+    hexagon nodes ``local`` (N, 2) of ``disk_nodes``, by run_experiment's
+    steps ``_local_system`` and ``_solve_families``."""
+    nodes, entries = _local_system(disk_nodes)
+    (outcome,) = _solve_families(
+        lambda: (nodes, entries, sample(nodes.nodes)), [family], [family], None
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def reconstruction_rrmse(wavefront, centers, nodes, family):
-    """Sample ``wavefront`` at every segment's nodes, interpolate, and
-    measure the error on every segment's grid."""
-    zi = interpolator(nodes, family)
-    coeffs = zi.solve(on_segments(wavefront, centers, zi.local_nodes.nodes))
-    truth = on_segments(wavefront, centers, hexagon_grid())
-    return rrmse(zi.approximate(coeffs), truth)
+def fixed_fronts(monkeypatch, coefficients):
+    """Make every trial of run_experiment draw the wavefront ``coefficients``."""
+    front = np.array(coefficients, float)
+    monkeypatch.setattr(wavefront, "kolmogorov_wavefront", lambda seed, strength: front)
 
 
 class TestRrmse:
@@ -248,81 +254,94 @@ class TestRrmse:
 
 
 class TestZonal:
-    def test_zero_wavefront_is_defined_error(self, aperture):
-        flat = np.zeros(14)
-        with pytest.raises(ZeroDenominatorError):
-            reconstruction_rrmse(flat, aperture, ocs_nodes(2), "K")
+    """Zonal reconstruction by run_experiment and its steps."""
 
-    def test_degree_one_wavefront_error_level(self, aperture):
+    def test_zero_wavefront_is_error_cell(self, monkeypatch):
+        # the relative error of a wavefront that is zero on the grid is
+        # undefined; it marks every cell, after the node set's labels
+        fixed_fronts(monkeypatch, np.zeros(14))
+        messages = []
+        cells = run_experiment([2], 1, bases=["K", "H"], progress=messages.append)
+        assert [(c.basis, c.error) for c in cells] == [
+            ("K", "ZeroDenominatorError"), ("H", "ZeroDenominatorError"),
+        ]
+        reason = "ZeroDenominatorError: wavefront is identically zero on the " \
+            "evaluation grid"
+        assert messages == [
+            "n=2 scheme=ocs basis=K",
+            "n=2 scheme=ocs basis=H",
+            f"n=2 scheme=ocs basis=K: {reason}",
+            f"n=2 scheme=ocs basis=H: {reason}",
+        ]
+
+    def test_degree_one_wavefront_error_level(self, monkeypatch):
         # affine surfaces are not inside the span of the composed family, so
         # reconstruction is not exact; the measured plateau is held here
-        tilt = np.array([0.3, 0.5, -0.2] + [0.0] * 11)
-        r5 = reconstruction_rrmse(tilt, aperture, ocs_nodes(5), "K")
-        r10 = reconstruction_rrmse(tilt, aperture, ocs_nodes(10), "K")
+        fixed_fronts(monkeypatch, [0.3, 0.5, -0.2] + [0.0] * 11)
+        r5, r10 = (c.mean_rrmse for c in run_experiment([5, 10], 1, bases=["K"]))
         assert r5 < 0.02
         assert r10 < r5
 
-    def test_basis_combination_recovered_exactly(self, aperture):
+    @pytest.mark.parametrize("family", ["K", "H"])
+    def test_basis_combination_recovered_exactly(self, aperture, family):
         # sampling a function that is itself a translated-basis combination
         # returns its coefficients up to conditioning error
-        zi = interpolator(ocs_nodes(6), "K")
-        rng = np.random.default_rng(8)
-        coeffs = rng.standard_normal((36, zi.basis.size))
+        basis = HexagonBasis(6, family)
+        coeffs = np.random.default_rng(8).standard_normal((36, basis.size))
 
-        def synthetic(x, y):
-            out = np.empty_like(x)
-            for k in range(36):
-                lx = x[k] - aperture[k, 0]
-                ly = y[k] - aperture[k, 1]
-                out[k] = coeffs[k] @ zi.basis.matrix_xy(lx, ly)
-            return out
+        def synthetic(local):
+            pts = aperture[:, None] + local
+            return np.array([
+                coeffs[k] @ basis.matrix_xy(*(pts[k] - aperture[k]).T)
+                for k in range(36)
+            ])
 
-        pts = aperture[:, None] + zi.local_nodes.nodes
-        got = zi.solve(synthetic(pts[..., 0], pts[..., 1]))
+        _, got = solve_segments(ocs_nodes(6), family, synthetic)
         assert np.max(np.abs(got - coeffs)) < 1e-7
 
     def test_locality(self, aperture):
         # segment k results depend only on segment k samples
         w = kolmogorov_wavefront(5)
-        zi = interpolator(ocs_nodes(4), "K")
-        samples = on_segments(w, aperture, zi.local_nodes.nodes)
-        base_coeffs = zi.solve(samples)
-        base_approx = zi.approximate(base_coeffs)
-        perturbed = samples.copy()
-        perturbed[7] += 0.25
-        coeffs = zi.solve(perturbed)
-        approx = zi.approximate(coeffs)
+        table = _grid_table(4)
+
+        def approximate(offset):
+            def sample(local):
+                samples = on_segments(w, aperture, local)
+                samples[7] += offset
+                return samples
+
+            basis, coeffs = solve_segments(ocs_nodes(4), "K", sample)
+            return _on_grid(coeffs, basis, table[: basis.size])
+
+        base_approx, approx = approximate(0.0), approximate(0.25)
         others = [k for k in range(36) if k != 7]
         assert np.array_equal(approx[others], base_approx[others])
         assert not np.array_equal(approx[7], base_approx[7])
 
-    def test_translation_equivariance(self, aperture):
+    def test_translation_equivariance(self, monkeypatch, aperture):
         # shifting the wavefront and the aperture together leaves every
-        # segment's coefficients unchanged
-        w = kolmogorov_wavefront(11)
+        # segment's local modes, and so the cell, unchanged
         shift = np.array([0.37, -1.21])
-        zi = interpolator(ocs_nodes(5), "H")
-        ca = zi.solve(on_segments(w, aperture, zi.local_nodes.nodes))
+        want = run_experiment([5], 2, bases=["H"], master_seed=11)
+        unshifted = _translations(aperture)
+        monkeypatch.setattr(wavefront, "build_aperture", lambda: aperture + shift)
+        monkeypatch.setattr(
+            wavefront, "wavefront_modes",
+            lambda x, y: wavefront_modes(x - shift[0], y - shift[1]),
+        )
+        assert np.max(np.abs(_translations(aperture + shift) - unshifted)) < 1e-10
+        (cell,) = run_experiment([5], 2, bases=["H"], master_seed=11)
+        assert cell.mean_rrmse == pytest.approx(want[0].mean_rrmse, rel=1e-10)
 
-        def shifted(x, y):
-            return np.tensordot(
-                w, wavefront_modes(x - shift[0], y - shift[1]), axes=1
-            )
-
-        moved = aperture[:, None] + shift + zi.local_nodes.nodes
-        cb = zi.solve(shifted(moved[..., 0], moved[..., 1]))
-        assert np.max(np.abs(ca - cb)) < 1e-10
-
-    def test_singular_local_system_raises(self):
+    def test_singular_local_system_is_error_cell(self):
         # duplicated nodes make the shared local matrix exactly singular
-        nodes = ocs_nodes(2)
-        doubled = np.array(nodes.nodes)
-        doubled[1] = doubled[0]
-        from zernkit.samplings import NodeSet, Scheme
+        def doubled(scheme, order, seed):
+            points = np.array(ocs_nodes(order).nodes)
+            points[1] = points[0]
+            return NodeSet(order, Scheme.BOS_CUSTOM, points)
 
-        broken = NodeSet(2, Scheme.BOS_CUSTOM, doubled)
-        with pytest.raises(SingularMatrixError):
-            interpolator(broken, "K")
+        (cell,) = run_experiment([2], 1, bases=["K"], node_provider=doubled)
+        assert cell.error == "SingularMatrixError"
 
 
 class TestGridTable:
@@ -332,66 +351,67 @@ class TestGridTable:
         grid = hexagon_grid()
         polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
         table = _grid_table(wider)
-        zi = ZonalInterpolator(ocs_nodes(order), family, table)
-        rows = zi.basis.size
-        # both families read the shared K table in place
-        assert np.shares_memory(zi._grid_values, table)
-        assert np.array_equal(zi._grid_values, table[:rows])
+        basis = HexagonBasis(order, family)
+        rows = table[: basis.size]
         assert np.array_equal(
-            table[:rows], HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
+            rows, HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
         )
 
         def weigh(values):
             return HexagonMap().weigh(values, *polar) if family == "H" else values
 
-        want = HexagonBasis(order, family).matrix_xy(grid[:, 0], grid[:, 1])
-        assert np.array_equal(weigh(table[:rows].copy()), want)
+        want = basis.matrix_xy(grid[:, 0], grid[:, 1])
+        assert np.array_equal(weigh(rows.copy()), want)
         # H weighs the product, not the table: the same function
-        coefficients = np.random.default_rng(order).standard_normal((3, rows))
+        coefficients = np.random.default_rng(order).standard_normal((3, basis.size))
         assert np.array_equal(
-            zi.approximate(coefficients), weigh(coefficients @ table[:rows])
+            _on_grid(coefficients, basis, rows), weigh(coefficients @ rows)
         )
 
     def test_weighing_leaves_the_shared_table_alone(self):
         table = _grid_table(8)
         before = table.copy()
-        zi = ZonalInterpolator(ocs_nodes(8), "H", table)
-        zi.approximate(np.ones((2, zi.basis.size)))
+        basis = HexagonBasis(8, "H")
+        _on_grid(np.ones((2, basis.size)), basis, table[: basis.size])
         assert np.array_equal(table, before)
 
-    def test_weighted_set_up_allocates_no_slice(self):
-        # an H cell at the paper's top order allocates less than one
-        # (231, 2515) slice of the table while it is built
-        nodes, table = ocs_nodes(20), _grid_table(20)
-        ZonalInterpolator(nodes, "H", table)  # warms every cache
+    def test_cells_read_one_table_in_place(self, monkeypatch):
+        # the table is built once, at the highest order, and every cell of
+        # both families reads its first rows as a view
+        tables, reads = [], []
+
+        def built(order):
+            tables.append(_grid_table(order))
+            return tables[-1]
+
+        def on_grid(coefficients, basis, rows):
+            reads.append((basis.size, rows))
+            return _on_grid(coefficients, basis, rows)
+
+        monkeypatch.setattr(wavefront, "_grid_table", built)
+        monkeypatch.setattr(wavefront, "_on_grid", on_grid)
+        run_experiment([5, 9], 1, bases=["K", "H"])
+        (table,) = tables
+        assert table.shape == (basis_size(9), len(hexagon_grid()))
+        assert [size for size, _ in reads] == [basis_size(n) for n in (5, 5, 9, 9)]
+        for size, rows in reads:
+            assert rows.base is table
+            assert np.array_equal(rows, table[:size])
+
+    def test_weighted_cell_allocates_no_slice(self, monkeypatch):
+        # an H cell at the paper's top order, its table built beforehand,
+        # allocates less than one (231, 2515) slice of the table
+        table = _grid_table(20)
+        monkeypatch.setattr(wavefront, "_grid_table", lambda order: table)
+        run_experiment([20], 1, bases=["H"])  # warms every cache
         tracemalloc.start()
         try:
-            ZonalInterpolator(nodes, "H", table)
+            run_experiment([20], 1, bases=["H"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert table[:231].nbytes == 231 * 2515 * 8
         assert peak < table[:231].nbytes
-
-    def test_table_checked_before_the_node_set(self):
-        # a singular set with a table that cannot serve it is refused for
-        # the table, before any transfer, assembly or SVD
-        points = np.array(ocs_nodes(3).nodes)
-        points[1] = points[0]
-        singular = NodeSet(3, Scheme.BOS_CUSTOM, points)
-        with pytest.raises(SingularMatrixError):
-            ZonalInterpolator(singular, "K", _grid_table(3))
-        with pytest.raises(ValueError, match="grid table of shape"):
-            ZonalInterpolator(singular, "K", np.zeros((1, 1)))
-
-    @pytest.mark.parametrize(
-        "shape", [(20, 2515), (21, 2514), (21,), (21, 2515, 1)]
-    )
-    def test_table_that_cannot_serve_rejected(self, shape):
-        # order 5 needs 21 rows over the 2515 grid points
-        assert len(hexagon_grid()) == 2515
-        with pytest.raises(ValueError, match="grid table of shape"):
-            ZonalInterpolator(ocs_nodes(5), "K", np.zeros(shape))
 
 
 class TestSharedLocalSystem:
@@ -451,11 +471,13 @@ class TestSharedLocalSystem:
         # shifts onto the 36 segments
         assert local_modes == [15, 36 * 15] + sizes
 
+        # each cell equals the one run alone, its table built at its order
         alone = [
-            interpolator_cell(order, scheme, basis, trials=1)
+            cell
             for order in orders
             for scheme in schemes
             for basis in bases
+            for cell in run_experiment([order], 1, schemes=[scheme], bases=[basis])
         ]
         assert cells == alone
 
@@ -492,11 +514,11 @@ class TestSharedLocalSystem:
     def test_one_svd_per_well_conditioned_node_set(self, monkeypatch, bases, order):
         # the first family's SVD (split by the mirror from order 11 on)
         # certifies the other by the diagonal scaling bound; each cell
-        # still equals the one built alone
+        # still equals the one run alone, which takes its own SVD
         disk_nodes = generate_nodes("ocs", order)
         cells, calls = self._counted_svds(monkeypatch, disk_nodes, bases)
         assert calls == [bases[0]]
-        assert cells == [interpolator_cell(order, "ocs", b, 2) for b in bases]
+        assert cells == [run_experiment([order], 2, bases=[b])[0] for b in bases]
 
     def test_inconclusive_bound_runs_the_rule_on_its_own_matrix(self, monkeypatch):
         # node 1 within 1e-13 of node 0: K passes the rule, but too close
@@ -507,22 +529,6 @@ class TestSharedLocalSystem:
         cells, calls = self._counted_svds(monkeypatch, disk_nodes, ("K", "H"))
         assert calls == ["K", "H"]
         assert [c.error for c in cells] == [None, None]
-
-
-def interpolator_cell(order, scheme, family, trials, master_seed=0):
-    """One experiment cell built alone, with a ZonalInterpolator."""
-    zi = ZonalInterpolator(generate_nodes(scheme, order), family, _grid_table(order))
-    grid_modes = _local_modes(hexagon_grid())
-    error = zi.approximate(zi.solve(_local_modes(zi.local_nodes.nodes))) - grid_modes
-    stack = np.array([
-        kolmogorov_wavefront(_trial_seed(master_seed, t)) for t in range(trials)
-    ])
-    local = np.einsum("tj,kjl->tkl", stack, _translations(build_aperture()))
-    truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
-    error_sq = _local_squares(local, np.linalg.qr(error.T, mode="r"))
-    return ExperimentCell(
-        order, scheme, family, float(np.mean(_rrmse(error_sq, truth_sq))), trials
-    )
 
 
 class TestExperiment:
