@@ -17,7 +17,9 @@ suite, the file also records that run's wall time and its counts of
 tests, failures, errors and skipped tests under ``tier1``.  It always
 records, under ``source_lines``, the line count of every
 ``src/zernkit/*.py`` of the checkout the script runs in, as ``wc -l``
-counts them, and their total.
+counts them, and their total; and under ``cli_options``, the number of
+option strings each subcommand of that checkout's ``zernkit`` CLI accepts,
+help excluded, and their total.
 
 Give record directories or files as ``[NAME=]PATH``.  The records under a
 NAME form one group; the others are grouped by program version, the git
@@ -162,6 +164,25 @@ def source_lines(package):
     return {"modules": modules, "total": sum(modules.values())}
 
 
+def cli_options(commands=None):
+    """{"commands": {name: option strings}, "total": option strings} of
+    the subcommand parsers ``commands`` (by default those of this
+    checkout's ``zernkit.cli.build_parser``), help excluded."""
+    if commands is None:
+        sys.path.insert(0, str(ROOT / "src"))
+        from zernkit.cli import build_parser
+
+        commands = build_parser()[1]
+    counts = {
+        name: sum(
+            len(action.option_strings) for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        )
+        for name, parser in sorted(commands.items())
+    }
+    return {"commands": counts, "total": sum(counts.values())}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="writes BENCH_<label>.json")
@@ -180,6 +201,7 @@ def main(argv=None):
     if ns.junitxml:
         result["tier1"] = tier1_record(ns.junitxml)
     result["source_lines"] = source_lines(ROOT / "src" / "zernkit")
+    result["cli_options"] = cli_options()
     target = pathlib.Path(ns.out_dir) / f"BENCH_{ns.label}.json"
     target.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {target}", file=sys.stderr)

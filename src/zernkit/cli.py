@@ -317,7 +317,6 @@ def cmd_wavefront(cfg):
             schemes=cfg.schemes,
             bases=cfg.bases,
             master_seed=cfg.seed,
-            strength=cfg.strength,
             node_seed=cfg.node_seed,
             progress=_log,
             node_provider=lambda scheme, order, seed: _resolve_nodes(
@@ -395,12 +394,8 @@ def build_parser():
     p.add_argument("--schemes", type=schemes)
     p.add_argument("--bases", type=_names("wavefront basis",
                                           tuple(domains.HexagonMap.families)))
-    p.add_argument("--strength", type=float, default=1.0)
     p.add_argument("--node-seed", dest="node_seed", type=_seed("--node-seed"),
                    default=0)
-    p.add_argument("--eps", type=float,
-                   help="accepted for config-file compatibility; unused on "
-                        "the hexagonal aperture")
     p.set_defaults(func=cmd_wavefront)
 
     return parser, sub.choices

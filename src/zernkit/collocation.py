@@ -81,8 +81,11 @@ class ConditionReport:
     when sigma_min is exactly zero.  A report refuses nothing, so
     perturbation sweeps can tabulate a singular matrix.  Whatever inverts a
     collocation matrix (solves, Lebesgue estimates, the zonal wavefront
-    cells) first applies the one singularity rule, ``require_nonsingular``:
+    cells) is held to the one singularity rule, ``require_nonsingular``:
     sigma_min <= N eps sigma_max, where an answer has no correct digit.
+    A later wavefront family of one node set may take its verdict from
+    ``scaled_nonsingular``'s certificate instead; every other caller
+    applies the rule first.
 
     ``off_block`` is the Frobenius norm of the two blocks the mirror split
     of ``condition_number`` dropped, None when the full SVD ran.

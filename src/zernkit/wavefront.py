@@ -98,22 +98,20 @@ def kolmogorov_covariance():
     return cov
 
 
-def kolmogorov_wavefront(seed, strength=1.0):
+def kolmogorov_wavefront(seed):
     """Random wavefront: the read-only (14,) array a of its coefficients in
     wavelength-normalized optical path, deterministic per seed (PCG64).
 
     Single indices 1..13 are drawn from the zero-mean multivariate normal
-    of ``kolmogorov_covariance`` scaled by ``strength``; piston, which
-    carries no shape, is zero.  The surface lives in global polar
-    coordinates without rescaling (rho up to about 6.2): its values at
-    (x, y) are ``np.tensordot(a, wavefront_modes(x, y), axes=1)``.
+    of ``kolmogorov_covariance`` (D/r0 = 1); piston, which carries no
+    shape, is zero.  The surface lives in global polar coordinates without
+    rescaling (rho up to about 6.2): its values at (x, y) are
+    ``np.tensordot(a, wavefront_modes(x, y), axes=1)``.
     """
-    if not (math.isfinite(strength) and strength > 0):
-        raise ValueError(f"strength must be finite and positive, got {strength}")
     chol = np.linalg.cholesky(kolmogorov_covariance())
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(WAVEFRONT_MODES)
-    coeffs[1:] = strength * (chol @ rng.standard_normal(WAVEFRONT_MODES - 1))
+    coeffs[1:] = chol @ rng.standard_normal(WAVEFRONT_MODES - 1)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -372,16 +370,17 @@ def run_experiment(
     schemes=("ocs",),
     bases=("K",),
     master_seed=0,
-    strength=1.0,
     node_seed=0,
     progress=None,
     node_provider=None,
 ):
     """Mean reconstruction error per (order, scheme, basis) cell.
 
-    Each trial draws one Kolmogorov wavefront (seed derived from the master
-    seed and the trial index, so the same wavefronts are reused across all
-    cells) and reconstructs it zonally, in closed form.  A wavefront a has
+    Each trial draws one Kolmogorov wavefront at D/r0 = 1 (seed derived
+    from the master seed and the trial index, so the same wavefronts are
+    reused across all cells) and reconstructs it zonally, in closed form.
+    Its error is a ratio of two sums quadratic in the wavefront, so a
+    turbulence strength would cancel; none is taken.  A wavefront a has
     degree <= 4, so on segment k it is exactly y = a @ T_k in the 15 local
     modes Z of degree <= 4 (a translation; Lundstrom & Unsbo, JOSA A 24,
     2007), fixed exactly by interpolation at 15 points (``_translations``).
@@ -437,7 +436,7 @@ def run_experiment(
     if node_provider is None:
         node_provider = generate_nodes
     stack = np.array([
-        kolmogorov_wavefront(_trial_seed(master_seed, t), strength)
+        kolmogorov_wavefront(_trial_seed(master_seed, t))
         for t in range(trials)
     ])
     grid_modes = _local_modes(hexagon_grid())

@@ -307,13 +307,15 @@ def _dense_rows(order, family, domain_map, x, y):
     )
 
 
-def dense_lebesgue_constant(nodes, family, domain_map, grid_shape):
-    """Grid Lebesgue constant by the dense route: max over the grid of
-    sum_j |(A^-1 G)_j|, with G the whole grid matrix.
+def dense_lagrange(nodes, family, domain_map, grid_shape):
+    """Every Lagrange function of the family at the nodes, on the whole
+    grid, by the dense route: A^-1 G, an (N, n_r n_t) array, with G the
+    whole grid matrix.
 
     The grid is the image under the family's map of the polar disk grid of
-    radii k/n_r (k = 1 .. n_r) and angles 2 pi l/n_t; the collocation
-    matrix A and G are built the same way, from the image points.
+    radii k/n_r (k = 1 .. n_r) and angles 2 pi l/n_t, radius-major (column
+    k n_t + l); the collocation matrix A and G are built the same way, from
+    the image points.
     """
     n_r, n_t = grid_shape
     rho = np.repeat((np.arange(n_r) + 1.0) / n_r, n_t)
@@ -321,7 +323,13 @@ def dense_lebesgue_constant(nodes, family, domain_map, grid_shape):
     x, y = _image_points(family, domain_map, rho, theta)
     grid = _dense_rows(nodes.order, family, domain_map, x, y)
     a = _dense_rows(nodes.order, family, domain_map, nodes.x, nodes.y)
-    lagrange = np.linalg.solve(a, grid)
+    return np.linalg.solve(a, grid)
+
+
+def dense_lebesgue_constant(nodes, family, domain_map, grid_shape):
+    """Grid Lebesgue constant by the dense route: max over the grid of
+    sum_j |l_j|, with the Lagrange functions l_j of ``dense_lagrange``."""
+    lagrange = dense_lagrange(nodes, family, domain_map, grid_shape)
     return float(np.max(np.sum(np.abs(lagrange), axis=0)))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -109,3 +110,30 @@ def test_summary_records_this_checkout_source_lines(tmp_path):
         (package / "wavefront.py").read_text().splitlines()
     )
     assert recorded["total"] == sum(recorded["modules"].values())
+
+
+def test_cli_options_per_subcommand_and_total():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    one = sub.add_parser("one")
+    one.add_argument("--x")
+    one.add_argument("--y", "-y")  # two option strings
+    one.add_argument("path")  # positional: no option string
+    sub.add_parser("two")  # only help, which is not counted
+    assert bench_summary.cli_options(sub.choices) == {
+        "commands": {"one": 3, "two": 0}, "total": 3
+    }
+
+
+def test_summary_records_this_checkout_cli_options(tmp_path):
+    from zernkit.cli import build_parser
+
+    _record(tmp_path / "runs", 1, 1.0)
+    bench_summary.main(["t", str(tmp_path / "runs"), "--out-dir", str(tmp_path)])
+    recorded = json.loads((tmp_path / "BENCH_t.json").read_text())["cli_options"]
+    # every parser maps each option string to its action, -h and --help too
+    want = {
+        name: len(p._option_string_actions) - 2
+        for name, p in build_parser()[1].items()
+    }
+    assert recorded == {"commands": want, "total": sum(want.values())}

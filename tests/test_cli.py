@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zernkit.cli import main, parse_orders
+from zernkit.cli import build_parser, main, parse_orders
 from zernkit.errors import ConfigError
 from zernkit.samplings import cuyt_nodes, generate_nodes, ocs_nodes, save_nodes
 
@@ -231,17 +231,6 @@ class TestWavefrontCommand:
         assert lines[0] == "n,scheme,basis,mean_rrmse,trials"
         assert len(lines) == 5
 
-    def test_non_finite_strength_is_hard_error(self, capsys):
-        for strength in ("nan", "inf"):
-            code, out, err = run(
-                capsys,
-                "wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
-                "--bases", "K", "--strength", strength,
-            )
-            assert code == 1
-            assert out == ""
-            assert "zernkit: error: strength must be finite and positive" in err
-
     def test_hard_error_keeps_previous_output(self, capsys, tmp_path):
         args = [
             "wavefront", "--orders", "2", "--schemes", "ocs", "--bases", "K",
@@ -251,8 +240,7 @@ class TestWavefrontCommand:
         target.write_bytes(previous)
         for bad, message in (
             (["--trials", "0"], "zernkit: error: trials must be >= 1"),
-            (["--trials", "1", "--strength", "nan"],
-             "zernkit: error: strength must be finite and positive"),
+            (["--trials", "1000003"], "zernkit: error: trials must be < 1000003"),
         ):
             code, out, err = run(capsys, *args, *bad, "--output", str(target))
             assert code == 1
@@ -317,22 +305,26 @@ class TestWavefrontCommand:
         assert from_file[1] == "lebesgue"
         assert from_file[2:] == generated[2:]
 
-    def test_eps_accepted_and_unused(self, tmp_path):
-        # kept so config files that set eps still load; the hexagonal
-        # aperture has no inner circle to shift nodes off
+    @pytest.mark.parametrize("key,value", [("strength", "2"), ("eps", "0.01")])
+    def test_option_without_effect_refused(self, capsys, tmp_path, key, value):
+        # the relative error does not change with a turbulence strength, and
+        # the hexagonal aperture has no inner circle to shift nodes off
+        target = tmp_path / "out.csv"
         args = [
             "wavefront", "--orders", "2", "--trials", "1", "--schemes", "ocs",
-            "--bases", "K", "--seed", "7",
+            "--bases", "K", "--output", str(target),
         ]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"--{key}", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("eps=0.5\n")
-        outputs = []
-        for extra in ([], ["--eps", "0.5"], ["--config", str(cfg)]):
-            out = tmp_path / f"{len(outputs)}.csv"
-            assert main(args + extra + ["--output", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0]
-        assert outputs[2] == outputs[0]
+        cfg.write_text(f"{key}={value}\n")
+        code, out, err = run(capsys, *args, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"zernkit: error: {cfg}:1: unknown key {key!r}"), err
+        assert not target.exists()
 
     def test_matches_benchmark_reference(self, tmp_path):
         # the benchmark's wavefront sweep, gated by its own rule
@@ -423,10 +415,9 @@ class TestConfigFile:
             (
                 ["wavefront"],
                 "orders=2..3\ntrials=2\nschemes=ocs,random\nbases=K,H\n"
-                "strength=0.5\nnode-seed=3\nseed=7\n",
+                "node-seed=3\nseed=7\n",
                 ["--orders", "2..3", "--trials", "2", "--schemes", "ocs,random",
-                 "--bases", "K,H", "--strength", "0.5", "--node-seed", "3",
-                 "--seed", "7"],
+                 "--bases", "K,H", "--node-seed", "3", "--seed", "7"],
             ),
             (
                 ["nodes", "--scheme", "ocs", "--n", "4"],
@@ -585,6 +576,27 @@ def test_negative_seed_rejected_before_output(capsys, tmp_path, command, flag, g
     assert out == ""
     assert err == f"zernkit: error: {flag} must be a non-negative integer, got -1\n"
     assert not target.exists()
+
+
+_COMMON = {"--config", "--output", "--node-dir", "--seed"}
+_DOMAIN = {"--domain", "--A", "--B", "--a", "--eps"}
+
+
+def test_option_inventory():
+    # adding or dropping a flag is a deliberate edit of this list
+    want = {
+        "nodes": _COMMON | _DOMAIN | {"--scheme", "--n", "--from-file",
+                                      "--mesh-density"},
+        "condition-table": _COMMON | _DOMAIN | {"--basis", "--schemes", "--orders"},
+        "lebesgue": _COMMON | _DOMAIN | {"--basis", "--schemes", "--orders"},
+        "wavefront": _COMMON | {"--orders", "--trials", "--schemes", "--bases",
+                                "--node-seed"},
+    }
+    got = {
+        name: set(parser._option_string_actions) - {"-h", "--help"}
+        for name, parser in build_parser()[1].items()
+    }
+    assert got == want
 
 
 def test_parse_orders():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_lebesgue_constant
+from oracles import dense_lagrange, dense_lebesgue_constant
 
 from zernkit import collocation, wavefront
 from zernkit.collocation import (
@@ -261,6 +261,82 @@ class TestTwoSidedConditionBound:
                 _kappa(make_basis("C", n, annulus), moved),
                 weights,
             )
+
+
+def _weighted_pair(pair, nodes, inner, eps):
+    """(map, moved nodes, weighted basis F, partner G) for ``pair`` "HK"
+    (the hexagon) or "OC" (the annulus of inner radius ``inner``, centre
+    node shifted by ``eps``), both families on the same moved nodes."""
+    if pair == "HK":
+        domain_map = HexagonMap()
+        moved = transfer_nodes(domain_map, nodes)
+    else:
+        domain_map = AnnulusMap(inner, 1.0)
+        moved = transfer_nodes(domain_map, nodes, inner_eps=eps)
+    weighted, plain = (make_basis(f, nodes.order, domain_map) for f in pair)
+    return domain_map, moved, weighted, plain
+
+
+class TestWeightedLebesgueBound:
+    """The Lebesgue counterpart of ``TestTwoSidedConditionBound``.  At the
+    same nodes a weighted family F = G w has the Lagrange functions
+    l^F_j(x) = w(x) l^G_j(x)/w(x_j) of its constant-weight partner G, so on
+    any grid (min_x w / max_j w(x_j)) Lambda_G <= Lambda_F
+    <= (max_x w / min_j w(x_j)) Lambda_G."""
+
+    @given(
+        pair=st.sampled_from(["HK", "OC"]),
+        scheme=st.sampled_from(["ocs", "cuyt", "carnicer"]),
+        n=st.integers(1, 30),
+        inner=st.sampled_from([0.3, 0.5, 0.7]),
+        eps=st.sampled_from([1e-2, 1e-4]),
+    )
+    @settings(max_examples=60)
+    def test_two_sided(self, pair, scheme, n, inner, eps):
+        # a coarse grid: the identity holds pointwise on any grid
+        n_r, n_t = 50, 128
+        r = (np.arange(n_r) + 1.0) / n_r
+        t = 2.0 * np.pi * np.arange(n_t) / n_t
+        domain_map, moved, weighted, plain = _weighted_pair(
+            pair, generate_nodes(scheme, n), inner, eps
+        )
+        if pair == "HK":
+            # sqrt|J| = 1/R(theta); the map keeps angles
+            node_w = 1.0 / polygon_boundary_radius(moved.theta, math.pi / 6)
+            grid_w = 1.0 / polygon_boundary_radius(t, math.pi / 6)
+        else:
+            # sqrt|J| = sqrt((s - a)/s)/(A - a) at the image radius s
+            node_w = np.sqrt((moved.rho - inner) / moved.rho) / (1.0 - inner)
+            s = inner + (1.0 - inner) * r
+            grid_w = np.sqrt((s - inner) / s) / (1.0 - inner)
+        lam_f = lebesgue_constant(moved, weighted, grid_shape=(n_r, n_t))
+        lam_g = lebesgue_constant(moved, plain, grid_shape=(n_r, n_t))
+        # the rounding slack of TestConstantFactorTransfer, for the worse of
+        # the two matrices
+        kappa = max(_kappa(weighted, moved), _kappa(plain, moved))
+        slack = kappa * weighted.size * np.finfo(float).eps
+        low = grid_w.min() / node_w.max() * lam_g
+        high = grid_w.max() / node_w.min() * lam_g
+        assert low * (1.0 - slack) <= lam_f <= high * (1.0 + slack), (low, lam_f, high)
+
+    @pytest.mark.parametrize(
+        "pair,inner,eps", [("HK", None, None), ("OC", 0.3, 1e-2), ("OC", 0.7, 1e-4)]
+    )
+    @pytest.mark.parametrize("scheme,n", [("ocs", 3), ("ocs", 6), ("cuyt", 5)])
+    def test_pointwise_identity(self, pair, inner, eps, scheme, n):
+        # the grid weight is the one lebesgue_constant multiplies by
+        n_r, n_t = 7, 24
+        domain_map, moved, _, _ = _weighted_pair(
+            pair, generate_nodes(scheme, n), inner, eps
+        )
+        rho = np.repeat((np.arange(n_r) + 1.0) / n_r, n_t)
+        theta = np.tile(2.0 * np.pi * np.arange(n_t) / n_t, n_r)
+        grid_w = domain_map.image_weight(rho, theta)
+        node_w = domain_map.weigh(np.ones(len(moved)), moved.rho, moved.theta)
+        got = dense_lagrange(moved, pair[0], domain_map, (n_r, n_t))
+        want = grid_w * dense_lagrange(moved, pair[1], domain_map, (n_r, n_t))
+        want /= node_w[:, None]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt"])

@@ -53,11 +53,6 @@ class TestKolmogorov:
         for seed in range(20):
             assert kolmogorov_wavefront(seed)[0] == 0.0
 
-    def test_strength_scales_linearly(self):
-        a = kolmogorov_wavefront(3, strength=1.0)
-        b = kolmogorov_wavefront(3, strength=2.5)
-        assert np.allclose(b, 2.5 * a)
-
     def test_covariance_structure(self):
         cov = kolmogorov_covariance()
         assert cov.shape == (13, 13)
@@ -85,21 +80,15 @@ class TestKolmogorov:
         with pytest.raises(ValueError, match="read-only"):
             a[1] = 0.0
 
-    def test_strength_validated(self):
-        for strength in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="must be finite and positive"):
-                kolmogorov_wavefront(0, strength=strength)
-
 
 class TestWavefrontEvaluation:
     @given(
         seed=st.integers(0, 10_000),
-        strength=st.floats(0.1, 10.0),
         radius=st.floats(0.0, 6.5),
     )
     @settings(max_examples=50)
-    def test_equals_sum_of_single_modes(self, seed, strength, radius):
-        w = kolmogorov_wavefront(seed, strength)
+    def test_equals_sum_of_single_modes(self, seed, radius):
+        w = kolmogorov_wavefront(seed)
         ang = np.linspace(-np.pi, np.pi, 9)
         x = np.outer(np.linspace(0.0, radius, 5), np.cos(ang))
         y = np.outer(np.linspace(0.0, radius, 5), np.sin(ang))
@@ -225,7 +214,7 @@ def solve_segments(disk_nodes, family, sample):
 def fixed_fronts(monkeypatch, coefficients):
     """Make every trial of run_experiment draw the wavefront ``coefficients``."""
     front = np.array(coefficients, float)
-    monkeypatch.setattr(wavefront, "kolmogorov_wavefront", lambda seed, strength: front)
+    monkeypatch.setattr(wavefront, "kolmogorov_wavefront", lambda seed: front)
 
 
 class TestRrmse:
@@ -546,6 +535,23 @@ class TestExperiment:
 
     def test_no_orders_no_cells(self):
         assert run_experiment((), 1) == []
+
+    @pytest.mark.parametrize("scale", [0.37, 2.5, 1000.0])
+    def test_error_does_not_depend_on_the_wavefront_scale(self, monkeypatch, scale):
+        # a turbulence strength would scale every coefficient alike; the
+        # relative error cancels it, so the experiment takes none
+        def cells():
+            return run_experiment([5, 12], 3, schemes=["ocs", "random"],
+                                  bases=["K", "H"])
+
+        plain = cells()
+        draw = wavefront.kolmogorov_wavefront
+        monkeypatch.setattr(wavefront, "kolmogorov_wavefront",
+                            lambda seed: scale * draw(seed))
+        scaled = cells()
+        assert all(c.error is None for c in plain + scaled)
+        for a, b in zip(scaled, plain):
+            assert a.mean_rrmse == pytest.approx(b.mean_rrmse, rel=1e-12, abs=0)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="orders must be >= 0"):
