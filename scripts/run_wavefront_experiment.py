@@ -4,9 +4,9 @@
 Produces the two error-versus-order curves: the stable schemes with both
 hexagon bases, and the unstable spiral/random baselines with the weighted
 basis.  With default settings (orders 2..20, 100 trials, 95 cells) the run
-took 0.65-0.77 s on a shared 2-vCPU host with OPENBLAS_NUM_THREADS=1, and
-0.65-0.77 s with OpenBLAS's default two threads (Python 3.11, numpy 2.4,
-scipy 1.17; wall time of the whole script, four runs each).
+took 0.42-0.51 s, mostly start-up, with a peak RSS of 45.2-45.4 MB on a
+shared 2-vCPU host with OPENBLAS_NUM_THREADS=1 (Python 3.11, numpy 2.4,
+scipy 1.17; wall time of the whole script, eight runs).
 """
 
 import argparse

@@ -45,10 +45,10 @@ MIRROR_MIN_SIZE = 78
 # scaled_nonsingular certifies A S, S a positive diagonal, from the report of
 # A only when the rule passes with this many times its N eps tolerance.  The
 # margin covers the backward errors of both SVDs and of the mirror split
-# (off <= MIRROR_SLACK N eps sigma_max) and the per-entry rounding of the
-# weighing (<= sqrt(N) eps sigma_max), each within a few N eps sigma_max.
-# The K matrices of the wavefront runs (n = 2..20, five schemes) pass it
-# with 6e3 (random, n = 20) to 5e11 to spare.
+# (off <= MIRROR_SLACK N eps sigma_max) and the rounding of A S as assemble
+# weighs it (<= sqrt(N) eps sigma_max; the zonal cells solve only with K),
+# each within a few N eps sigma_max.  The K matrices of the wavefront runs
+# (n = 2..20, five schemes) pass it with 6e3 (random, n = 20) to 5e11 to spare.
 SCALED_MARGIN = 2**10
 SQRT_HALF = math.sqrt(0.5)
 

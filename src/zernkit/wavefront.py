@@ -175,49 +175,57 @@ def _grid_table(order):
     return HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
 
 
+@lru_cache(maxsize=1)
+def _grid_radius():
+    """R(theta) at the hexagon_grid() points, read-only, by which
+    ``HexagonMap.weigh`` divides H's grid values."""
+    grid = hexagon_grid()
+    radius = HexagonMap().boundary_radius(cartesian_to_polar(grid[:, 0], grid[:, 1])[1])
+    radius.setflags(write=False)
+    return radius
+
+
 def _local_system(disk_nodes):
     """The step every family of one disk node set shares: the set moved
-    onto the unit hexagon and the K family's collocation entries there,
-    (N, N), rows basis functions and columns nodes.
+    onto the unit hexagon, the K family's collocation entries there,
+    (N, N), rows basis functions and columns nodes, and H's node weights
+    q = 1/R(theta_j), (N,): H's entries are K's times q, column by column.
 
     The entries pass every check of ``assemble``: ``transfer_nodes``
     labels the set with the hexagon domain, a NodeSet has basis_size(order)
     nodes, ``matrix`` raises DomainError for a node outside the hexagon,
-    and non-finite entries raise NonFiniteError here.  Unlike assemble's,
-    the array stays writable, so a weighted family can weigh it in place.
+    and non-finite entries raise NonFiniteError here.
     """
     nodes = transfer_nodes(HexagonMap(), disk_nodes)
     entries = HexagonBasis(nodes.order, "K").matrix(nodes)
     if not np.all(np.isfinite(entries)):
         raise NonFiniteError("collocation matrix has non-finite entries")
-    return nodes, entries
+    weights = HexagonMap().weigh(np.ones(len(nodes)), nodes.rho, nodes.theta)
+    return nodes, entries, weights
 
 
-def _family_matrix(nodes, entries, basis, in_place):
+def _family_matrix(nodes, entries, basis):
     """The collocation matrix of ``basis`` at the local nodes, from the K
-    entries of ``_local_system``.
-
-    K uses the entries as they are.  H is K times 1/R(theta) at each node,
-    so it weighs them with the map's ``weigh``: in place when ``in_place``
-    (their last use), else on a copy.  The result is ``assemble``'s matrix
-    bit for bit, since assemble weighs the same K values the same way.
-    """
+    entries of ``_local_system``, for an SVD only: K's are the entries, H
+    weighs a copy by 1/R(theta) with the map's ``weigh``.  That is
+    ``assemble``'s matrix bit for bit, since assemble weighs the same K
+    values the same way."""
     if basis.weighted:
-        entries = entries if in_place else entries.copy()
-        entries = basis.map.weigh(entries, nodes.rho, nodes.theta)
+        entries = basis.map.weigh(entries.copy(), nodes.rho, nodes.theta)
     return CollocationMatrix(
         entries, nodes.order, str(nodes.scheme), basis.family, nodes.mirror
     )
 
 
-def _on_grid(coefficients, basis, rows):
-    """The interpolants with ``coefficients`` (..., N) on the evaluation
-    grid, (..., M), from ``rows``, the K family's rows of the grid table;
-    a weighted family weighs the product in place."""
-    values = coefficients @ rows
-    if basis.weighted:
-        grid = hexagon_grid()
-        values = basis.map.weigh(values, *cartesian_to_polar(grid[:, 0], grid[:, 1]))
+def _on_grid(coefficients, bases, rows):
+    """The interpolants with ``coefficients`` (F r, N), one block of r rows
+    per family of ``bases``, on the evaluation grid, (F, r, M), from one
+    product with ``rows``, the K family's rows of the grid table; a
+    weighted family's block is divided in place by R(theta)."""
+    values = (coefficients @ rows).reshape(len(bases), -1, rows.shape[1])
+    for basis, block in zip(bases, values):
+        if basis.weighted:
+            block /= _grid_radius()
     return values
 
 
@@ -273,31 +281,29 @@ def _local_squares(local, root):
     return np.sum(np.square(local @ root.T), axis=-1)
 
 
-def _mean_rrmse(basis, coefficients, table, grid_modes, local, truth_sq):
-    """One cell's mean reconstruction error over the trials, from the
-    coefficients (15, N) of its interpolants of the 15 local modes, the
-    trials' local modes ``local`` (trials, segments, 15) and their grid
-    sums of squares ``truth_sq`` (trials, segments)."""
-    error = _on_grid(coefficients, basis, table[: basis.size]) - grid_modes
+def _mean_rrmse(error, local, truth_sq):
+    """One cell's mean reconstruction error over the trials, from its grid
+    error E (15, M) of the 15 local modes, the trials' local modes
+    ``local`` (trials, segments, 15) and their grid sums of squares
+    ``truth_sq`` (trials, segments)."""
     root = np.linalg.qr(error.T, mode="r")
     return float(np.mean(_rrmse(_local_squares(local, root), truth_sq)))
 
 
 def _shared_step(node_provider, scheme, order, seed):
-    """What every family of one (order, scheme) shares: the node set moved
-    onto the hexagon, its K entries (``_local_system``) and the 15 local
-    modes at its nodes, (15, N).  Or the exception that says why they
-    cannot be had: a ZernkitError, OSError or ValueError from
-    ``node_provider``, a ZernkitError from the numerics."""
+    """What every family of one (order, scheme) shares: ``_local_system``
+    and the 15 local modes at its nodes, (15, N).  Or the exception that
+    says why they cannot be had: a ZernkitError, OSError or ValueError
+    from ``node_provider``, a ZernkitError from the numerics."""
     try:
         disk_nodes = node_provider(scheme, order, seed)
     except (ZernkitError, OSError, ValueError) as exc:
         return exc
     try:
-        nodes, entries = _local_system(disk_nodes)
+        nodes, entries, weights = _local_system(disk_nodes)
     except ZernkitError as exc:
         return exc
-    return nodes, entries, _local_modes(nodes.nodes)
+    return nodes, entries, weights, _local_modes(nodes.nodes)
 
 
 def _report(progress, label, failure):
@@ -306,61 +312,60 @@ def _report(progress, label, failure):
 
 
 def _solve_families(shared_step, bases, labels, progress):
-    """Per family of ``bases``, in order: its basis and the coefficients
-    (15, N) of its interpolants of the 15 local modes, or the exception
-    that fails its cell.  ``labels[i]`` goes to ``progress`` as family i
-    starts, and the reason of its failure right after.
+    """Per family of ``bases``, in order, its basis or the exception that
+    fails its cell; and the coefficients (15 F, N) of the F passing
+    families' interpolants of the 15 local modes, 15 rows per family, or
+    None.  ``labels[i]`` goes to ``progress`` as family i starts, and the
+    reason of its failure right after.
 
-    ``shared_step()`` runs once, at the first family.  Each family takes
-    the shared K entries through ``_family_matrix``, the last one in place,
-    and solves with one ``np.linalg.solve`` with 15 right-hand sides.
-    Only the first family to pass ``require_nonsingular`` pays for an SVD:
-    every other family's matrix is that one's times a positive diagonal
-    (``_certified``), and where ``scaled_nonsingular`` is inconclusive, or
-    no family has passed yet, the family runs ``require_nonsingular`` on
-    its own matrix, so a refusal carries its own sigma_min.
-    Nothing returned holds the N x N entries.
+    ``shared_step()`` runs once, at the first family.  Only the first
+    family to pass ``require_nonsingular`` on its ``_family_matrix`` pays
+    for an SVD: every other family's matrix is that one's times a positive
+    diagonal (``_certified``), and where ``scaled_nonsingular`` is
+    inconclusive the family runs the rule on its own matrix, so a refusal
+    carries its own sigma_min.  H is K times its node weights q, so
+    H.T c = b is K.T c = b / q: one ``np.linalg.solve`` on the K entries
+    serves every passing family, its 15 right-hand sides divided by its
+    node weights (1 for K).  Nothing returned holds the N x N entries.
     """
     shared = None
     first = None
     outcomes = []
-    for i, (family, label) in enumerate(zip(bases, labels)):
+    for family, label in zip(bases, labels):
         if progress:
             progress(label)
         if shared is None:
             shared = shared_step()
         outcome = shared
         if not isinstance(shared, Exception):
-            nodes, entries, at_nodes = shared
-            basis = HexagonBasis(nodes.order, family)
-            last = i == len(bases) - 1
-            matrix = _family_matrix(nodes, entries, basis, in_place=last)
+            nodes, entries, weights, _ = shared
+            outcome = basis = HexagonBasis(nodes.order, family)
             try:
-                if not _certified(first, nodes, basis):
-                    report = require_nonsingular(matrix)
+                if not _certified(first, weights, basis):
+                    report = require_nonsingular(_family_matrix(nodes, entries, basis))
                     first = first or (report, basis.weighted)
             except ZernkitError as exc:
                 outcome = exc
-            else:
-                outcome = basis, np.linalg.solve(matrix.entries.T, at_nodes.T).T
         if isinstance(outcome, Exception):
             _report(progress, label, outcome)
         outcomes.append(outcome)
-    return outcomes
+    solved = [o for o in outcomes if not isinstance(o, Exception)]
+    if not solved:
+        return outcomes, None
+    _, entries, weights, at_nodes = shared
+    rhs = np.concatenate([at_nodes / weights if b.weighted else at_nodes for b in solved])
+    return outcomes, np.linalg.solve(entries.T, rhs.T).T
 
 
-def _certified(first, nodes, basis):
-    """Whether ``scaled_nonsingular`` accepts ``basis``'s matrix at the local
-    nodes from ``first``, the ConditionReport and weightedness of a family
-    that passed ``require_nonsingular`` at the same nodes, or None.
-
-    Both matrices are the K entries, weighed by w = 1/R(theta_j) for H, so
-    the second is the first times the diagonal w (H after K), 1/w (K after
-    H) or 1 (the same family)."""
+def _certified(first, weights, basis):
+    """Whether ``scaled_nonsingular`` accepts ``basis``'s matrix from
+    ``first``, the ConditionReport and weightedness of a family that passed
+    ``require_nonsingular`` at the same nodes, or None.  With H's node
+    ``weights`` w, the second matrix is the first times the diagonal w
+    (H after K), 1/w (K after H) or 1 (the same family)."""
     if first is None:
         return False
     report, weighted = first
-    weights = basis.map.weigh(np.ones(len(nodes)), nodes.rho, nodes.theta)
     return scaled_nonsingular(report, weights ** (basis.weighted - weighted))
 
 
@@ -390,21 +395,14 @@ def run_experiment(
 
     Every family of one (order, scheme) shares one step: the node set is
     transferred to the hexagon once, and the K family and the 15 local
-    modes are evaluated at the moved nodes once.  Each family builds its
-    own matrix from the K entries (H weighs them by 1/R(theta), in place
-    at their last use, else on a copy) and solves for its 15 x N
-    coefficients with one ``np.linalg.solve``.  The node set pays for one
-    SVD: the first family runs ``require_nonsingular``, and a later one
-    takes its verdict from that report and the diagonal between the two
-    matrices (``scaled_nonsingular``), or, where that bound is
-    inconclusive, runs ``require_nonsingular`` on its own matrix.  Only
-    when every family has solved, and the N x N entries are freed, does
-    each cell form its grid error E and its QR.
-
-    The grid values of every cell's interpolant are rows of one K-family
-    grid table, evaluated once per call at ``max(orders)`` and sliced per
-    cell; an H cell weighs its 15 x M product by 1/R(theta), so no cell
-    evaluates the grid or copies the table.
+    modes are evaluated at the moved nodes once.  H is K times a positive
+    diagonal, so the node set pays for one LU, every passing family's
+    coefficients from one solve on the K entries, and, unless the scaling
+    bound is inconclusive, one SVD (``_solve_families``).
+    Their grid values come from one product with the first rows of one
+    K-family grid table, evaluated once per call at ``max(orders)``; an H
+    block is divided by R(theta), so no cell evaluates the grid or copies
+    the table.  The N x N entries are freed before any cell's QR.
 
     ``node_provider(scheme, order, seed)`` overrides how disk node sets are
     obtained, e.g. to load file-based schemes; it is called once per
@@ -448,18 +446,20 @@ def run_experiment(
     for order in orders:
         for scheme in schemes:
             labels = [f"n={order} scheme={scheme} basis={basis}" for basis in bases]
-            # every family solves, and the N x N entries are freed, before
-            # any cell forms its grid error and QR
-            outcomes = _solve_families(
+            # the N x N entries are freed with the solve, before any QR
+            outcomes, coefficients = _solve_families(
                 partial(_shared_step, node_provider, scheme, order, node_seed),
                 bases, labels, progress,
             )
+            solved = [o for o in outcomes if not isinstance(o, Exception)]
+            if solved:
+                errors = _on_grid(coefficients, solved, table[: coefficients.shape[1]])
+                errors -= grid_modes
+                errors = iter(errors)
             for basis, label, outcome in zip(bases, labels, outcomes):
                 if not isinstance(outcome, Exception):
                     try:
-                        mean = _mean_rrmse(
-                            *outcome, table, grid_modes, local, truth_sq
-                        )
+                        mean = _mean_rrmse(next(errors), local, truth_sq)
                     except ZernkitError as exc:
                         _report(progress, label, exc)
                         outcome = exc
@@ -473,7 +473,7 @@ def run_experiment(
                     error=type(outcome).__name__,
                 ))
             # freed before the next node set's singularity checks
-            outcomes = outcome = None
+            coefficients = errors = None
     return cells
 
 

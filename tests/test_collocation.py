@@ -565,8 +565,9 @@ class TestOneSingularityRule:
             outcomes = []
 
             def recorded(*args):
-                outcomes.extend(solve_families(*args))
-                return outcomes
+                solved = solve_families(*args)
+                outcomes.extend(solved[0])
+                return solved
 
             with mock.patch.object(wavefront, "_solve_families", recorded):
                 cells = run_experiment(

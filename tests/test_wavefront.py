@@ -21,7 +21,9 @@ from zernkit.zernike import basis_size, cartesian_to_polar, zernike_matrix
 from zernkit.wavefront import (
     ExperimentCell,
     _family_matrix,
+    _grid_radius,
     _grid_table,
+    _local_modes,
     _local_system,
     _on_grid,
     _rrmse,
@@ -202,13 +204,13 @@ def solve_segments(disk_nodes, family, sample):
     ``sample(local)`` (rows, N), one right-hand side per row, at the local
     hexagon nodes ``local`` (N, 2) of ``disk_nodes``, by run_experiment's
     steps ``_local_system`` and ``_solve_families``."""
-    nodes, entries = _local_system(disk_nodes)
-    (outcome,) = _solve_families(
-        lambda: (nodes, entries, sample(nodes.nodes)), [family], [family], None
+    nodes, entries, weights = _local_system(disk_nodes)
+    (outcome,), coefficients = _solve_families(
+        lambda: (nodes, entries, weights, sample(nodes.nodes)), [family], [family], None
     )
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    return outcome, coefficients
 
 
 def fixed_fronts(monkeypatch, coefficients):
@@ -300,7 +302,8 @@ class TestZonal:
                 return samples
 
             basis, coeffs = solve_segments(ocs_nodes(4), "K", sample)
-            return _on_grid(coeffs, basis, table[: basis.size])
+            (values,) = _on_grid(coeffs, [basis], table[: basis.size])
+            return values
 
         base_approx, approx = approximate(0.0), approximate(0.25)
         others = [k for k in range(36) if k != 7]
@@ -351,41 +354,51 @@ class TestGridTable:
 
         want = basis.matrix_xy(grid[:, 0], grid[:, 1])
         assert np.array_equal(weigh(rows.copy()), want)
-        # H weighs the product, not the table: the same function
-        coefficients = np.random.default_rng(order).standard_normal((3, basis.size))
-        assert np.array_equal(
-            _on_grid(coefficients, basis, rows), weigh(coefficients @ rows)
-        )
+        # one product for both families; H divides its block, not the
+        # table: the same function
+        coefficients = np.random.default_rng(order).standard_normal((6, basis.size))
+        product = coefficients @ rows
+        values = _on_grid(coefficients, [HexagonBasis(order, "K"), basis], rows)
+        assert values.shape == (2, 3, len(grid))
+        assert np.array_equal(values[0], product[:3])
+        assert np.array_equal(values[1], weigh(product[3:]))
 
     def test_weighing_leaves_the_shared_table_alone(self):
         table = _grid_table(8)
         before = table.copy()
         basis = HexagonBasis(8, "H")
-        _on_grid(np.ones((2, basis.size)), basis, table[: basis.size])
+        _on_grid(np.ones((2, basis.size)), [basis], table[: basis.size])
         assert np.array_equal(table, before)
+        # R(theta) at the grid is computed once per process, read-only
+        assert _grid_radius() is _grid_radius()
+        assert not _grid_radius().flags.writeable
 
     def test_cells_read_one_table_in_place(self, monkeypatch):
-        # the table is built once, at the highest order, and every cell of
-        # both families reads its first rows as a view
+        # the table is built once, at the highest order; the families of
+        # each node set read its first rows as a view, in one product, and
+        # never write them
         tables, reads = [], []
 
         def built(order):
             tables.append(_grid_table(order))
-            return tables[-1]
+            tables.append(tables[0].copy())
+            return tables[0]
 
-        def on_grid(coefficients, basis, rows):
-            reads.append((basis.size, rows))
-            return _on_grid(coefficients, basis, rows)
+        def on_grid(coefficients, bases, rows):
+            reads.append(([b.family for b in bases], rows))
+            return _on_grid(coefficients, bases, rows)
 
         monkeypatch.setattr(wavefront, "_grid_table", built)
         monkeypatch.setattr(wavefront, "_on_grid", on_grid)
         run_experiment([5, 9], 1, bases=["K", "H"])
-        (table,) = tables
+        table, before = tables
         assert table.shape == (basis_size(9), len(hexagon_grid()))
-        assert [size for size, _ in reads] == [basis_size(n) for n in (5, 5, 9, 9)]
-        for size, rows in reads:
+        assert np.array_equal(table, before)
+        assert [len(rows) for _, rows in reads] == [basis_size(5), basis_size(9)]
+        for families, rows in reads:
+            assert families == ["K", "H"]
             assert rows.base is table
-            assert np.array_equal(rows, table[:size])
+            assert np.array_equal(rows, table[: len(rows)])
 
     def test_weighted_cell_allocates_no_slice(self, monkeypatch):
         # an H cell at the paper's top order, its table built beforehand,
@@ -408,24 +421,50 @@ class TestSharedLocalSystem:
     evaluation of the K family at the moved nodes."""
 
     @pytest.mark.parametrize("scheme", sorted(GENERATORS))
-    def test_families_equal_assemble(self, scheme):
-        for order in range(1, 21):
-            disk_nodes = generate_nodes(scheme, order)
-            moved = transfer_nodes(HexagonMap(), disk_nodes)
+    def test_families_equal_assemble(self, monkeypatch, scheme):
+        orders = range(1, 21)
+        disk = {order: generate_nodes(scheme, order) for order in orders}
+        weighted = {}  # assemble's H matrix per order
+        for order in orders:
+            moved = transfer_nodes(HexagonMap(), disk[order])
+            nodes, entries, weights = _local_system(disk[order])
+            shared = entries.copy()
             for family in ("K", "H"):
                 basis = HexagonBasis(order, family)
                 want = assemble(basis, moved)
-                nodes, entries = _local_system(disk_nodes)
-                shared = entries.copy()
-                copied = _family_matrix(nodes, entries, basis, False)
-                assert np.array_equal(entries, shared)  # the copy path leaves them
-                in_place = _family_matrix(nodes, entries, basis, True)
-                for got in (copied, in_place):
-                    assert got.entries.tobytes() == want.entries.tobytes()
-                    assert (got.order, got.scheme, got.basis) == (
-                        want.order, want.scheme, want.basis
-                    )
-                    assert np.array_equal(got.mirror, want.mirror)
+                if basis.weighted:
+                    weighted[order] = want
+                got = _family_matrix(nodes, entries, basis)
+                assert np.array_equal(entries, shared)  # H weighs a copy
+                assert got.entries.tobytes() == want.entries.tobytes()
+                assert (got.order, got.scheme, got.basis) == (
+                    want.order, want.scheme, want.basis
+                )
+                assert np.array_equal(got.mirror, want.mirror)
+            # H's entries are K's times its node weights 1/R(theta_j)
+            np.testing.assert_allclose(
+                weighted[order].entries, shared * weights,
+                rtol=2 * np.finfo(float).eps, atol=0.0,
+            )
+        # the matrix run_experiment hands to the SVD is assemble's, bit for
+        # bit: H's, the first family, at every node set
+        seen = []
+        condition_number = collocation.condition_number
+
+        def recorded(matrix):
+            seen.append(matrix)
+            return condition_number(matrix)
+
+        monkeypatch.setattr(collocation, "condition_number", recorded)
+        run_experiment(
+            orders, 1, schemes=[scheme], bases=["H", "K"],
+            node_provider=lambda s, order, seed: disk[order],
+        )
+        monkeypatch.undo()
+        assert [(m.order, m.basis) for m in seen] == [(n, "H") for n in orders]
+        for matrix in seen:
+            want = weighted[matrix.order]
+            assert matrix.entries.tobytes() == want.entries.tobytes()
 
     def test_one_transfer_and_evaluation_per_node_set(self, monkeypatch):
         orders, schemes, bases = [16, 17], ["ocs", "spiral"], ["K", "H"]
@@ -471,8 +510,9 @@ class TestSharedLocalSystem:
         assert cells == alone
 
     @pytest.mark.parametrize("bases", [("H", "K"), ("H",), ("K",)])
-    def test_weighing_in_place_leaves_other_families_alone(self, bases):
-        # H weighs the shared entries in place only as their last user
+    def test_stacked_families_leave_each_other_alone(self, bases):
+        # one solve and one grid product serve every family of a node set;
+        # each family's cell is the same alone, first or second
         both = run_experiment([5, 9], 2, schemes=["ocs", "spiral"], bases=["K", "H"])
         cells = run_experiment([5, 9], 2, schemes=["ocs", "spiral"], bases=bases)
         key = {(c.order, c.scheme, c.basis): c for c in both}
@@ -518,6 +558,63 @@ class TestSharedLocalSystem:
         cells, calls = self._counted_svds(monkeypatch, disk_nodes, ("K", "H"))
         assert calls == ["K", "H"]
         assert [c.error for c in cells] == [None, None]
+
+    @staticmethod
+    def _counted_solves(monkeypatch, node_provider, order, bases):
+        # the cells of one node set and the right-hand side shape of each
+        # np.linalg.solve call they made
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        cells = run_experiment(
+            [order], 2, bases=bases, node_provider=node_provider,
+        )
+        monkeypatch.undo()
+        return cells, calls
+
+    @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
+    @pytest.mark.parametrize("order", [6, 12])
+    def test_one_lu_per_node_set(self, monkeypatch, bases, order):
+        # every passing family's 15 right-hand sides go to one solve with
+        # the K entries
+        disk_nodes = generate_nodes("ocs", order)
+        cells, calls = self._counted_solves(
+            monkeypatch, lambda scheme, n, seed: disk_nodes, order, bases
+        )
+        assert calls == [(basis_size(order), 15 * len(bases))]
+        assert [c.error for c in cells] == [None] * len(bases)
+
+    def test_singular_node_set_solves_nothing(self, monkeypatch):
+        def doubled(scheme, order, seed):
+            points = np.array(ocs_nodes(order).nodes)
+            points[1] = points[0]
+            return NodeSet(order, Scheme.BOS_CUSTOM, points)
+
+        cells, calls = self._counted_solves(monkeypatch, doubled, 4, ("K", "H"))
+        assert calls == []
+        assert [c.error for c in cells] == ["SingularMatrixError"] * 2
+
+    @pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt", "spiral", "random"])
+    def test_weighted_coefficients_equal_their_own_solve(self, scheme):
+        # H's coefficients from the K system, its right-hand sides divided
+        # by its node weights, agree with a solve of assemble's H matrix to
+        # kappa N eps relative
+        eps = np.finfo(float).eps
+        for order in range(2, 21):
+            disk_nodes = generate_nodes(scheme, order)
+            moved = transfer_nodes(HexagonMap(), disk_nodes)
+            matrix = assemble(HexagonBasis(order, "H"), moved)
+            _, got = solve_segments(disk_nodes, "H", _local_modes)
+            want = np.linalg.solve(matrix.entries.T, _local_modes(moved.nodes).T).T
+            kappa = collocation.condition_number(matrix).kappa2
+            assert np.linalg.norm(got - want) <= (
+                kappa * matrix.size * eps * np.linalg.norm(want)
+            ), (scheme, order)
 
 
 class TestExperiment:
