@@ -4,7 +4,7 @@
 Produces the two error-versus-order curves: the stable schemes with both
 hexagon bases, and the unstable spiral/random baselines with the weighted
 basis.  With default settings (orders 2..20, 100 trials, 95 cells) the run
-took 0.42-0.51 s, mostly start-up, with a peak RSS of 45.2-45.4 MB on a
+took 0.38-0.44 s, mostly start-up, with a peak RSS of 45.9-46.1 MB on a
 shared 2-vCPU host with OPENBLAS_NUM_THREADS=1 (Python 3.11, numpy 2.4,
 scipy 1.17; wall time of the whole script, eight runs).
 """

@@ -42,13 +42,15 @@ MIRROR_SLACK = 4
 # one full SVD in every timing on one BLAS thread (order 11: 0.38-0.54 ms
 # against 0.59-0.73 ms); at orders 8 to 10 they were within the noise.
 MIRROR_MIN_SIZE = 78
-# scaled_nonsingular certifies A S, S a positive diagonal, from the report of
-# A only when the rule passes with this many times its N eps tolerance.  The
-# margin covers the backward errors of both SVDs and of the mirror split
-# (off <= MIRROR_SLACK N eps sigma_max) and the rounding of A S as assemble
-# weighs it (<= sqrt(N) eps sigma_max; the zonal cells solve only with K),
-# each within a few N eps sigma_max.  The K matrices of the wavefront runs
-# (n = 2..20, five schemes) pass it with 6e3 (random, n = 20) to 5e11 to spare.
+# scaled_nonsingular certifies A S, S a positive diagonal, from bounds on A's
+# sigma (its report's, or _cholesky_bounds') only when the rule passes with
+# this many times its N eps tolerance.  The margin covers the backward errors
+# of the SVDs and of the mirror split (off <= MIRROR_SLACK N eps sigma_max)
+# and the rounding of A S as assemble weighs it (<= sqrt(N) eps sigma_max;
+# the zonal cells solve only with K), each within a few N eps sigma_max.  The
+# Cholesky bounds of the wavefront runs' K matrices (n = 2..20, five schemes)
+# pass it with 5.3e3 (n = 20) to 4e4 to spare; random n = 20, which they
+# leave undecided, passes from its SVD with 6e3.
 SCALED_MARGIN = 2**10
 SQRT_HALF = math.sqrt(0.5)
 
@@ -83,9 +85,10 @@ class ConditionReport:
     collocation matrix (solves, Lebesgue estimates, the zonal wavefront
     cells) is held to the one singularity rule, ``require_nonsingular``:
     sigma_min <= N eps sigma_max, where an answer has no correct digit.
-    A later wavefront family of one node set may take its verdict from
-    ``scaled_nonsingular``'s certificate instead; every other caller
-    applies the rule first.
+    The zonal wavefront cells take their verdicts from
+    ``scaled_nonsingular``, on the Cholesky bounds of the K entries
+    (``_cholesky_bounds``) or on the report of a family that passed the
+    rule, wherever it decides; every other caller applies the rule.
 
     ``off_block`` is the Frobenius norm of the two blocks the mirror split
     of ``condition_number`` dropped, None when the full SVD ran.
@@ -251,21 +254,73 @@ def require_nonsingular(matrix):
     return report
 
 
-def scaled_nonsingular(report, scale):
+def scaled_nonsingular(sigma_min, sigma_max, scale):
     """Whether the singularity rule accepts A S, for the positive diagonal
-    S = diag(``scale``) of one entry per column, from ``report``, the
-    ConditionReport of the N x N matrix A.
+    S = diag(``scale``) of one entry per column, from bounds on the N x N
+    matrix A, ``sigma_min`` <= sigma_min(A) and sigma_max(A) <=
+    ``sigma_max``: as a ConditionReport of A measures them, or as
+    ``_cholesky_bounds`` proves them.
 
     sigma_i(A) min S <= sigma_i(A S) <= sigma_i(A) max S (multiplicative
     perturbation; Eisenstat & Ipsen, SIAM J. Numer. Anal. 32 (1995)), so
-    sigma_min(A) min S > SCALED_MARGIN N eps sigma_max(A) max S certifies
+    sigma_min min S > SCALED_MARGIN N eps sigma_max max S certifies
     that ``require_nonsingular`` passes on A S as computed.  False means
     only that the bound is inconclusive: the caller then applies
     ``require_nonsingular`` to A S itself.
     """
     tol = SCALED_MARGIN * len(scale) * np.finfo(float).eps
     low, high = float(np.min(scale)), float(np.max(scale))
-    return report.sigma_min * low > tol * report.sigma_max * high
+    return sigma_min * low > tol * sigma_max * high
+
+
+def _cholesky_bounds(matrix):
+    """(low, high) with low <= sigma_min(A) and sigma_max(A) <= high for
+    the N x N entries A, proved by Cholesky factorizations, or None where
+    one fails: with ``scaled_nonsingular``, a sufficient condition for the
+    singularity rule, which it leaves unchanged.
+
+    The parts B are the two blocks of ``_mirror_blocks`` where they are
+    square, else A; each is k x k, k <= N.  With u = eps/2,
+    g(m) = m u/(1 - m u) and eta the smallest subnormal,
+    F = fl(||A||_F)^2 (1 + g(2 N^2 + 16)) bounds ||A||_F^2 and every
+    ||B||_F^2 (the norm's rounding, and g(3) per entry of (p +- q) sqrt1/2).
+    The shift is s = 4 t, t the sum of
+      - g(N) F: the rounding of G = B B^T, |dG| <= g(k) |B| |B^T|;
+      - g(N + 1)/(1 - g(N + 1)) (1 + g(N)) F: the backward error of a
+        Cholesky factorization that succeeds, g(k + 1)/(1 - g(k + 1))
+        tr(G - s I) (Demmel; Higham, Accuracy and Stability, Thm 10.3);
+      - u (1 + g(N)) F: the rounding of G_ii - s, beside u s = 4 u t;
+      - 4 N (2 N + 4 + F) eta: underflow (Rump, BIT 46 (2006) 433-452).
+    If fl(G - s I) factorizes for every part, lambda_min(B B^T) >
+    s - t - 4 u t > 2 t; the spare covers the rounding of these bounds.
+    With Q the orthogonal column change, A Q is the parts plus the dropped
+    off-block and the change's rounding, within
+    off = fl(off)(1 + g(2 N^2 + 16)) + 2 g(3) sqrt F in Frobenius norm
+    (fl(off) = 0 without the split), so sigma_min(A) >= sqrt(2 t) - off
+    (Weyl), and sigma_max(A) <= ||A||_F <= sqrt F.
+    """
+    n, u = matrix.size, np.finfo(float).eps / 2
+
+    def g(m):
+        return m * u / (1 - m * u)
+
+    fro = float(np.linalg.norm(matrix.entries))
+    f = fro * fro * (1 + g(2 * n * n + 16))
+    if not f < 2.0**1000:  # no overflow (or NaN) in G
+        return None
+    t = (g(n) + g(n + 1) / (1 - g(n + 1)) * (1 + g(n)) + u * (1 + g(n))) * f
+    t += 4 * n * (2 * n + 4 + f) * np.finfo(float).smallest_subnormal
+    blocks = None if matrix.mirror is None else _mirror_blocks(matrix)
+    for part in (matrix.entries,) if blocks is None else blocks[:2]:
+        gram = part @ part.T
+        gram.flat[:: len(gram) + 1] -= 4 * t
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+    off = 0.0 if blocks is None else blocks[2]
+    low = math.sqrt(2 * t) - off * (1 + g(2 * n * n + 16)) - 2 * g(3) * math.sqrt(f)
+    return (low, math.sqrt(f)) if low > 0 else None
 
 
 def solve_interpolation(matrix, values):

@@ -21,7 +21,9 @@ import numpy as np
 # set-up rather than in the first run_experiment call
 import numpy.random  # noqa: F401
 
-from .collocation import CollocationMatrix, require_nonsingular, scaled_nonsingular
+from .collocation import (
+    CollocationMatrix, _cholesky_bounds, require_nonsingular, scaled_nonsingular,
+)
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
 from .errors import NonFiniteError, ZeroDenominatorError, ZernkitError
 from .samplings import generate_nodes, ocs_nodes
@@ -206,7 +208,7 @@ def _local_system(disk_nodes):
 
 def _family_matrix(nodes, entries, basis):
     """The collocation matrix of ``basis`` at the local nodes, from the K
-    entries of ``_local_system``, for an SVD only: K's are the entries, H
+    entries of ``_local_system``, for a verdict only: K's are the entries, H
     weighs a copy by 1/R(theta) with the map's ``weigh``.  That is
     ``assemble``'s matrix bit for bit, since assemble weighs the same K
     values the same way."""
@@ -318,32 +320,39 @@ def _solve_families(shared_step, bases, labels, progress):
     None.  ``labels[i]`` goes to ``progress`` as family i starts, and the
     reason of its failure right after.
 
-    ``shared_step()`` runs once, at the first family.  Only the first
-    family to pass ``require_nonsingular`` on its ``_family_matrix`` pays
-    for an SVD: every other family's matrix is that one's times a positive
-    diagonal (``_certified``), and where ``scaled_nonsingular`` is
-    inconclusive the family runs the rule on its own matrix, so a refusal
-    carries its own sigma_min.  H is K times its node weights q, so
+    ``shared_step()`` runs once, at the first family, and then
+    ``_cholesky_bounds`` once, on its K entries.  Every family's matrix is
+    K times a positive diagonal, 1 for K and the node weights q for H, so
+    ``scaled_nonsingular`` takes its verdict from those bounds
+    (``_certified``) and no SVD runs.  Where there are none, or they are
+    inconclusive, the family runs ``require_nonsingular`` on its own
+    ``_family_matrix``, so a refusal carries its own sigma_min, and a
+    report that passes serves later families the same way.  H's system
     H.T c = b is K.T c = b / q: one ``np.linalg.solve`` on the K entries
     serves every passing family, its 15 right-hand sides divided by its
     node weights (1 for K).  Nothing returned holds the N x N entries.
     """
     shared = None
-    first = None
+    known = []  # (sigma_min, sigma_max, weighted) bounds at these nodes
     outcomes = []
     for family, label in zip(bases, labels):
         if progress:
             progress(label)
         if shared is None:
             shared = shared_step()
+            if not isinstance(shared, Exception):
+                k_family = HexagonBasis(shared[0].order, "K")
+                bounds = _cholesky_bounds(_family_matrix(*shared[:2], k_family))
+                if bounds:
+                    known.append((*bounds, False))
         outcome = shared
         if not isinstance(shared, Exception):
             nodes, entries, weights, _ = shared
             outcome = basis = HexagonBasis(nodes.order, family)
             try:
-                if not _certified(first, weights, basis):
+                if not any(_certified(b, weights, basis) for b in known):
                     report = require_nonsingular(_family_matrix(nodes, entries, basis))
-                    first = first or (report, basis.weighted)
+                    known.append((report.sigma_min, report.sigma_max, basis.weighted))
             except ZernkitError as exc:
                 outcome = exc
         if isinstance(outcome, Exception):
@@ -357,16 +366,13 @@ def _solve_families(shared_step, bases, labels, progress):
     return outcomes, np.linalg.solve(entries.T, rhs.T).T
 
 
-def _certified(first, weights, basis):
+def _certified(bounds, weights, basis):
     """Whether ``scaled_nonsingular`` accepts ``basis``'s matrix from
-    ``first``, the ConditionReport and weightedness of a family that passed
-    ``require_nonsingular`` at the same nodes, or None.  With H's node
-    ``weights`` w, the second matrix is the first times the diagonal w
-    (H after K), 1/w (K after H) or 1 (the same family)."""
-    if first is None:
-        return False
-    report, weighted = first
-    return scaled_nonsingular(report, weights ** (basis.weighted - weighted))
+    ``bounds`` = (sigma_min, sigma_max, weighted) of the matrix of K, or of
+    H if ``weighted``, at the same nodes.  With H's node ``weights`` q,
+    ``basis``'s matrix is that one times q (H from K), 1/q (K from H) or 1."""
+    low, high, weighted = bounds
+    return scaled_nonsingular(low, high, weights ** (basis.weighted - weighted))
 
 
 def run_experiment(
@@ -397,8 +403,9 @@ def run_experiment(
     transferred to the hexagon once, and the K family and the 15 local
     modes are evaluated at the moved nodes once.  H is K times a positive
     diagonal, so the node set pays for one LU, every passing family's
-    coefficients from one solve on the K entries, and, unless the scaling
-    bound is inconclusive, one SVD (``_solve_families``).
+    coefficients from one solve on the K entries, and, where the Cholesky
+    bounds of the K entries decide every verdict, no SVD
+    (``_solve_families``).
     Their grid values come from one product with the first rows of one
     K-family grid table, evaluated once per call at ``max(orders)``; an H
     block is divided by R(theta), so no cell evaluates the grid or copies

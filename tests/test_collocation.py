@@ -615,7 +615,7 @@ def test_scaled_certificate_implies_the_rule(seed, size, log_kappa, log_spread):
     w = 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2, size)
     report = condition_number(CollocationMatrix(k, 1, "random", "K"))
     scaled = CollocationMatrix(k * w, 1, "random", "H")
-    certified = scaled_nonsingular(report, w)
+    certified = scaled_nonsingular(report.sigma_min, report.sigma_max, w)
     if certified:
         require_nonsingular(scaled)
     # far from the rule's tolerance the certificate always speaks
@@ -627,6 +627,139 @@ def test_scaled_certificate_implies_the_rule(seed, size, log_kappa, log_spread):
     slack = 8 * size * np.finfo(float).eps * sigma[0] * w.max()
     assert np.all(got >= sigma * w.min() - slack)
     assert np.all(got <= sigma * w.max() + slack)
+
+
+# the hexagon's node weights q = 1/R(theta) lie in [1, 2/sqrt3]
+HEXAGON_WEIGHTS = (1.0, 2.0 / math.sqrt(3.0))
+
+
+def _check_cholesky_bounds(matrix, rng):
+    """The bounds of ``_cholesky_bounds`` bracket the SVD's sigma, up to
+    its backward error, and any verdict they give for the matrix, or for
+    it times hexagon node weights, is the rule's.  Returns the bounds."""
+    bounds = collocation._cholesky_bounds(matrix)
+    if bounds is None:
+        return None
+    low, high = bounds
+    a, n = matrix.entries, matrix.size
+    sigma = np.linalg.svd(a, compute_uv=False)
+    assert 0.0 < low <= sigma[-1] + n * np.finfo(float).eps * sigma[0]
+    assert high >= sigma[0] * (1.0 - n * np.finfo(float).eps)
+    if scaled_nonsingular(low, high, np.ones(n)):
+        require_nonsingular(matrix)
+    scale = rng.uniform(*HEXAGON_WEIGHTS, n)
+    if scaled_nonsingular(low, high, scale):
+        require_nonsingular(dataclasses.replace(matrix, entries=a * scale))
+    return bounds
+
+
+def _mirrored(mirror, order, cos_block, sin_block, coupling, rng):
+    """Entries A whose mirror column change (``_mirror_blocks``) gives the
+    cosine block C and the sine block S, with off-blocks that make
+    A Q (v, w) = (1 - coupling) (C v, S w) for random v and w: singular at
+    coupling 1, the blocks exactly at 0."""
+    n = mirror.size
+    index = np.arange(n)
+    fixed, p = index[mirror == index], index[mirror > index]
+    sine = collocation._row_frequencies(order)[1] < 0
+    v = rng.standard_normal(cos_block.shape[1])
+    w = rng.standard_normal(sin_block.shape[1])
+    evens, odds = np.empty((n, v.size)), np.empty((n, w.size))
+    evens[~sine], odds[sine] = cos_block, sin_block
+    odds[~sine] = -coupling * np.outer(cos_block @ v, w) / (w @ w)
+    evens[sine] = -coupling * np.outer(sin_block @ w, v) / (v @ v)
+    entries = np.empty((n, n))
+    entries[:, fixed] = evens[:, : fixed.size]
+    pairs = evens[:, fixed.size :]
+    entries[:, p] = (pairs + odds) * math.sqrt(0.5)
+    entries[:, mirror[p]] = (pairs - odds) * math.sqrt(0.5)
+    return entries
+
+
+def _with_singular_values(sigma, rng):
+    size = len(sigma)
+    u, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    v, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    return (u * sigma) @ v.T
+
+
+def _root(sigma):
+    # sqrt((N + 1) eps) ||sigma||, about half the certificate's threshold
+    return math.sqrt((len(sigma) + 1) * np.finfo(float).eps) * np.linalg.norm(sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(1, 20),
+    regime=st.sampled_from(["kappa", "near", "coupled"]),
+    mirrored=st.booleans(),
+    x=st.floats(0.0, 17.0),
+)
+def test_cholesky_bounds_are_sound(seed, order, regime, mirrored, x):
+    # sigma (N up to 231) from 1 down to sigma_min: 10^-x across the
+    # rule's N eps ("kappa"), or 10^(x/17 - 0.3) sqrt((N + 1) eps) ||sigma||
+    # across the certificate's own threshold ("near"), the rest within
+    # three decades of 1.  A mirrored matrix has two such blocks;
+    # "coupled" adds off-blocks that bring it within 10^-x of singular
+    rng = np.random.default_rng(seed)
+    mirror = generate_nodes("ocs", order).mirror
+    n = mirror.size
+    span = x if regime == "kappa" else 3.0 * x / 17.0
+    sigma = np.sort(10.0 ** rng.uniform(-span, 0.0, n))[::-1]
+    sigma[0] = 1.0
+    if regime == "kappa":
+        sigma[-1] = 10.0**-x
+    elif regime == "near":
+        sigma[-1] = 0.0
+        sigma[-1] = _root(sigma) * 10.0 ** (x / 17.0 - 0.3)
+    coupling = 1.0 - 10.0**-x if regime == "coupled" else 0.0
+    if mirrored or regime == "coupled":
+        sine = np.count_nonzero(collocation._row_frequencies(order)[1] < 0)
+        halves = rng.permutation(sigma)
+        entries = _mirrored(
+            mirror, order,
+            _with_singular_values(halves[sine:], rng),
+            _with_singular_values(halves[:sine], rng),
+            coupling, rng,
+        )
+    else:
+        mirror, entries = None, _with_singular_values(sigma, rng)
+    matrix = CollocationMatrix(entries, order, "random", "K", mirror)
+    bounds = _check_cholesky_bounds(matrix, rng)
+    # well clear of its threshold the certificate speaks
+    if coupling == 0.0 and sigma[-1] > 3.0 * _root(sigma):
+        assert bounds is not None
+
+
+def test_cholesky_bounds_threshold():
+    # the factorizations succeed from sigma_min = 2 sqrt((N + 1) eps)
+    # ||sigma|| on, where the shift 4 t = 4 (N + 1) eps ||A||_F^2 lies
+    rng = np.random.default_rng(29)
+    for size in (3, 45, 231):
+        sigma = np.linspace(1.0, 0.1, size)
+        sigma[-1] = 0.0
+        root = _root(sigma)
+        u, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        v, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        for factor in np.linspace(1.5, 3.0, 16):
+            sigma[-1] = factor * root
+            matrix = CollocationMatrix((u * sigma) @ v.T, 1, "random", "K")
+            bounds = _check_cholesky_bounds(matrix, rng)
+            if factor < 1.9 or factor > 2.2:
+                assert (bounds is not None) == (factor > 2.2), (size, factor)
+
+
+@pytest.mark.parametrize("scheme", ["ocs", "carnicer", "cuyt", "spiral", "random"])
+def test_cholesky_bounds_of_the_wavefront_matrices(scheme):
+    # the K matrices of the zonal cells: every Bos set is certified, by
+    # its two mirror blocks
+    rng = np.random.default_rng(29)
+    for order in range(1, 21):
+        nodes = transfer_nodes(HexagonMap(), generate_nodes(scheme, order))
+        bounds = _check_cholesky_bounds(assemble(HexagonBasis(order, "K"), nodes), rng)
+        if scheme in ("ocs", "carnicer", "cuyt"):
+            assert bounds is not None, order
 
 
 class TestAnnulusTable:

@@ -15,7 +15,7 @@ from zernkit.domains import (
     polygon_boundary_radius,
     transfer_nodes,
 )
-from zernkit.errors import NodeParseError, ZeroDenominatorError
+from zernkit.errors import NodeParseError, SingularMatrixError, ZeroDenominatorError
 from zernkit.samplings import GENERATORS, NodeSet, Scheme, generate_nodes, ocs_nodes
 from zernkit.zernike import basis_size, cartesian_to_polar, zernike_matrix
 from zernkit.wavefront import (
@@ -446,8 +446,9 @@ class TestSharedLocalSystem:
                 weighted[order].entries, shared * weights,
                 rtol=2 * np.finfo(float).eps, atol=0.0,
             )
-        # the matrix run_experiment hands to the SVD is assemble's, bit for
-        # bit: H's, the first family, at every node set
+        # without the Cholesky certificate, the matrix run_experiment hands
+        # to the SVD is assemble's, bit for bit: H's, the first family, at
+        # every node set
         seen = []
         condition_number = collocation.condition_number
 
@@ -456,6 +457,7 @@ class TestSharedLocalSystem:
             return condition_number(matrix)
 
         monkeypatch.setattr(collocation, "condition_number", recorded)
+        monkeypatch.setattr(wavefront, "_cholesky_bounds", lambda matrix: None)
         run_experiment(
             orders, 1, schemes=[scheme], bases=["H", "K"],
             node_provider=lambda s, order, seed: disk[order],
@@ -465,6 +467,33 @@ class TestSharedLocalSystem:
         for matrix in seen:
             want = weighted[matrix.order]
             assert matrix.entries.tobytes() == want.entries.tobytes()
+
+    @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
+    def test_certificate_changes_no_cell(self, monkeypatch, bases):
+        # the cells of the five generated schemes at n = 1..20 are the same,
+        # bit for bit, with the Cholesky certificate as with the rule alone,
+        # and no Bos set (ocs, carnicer, cuyt) pays for an SVD
+        schemes = ("ocs", "carnicer", "cuyt", "spiral", "random")
+        disk = {(s, n): generate_nodes(s, n) for s in schemes for n in range(1, 21)}
+        calls = []
+        condition_number = collocation.condition_number
+
+        def counted(matrix):
+            calls.append(matrix.scheme)
+            return condition_number(matrix)
+
+        def cells():
+            got = run_experiment(
+                range(1, 21), 1, schemes=schemes, bases=bases,
+                node_provider=lambda scheme, order, seed: disk[scheme, order],
+            )
+            return [(c.order, c.scheme, c.basis, c.mean_rrmse.hex(), c.error) for c in got]
+
+        monkeypatch.setattr(collocation, "condition_number", counted)
+        certified = cells()
+        assert not {"ocs", "carnicer", "cuyt"} & set(calls)
+        monkeypatch.setattr(wavefront, "_cholesky_bounds", lambda matrix: None)
+        assert cells() == certified
 
     def test_one_transfer_and_evaluation_per_node_set(self, monkeypatch):
         orders, schemes, bases = [16, 17], ["ocs", "spiral"], ["K", "H"]
@@ -520,9 +549,10 @@ class TestSharedLocalSystem:
         assert len(cells) == 4 * len(bases)
 
     @staticmethod
-    def _counted_svds(monkeypatch, disk_nodes, bases):
+    def _counted_svds(monkeypatch, disk_nodes, bases, certificate=True):
         # the cells of one node set and how many condition_number calls
-        # (one per SVD verdict) they made
+        # (one per SVD verdict) they made, with the Cholesky certificate or
+        # without it
         calls = []
         condition_number = collocation.condition_number
 
@@ -531,6 +561,8 @@ class TestSharedLocalSystem:
             return condition_number(matrix)
 
         monkeypatch.setattr(collocation, "condition_number", counted)
+        if not certificate:
+            monkeypatch.setattr(wavefront, "_cholesky_bounds", lambda matrix: None)
         cells = run_experiment(
             [disk_nodes.order], 2, bases=bases,
             node_provider=lambda scheme, order, seed: disk_nodes,
@@ -540,24 +572,58 @@ class TestSharedLocalSystem:
 
     @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
     @pytest.mark.parametrize("order", [6, 12])
-    def test_one_svd_per_well_conditioned_node_set(self, monkeypatch, bases, order):
-        # the first family's SVD (split by the mirror from order 11 on)
-        # certifies the other by the diagonal scaling bound; each cell
-        # still equals the one run alone, which takes its own SVD
+    def test_no_svd_for_a_certified_node_set(self, monkeypatch, bases, order):
+        # the Cholesky certificate of the K entries gives every family its
+        # verdict by the diagonal scaling bound; each cell still equals the
+        # one run alone
         disk_nodes = generate_nodes("ocs", order)
         cells, calls = self._counted_svds(monkeypatch, disk_nodes, bases)
+        assert calls == []
+        assert cells == [run_experiment([order], 2, bases=[b])[0] for b in bases]
+
+    @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
+    @pytest.mark.parametrize("order", [6, 12])
+    def test_one_svd_per_well_conditioned_node_set(self, monkeypatch, bases, order):
+        # without the certificate, the first family's SVD (split by the
+        # mirror from order 11 on) certifies the other by the diagonal
+        # scaling bound; each cell still equals the one run alone
+        disk_nodes = generate_nodes("ocs", order)
+        cells, calls = self._counted_svds(
+            monkeypatch, disk_nodes, bases, certificate=False
+        )
         assert calls == [bases[0]]
         assert cells == [run_experiment([order], 2, bases=[b])[0] for b in bases]
 
     def test_inconclusive_bound_runs_the_rule_on_its_own_matrix(self, monkeypatch):
         # node 1 within 1e-13 of node 0: K passes the rule, but too close
-        # to it for the bound to speak for H, which then takes its own SVD
+        # to it for the certificate, or for K's bound to speak for H, which
+        # then takes its own SVD
         points = np.array(ocs_nodes(2).nodes)
         points[1] = points[0] + [1e-13, 0.0]
         disk_nodes = NodeSet(2, Scheme.BOS_CUSTOM, points)
         cells, calls = self._counted_svds(monkeypatch, disk_nodes, ("K", "H"))
         assert calls == ["K", "H"]
         assert [c.error for c in cells] == [None, None]
+
+    def test_doubled_node_refuses_by_the_rule(self, monkeypatch):
+        # no certificate for a doubled node: each family's own SVD refuses
+        # it, with its own sigma_min
+        points = np.array(ocs_nodes(4).nodes)
+        points[1] = points[0]
+        disk_nodes = NodeSet(4, Scheme.BOS_CUSTOM, points)
+        nodes, entries, weights = _local_system(disk_nodes)
+        bases = ("K", "H")
+        matrices = [_family_matrix(nodes, entries, HexagonBasis(4, b)) for b in bases]
+        assert collocation._cholesky_bounds(matrices[0]) is None
+        outcomes, _ = _solve_families(
+            lambda: (nodes, entries, weights, None), bases, bases, None
+        )
+        for matrix, outcome in zip(matrices, outcomes):
+            assert isinstance(outcome, SingularMatrixError)
+            assert outcome.sigma_min == collocation.condition_number(matrix).sigma_min
+        cells, calls = self._counted_svds(monkeypatch, disk_nodes, ("K", "H"))
+        assert calls == ["K", "H"]
+        assert [c.error for c in cells] == ["SingularMatrixError"] * 2
 
     @staticmethod
     def _counted_solves(monkeypatch, node_provider, order, bases):
