@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NodeCountError, NonFiniteError, SingularMatrixError
-from .zernike import zernike_matrix
+from .zernike import _radial_rows
 
 __all__ = [
     "CollocationMatrix",
@@ -33,6 +33,12 @@ __all__ = [
 # time, as many radii as keep the block within this many values (512 KiB),
 # but at least two
 LAGRANGE_BLOCK_VALUES = 2**16
+# and contracts the inverse with the radial table for the whole grid when
+# that fits in this many values (4 MiB), else for chunks of as many whole
+# blocks as fit, at least one.  A radius takes N (2n + 1) values, so the
+# default grid is one chunk up to order 12.  Chunks of one block made the
+# orders 1..10 a fifth slower: each chunk pays for 2n + 1 small products.
+CONTRACT_VALUES = 2**19
 
 # condition_number keeps the mirror split, and lebesgue_constant takes half
 # the grid angles, only when the dropped off-block is within this many
@@ -355,9 +361,16 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     They are formed in blocks of max(2, LAGRANGE_BLOCK_VALUES // (N n_a))
     radii, n_a the angles evaluated, in one buffer reused by every block:
     at most 512 KiB unless two radii need more (N n_a > 2^15: from order
-    10 on the whole default grid, from order 15 on its half).  The largest
-    temporaries are that buffer and the n_r x N x (2n + 1) contraction;
-    the N x (n_r n_t) grid matrix is never built.
+    10 on the whole default grid, from order 15 on its half).  The D_m are
+    contracted for the whole grid if it fits CONTRACT_VALUES values (4 MiB),
+    else for a chunk of whole blocks at a time.  They are stored
+    frequency-major: D_m of a chunk is one contiguous (radii x N) slab,
+    written by one product, and a block is read from the slabs through a
+    transposed product with the trig table.  sum_j |l_j| is one more
+    product, with a vector of ones.  So the largest temporaries are the
+    chunk, the N x N inverse and the block; neither the N x (n_r n_t) grid
+    matrix nor the n_r x N x (2n + 1) contraction of the whole grid is
+    ever built.
 
     When the node set's ``mirror`` holds for the collocation matrix, by the
     rule of ``condition_number``'s split, only the angles l = 0 .. n_t // 2
@@ -379,43 +392,50 @@ def lebesgue_constant(nodes, basis, grid_shape=(200, 512)):
     n_angles = n_t // 2 + 1 if _mirror_holds(matrix, report) else n_t
     t = 2.0 * np.pi * np.arange(n_angles) / n_t
     inverse = np.linalg.inv(matrix.entries)
-    order = basis.order
-    degrees, ms = _row_frequencies(order)
+    order, size = basis.order, basis.size
     freqs = np.arange(-order, order + 1)
     # sorted by frequency, in index order within one, each frequency's rows
     # are one slice: frequency m has a row in degrees |m|, |m| + 2, .., order
-    by_freq = np.argsort(ms, kind="stable")
+    by_freq = np.argsort(_row_frequencies(order)[1], kind="stable")
     ends = np.cumsum((order - np.abs(freqs)) // 2 + 1)
-    # at theta = 0 the row of (n, |m|) is N R_n^|m|(r) exactly
-    at_zero = zernike_matrix(order, r, 0.0)
-    radial = at_zero[((degrees * (degrees + 2) + np.abs(ms)) // 2)[by_freq]]
+    # rows (n, m) and (n, -m) both hold N R_n^|m|(r)
+    radial = np.empty((size, n_r))
+    _radial_rows(order, r, radial)
+    radial = radial[by_freq]
     inverse = inverse.take(by_freq, axis=1)
     trig = np.empty((freqs.size, n_angles))
     np.cos(freqs[order:, None] * t, out=trig[order:])
     np.sin(-freqs[:order, None] * t, out=trig[:order])
-    # contracted[a, j, k]: Lagrange function j at radius r[a], coefficient
-    # of trig row k (frequency freqs[k])
-    contracted = np.empty((n_r, basis.size, freqs.size))
-    start = 0
-    for k, end in enumerate(ends):
-        contracted[:, :, k] = (inverse[:, start:end] @ radial[start:end]).T
-        start = end
-    weight = basis.map.image_weight(r[:, None], t) if basis.weighted else None
-    block_radii = min(n_r, _radial_block(basis.size, n_angles))
-    lagrange = np.empty((block_radii * basis.size, n_angles))
+    block_radii = min(n_r, _radial_block(size, n_angles))
+    chunk_radii = _contract_chunk(n_r, size, freqs.size, block_radii)
+    # contracted[k, a, j]: Lagrange function j at radius r[c0 + a],
+    # coefficient of trig row k (frequency freqs[k])
+    contracted = np.empty((freqs.size, chunk_radii, size))
+    lagrange = np.empty((block_radii * size, n_angles))
     totals = np.empty((block_radii, n_angles))
+    ones = np.ones(size)
     best = 0.0
-    for start in range(0, n_r, block_radii):
-        block = contracted[start : start + block_radii]
-        count = len(block)
-        values = lagrange[: count * basis.size]
-        np.matmul(block.reshape(-1, freqs.size), trig, out=values)
-        np.abs(values, out=values)
-        total = totals[:count]
-        np.sum(values.reshape(count, basis.size, n_angles), axis=1, out=total)
-        if weight is not None:
-            total *= weight[start : start + block_radii]
-        best = max(best, float(total.max()))
+    for c0 in range(0, n_r, chunk_radii):
+        c1 = min(c0 + chunk_radii, n_r)
+        chunk = contracted[:, : c1 - c0]
+        start = 0
+        for k, end in enumerate(ends):
+            np.matmul(
+                radial[start:end, c0:c1].T, inverse[:, start:end].T, out=chunk[k]
+            )
+            start = end
+        weight = basis.map.image_weight(r[c0:c1, None], t) if basis.weighted else None
+        for b0 in range(0, c1 - c0, block_radii):
+            block = chunk[:, b0 : b0 + block_radii]
+            count = block.shape[1]
+            values = lagrange[: count * size]
+            np.matmul(block.reshape(freqs.size, -1).T, trig, out=values)
+            np.abs(values, out=values)
+            total = totals[:count]
+            np.matmul(ones, values.reshape(count, size, n_angles), out=total)
+            if weight is not None:
+                total *= weight[b0 : b0 + count]
+            best = max(best, float(total.max()))
     return best
 
 
@@ -433,3 +453,14 @@ def _radial_block(size, n_angles):
     ``size`` functions on ``n_angles`` grid angles: as many as fit
     ``LAGRANGE_BLOCK_VALUES`` values, and at least two."""
     return max(2, LAGRANGE_BLOCK_VALUES // (size * n_angles))
+
+
+def _contract_chunk(n_r, size, n_freqs, block_radii):
+    """Grid radii per contraction chunk of ``lebesgue_constant`` for n_r
+    radii, a basis of ``size`` functions and ``n_freqs`` frequencies: all
+    n_r when they fit ``CONTRACT_VALUES`` values, else as many whole
+    Lagrange blocks of ``block_radii`` radii as fit, and at least one."""
+    per_radius = size * n_freqs
+    if n_r * per_radius <= CONTRACT_VALUES:
+        return n_r
+    return block_radii * max(1, CONTRACT_VALUES // (block_radii * per_radius))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -809,6 +810,17 @@ _LEBESGUE_MAPS = {
 }
 
 
+def _lebesgue_case(family, scheme, order):
+    """A generated disk set carried to the family's domain, and the basis."""
+    domain_map = _LEBESGUE_MAPS[family]
+    nodes = generate_nodes(scheme, order)
+    if domain_map is not None:
+        nodes = transfer_nodes(
+            domain_map, nodes, inner_eps=0.01 if family == "O" else None
+        )
+    return nodes, make_basis(family, order, domain_map)
+
+
 def _forward_xy(domain_map, x, y):
     """A radial map's forward map on Cartesian points: (x, y) R(atan2(y, x))
     for the hexagon, radius a + (A - a) hypot(x, y) along the same angle
@@ -875,13 +887,7 @@ class TestLebesgue:
     )
     @settings(max_examples=40)
     def test_matches_dense_oracle(self, family, order, scheme, n_t, data):
-        domain_map = _LEBESGUE_MAPS[family]
-        nodes = generate_nodes(scheme, order)
-        if domain_map is not None:
-            nodes = transfer_nodes(
-                domain_map, nodes, inner_eps=0.01 if family == "O" else None
-            )
-        basis = make_basis(family, order, domain_map)
+        nodes, basis = _lebesgue_case(family, scheme, order)
         matrix = assemble(basis, nodes)
         half = collocation._mirror_holds(matrix, condition_number(matrix))
         block = collocation._radial_block(basis.size, n_t // 2 + 1 if half else n_t)
@@ -893,9 +899,60 @@ class TestLebesgue:
                 st.integers(block + 1, 3 * block).filter(lambda k: k % block),
             )
         )
-        want = dense_lebesgue_constant(nodes, family, domain_map, (n_r, n_t))
+        want = dense_lebesgue_constant(
+            nodes, family, _LEBESGUE_MAPS[family], (n_r, n_t)
+        )
         got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family,scheme,order",
+        [(f, s, n) for f in "ZHO" for s in ("ocs", "cuyt") for n in (20, 30)]
+        + [("Z", "approx-fekete", 12)],
+    )
+    def test_chunked_contraction_matches_dense_oracle(self, family, scheme, order):
+        # enough radii for three contraction chunks, the last one ragged
+        nodes, basis = _lebesgue_case(family, scheme, order)
+        n_t = 16
+        matrix = assemble(basis, nodes)
+        half = collocation._mirror_holds(matrix, condition_number(matrix))
+        block = collocation._radial_block(basis.size, n_t // 2 + 1 if half else n_t)
+        n_freqs = 2 * order + 1
+        chunk = collocation._contract_chunk(10**9, basis.size, n_freqs, block)
+        n_r = 2 * chunk + chunk // 2 + 1
+        assert collocation._contract_chunk(n_r, basis.size, n_freqs, block) == chunk
+        assert n_r % chunk
+        want = dense_lebesgue_constant(
+            nodes, family, _LEBESGUE_MAPS[family], (n_r, n_t)
+        )
+        got = lebesgue_constant(nodes, basis, grid_shape=(n_r, n_t))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("family", list("ZHO"))
+    def test_chunk_size_changes_no_bit(self, family, monkeypatch):
+        # one Lagrange block per chunk, the default (one chunk at order 10,
+        # two at order 20) and the whole grid in one chunk sum the same
+        # products in the same order
+        for scheme in ("ocs", "approx-fekete"):
+            for order in (10, 20):
+                nodes, basis = _lebesgue_case(family, scheme, order)
+                got = []
+                for values in (1, collocation.CONTRACT_VALUES, 2**40):
+                    monkeypatch.setattr(collocation, "CONTRACT_VALUES", values)
+                    lam = lebesgue_constant(nodes, basis, grid_shape=(60, 64))
+                    got.append(lam.hex())
+                assert got[0] == got[1] == got[2], (scheme, order)
+
+    def test_peak_memory_at_order_30(self):
+        # the contraction of the whole default grid alone is 48 MB at n = 30
+        nodes, basis = _lebesgue_case("Z", "ocs", 30)
+        tracemalloc.start()
+        try:
+            lebesgue_constant(nodes, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("grid_shape", [(0, 16), (10, 0)])
     def test_empty_grid_rejected(self, grid_shape):
