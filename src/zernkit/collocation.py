@@ -49,14 +49,13 @@ MIRROR_SLACK = 4
 # against 0.59-0.73 ms); at orders 8 to 10 they were within the noise.
 MIRROR_MIN_SIZE = 78
 # scaled_nonsingular certifies A S, S a positive diagonal, from bounds on A's
-# sigma (its report's, or _cholesky_bounds') only when the rule passes with
-# this many times its N eps tolerance.  The margin covers the backward errors
-# of the SVDs and of the mirror split (off <= MIRROR_SLACK N eps sigma_max)
-# and the rounding of A S as assemble weighs it (<= sqrt(N) eps sigma_max;
-# the zonal cells solve only with K), each within a few N eps sigma_max.  The
+# sigma only when the rule passes with this many times its N eps tolerance:
+# the margin covers the backward errors of the SVDs and the mirror split
+# (off <= MIRROR_SLACK N eps sigma_max) that the rule runs on A S, and the
+# rounding of A S as assemble weighs it (<= sqrt(N) eps sigma_max).  The
 # Cholesky bounds of the wavefront runs' K matrices (n = 2..20, five schemes)
 # pass it with 5.3e3 (n = 20) to 4e4 to spare; random n = 20, which they
-# leave undecided, passes from its SVD with 6e3.
+# leave undecided, takes each family's own SVD.
 SCALED_MARGIN = 2**10
 SQRT_HALF = math.sqrt(0.5)
 
@@ -91,10 +90,9 @@ class ConditionReport:
     collocation matrix (solves, Lebesgue estimates, the zonal wavefront
     cells) is held to the one singularity rule, ``require_nonsingular``:
     sigma_min <= N eps sigma_max, where an answer has no correct digit.
-    The zonal wavefront cells take their verdicts from
-    ``scaled_nonsingular``, on the Cholesky bounds of the K entries
-    (``_cholesky_bounds``) or on the report of a family that passed the
-    rule, wherever it decides; every other caller applies the rule.
+    The zonal wavefront cells take theirs from ``_family_verdicts``: the
+    Cholesky certificate of the K entries where it decides, else the rule
+    on the family's own matrix; every other caller applies the rule.
 
     ``off_block`` is the Frobenius norm of the two blocks the mirror split
     of ``condition_number`` dropped, None when the full SVD ran.
@@ -264,8 +262,7 @@ def scaled_nonsingular(sigma_min, sigma_max, scale):
     """Whether the singularity rule accepts A S, for the positive diagonal
     S = diag(``scale``) of one entry per column, from bounds on the N x N
     matrix A, ``sigma_min`` <= sigma_min(A) and sigma_max(A) <=
-    ``sigma_max``: as a ConditionReport of A measures them, or as
-    ``_cholesky_bounds`` proves them.
+    ``sigma_max``, as ``_cholesky_bounds`` proves them.
 
     sigma_i(A) min S <= sigma_i(A S) <= sigma_i(A) max S (multiplicative
     perturbation; Eisenstat & Ipsen, SIAM J. Numer. Anal. 32 (1995)), so
@@ -327,6 +324,29 @@ def _cholesky_bounds(matrix):
     off = 0.0 if blocks is None else blocks[2]
     low = math.sqrt(2 * t) - off * (1 + g(2 * n * n + 16)) - 2 * g(3) * math.sqrt(f)
     return (low, math.sqrt(f)) if low > 0 else None
+
+
+def _family_verdicts(matrix, scales, family_matrix):
+    """The singularity rule's verdict on each family A diag(s), s in
+    ``scales`` (one positive entry per column), of the collocation matrix
+    A = ``matrix``: ("cholesky", low, high) where ``scaled_nonsingular``
+    accepts it from the bounds of ``_cholesky_bounds`` on A, run once;
+    else ("svd", sigma_min, sigma_max) from ``require_nonsingular`` on
+    ``family_matrix(i)``, family i's own matrix, built only then, or the
+    SingularMatrixError it raises, carrying that matrix's sigma_min."""
+    bounds = _cholesky_bounds(matrix)
+    verdicts = []
+    for i, scale in enumerate(scales):
+        if bounds and scaled_nonsingular(*bounds, scale):
+            verdicts.append(("cholesky", *bounds))
+            continue
+        try:
+            report = require_nonsingular(family_matrix(i))
+        except SingularMatrixError as exc:
+            verdicts.append(exc)
+        else:
+            verdicts.append(("svd", report.sigma_min, report.sigma_max))
+    return verdicts
 
 
 def solve_interpolation(matrix, values):

@@ -21,9 +21,7 @@ import numpy as np
 # set-up rather than in the first run_experiment call
 import numpy.random  # noqa: F401
 
-from .collocation import (
-    CollocationMatrix, _cholesky_bounds, require_nonsingular, scaled_nonsingular,
-)
+from .collocation import CollocationMatrix, _family_verdicts
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
 from .errors import NonFiniteError, ZeroDenominatorError, ZernkitError
 from .samplings import generate_nodes, ocs_nodes
@@ -208,10 +206,10 @@ def _local_system(disk_nodes):
 
 def _family_matrix(nodes, entries, basis):
     """The collocation matrix of ``basis`` at the local nodes, from the K
-    entries of ``_local_system``, for a verdict only: K's are the entries, H
-    weighs a copy by 1/R(theta) with the map's ``weigh``.  That is
-    ``assemble``'s matrix bit for bit, since assemble weighs the same K
-    values the same way."""
+    entries of ``_local_system``, for ``_family_verdicts`` only: K's are
+    the entries, H weighs a copy by 1/R(theta) with the map's ``weigh``.
+    That is ``assemble``'s matrix bit for bit, since assemble weighs the
+    same K values the same way."""
     if basis.weighted:
         entries = basis.map.weigh(entries.copy(), nodes.rho, nodes.theta)
     return CollocationMatrix(
@@ -320,59 +318,40 @@ def _solve_families(shared_step, bases, labels, progress):
     None.  ``labels[i]`` goes to ``progress`` as family i starts, and the
     reason of its failure right after.
 
-    ``shared_step()`` runs once, at the first family, and then
-    ``_cholesky_bounds`` once, on its K entries.  Every family's matrix is
-    K times a positive diagonal, 1 for K and the node weights q for H, so
-    ``scaled_nonsingular`` takes its verdict from those bounds
-    (``_certified``) and no SVD runs.  Where there are none, or they are
-    inconclusive, the family runs ``require_nonsingular`` on its own
-    ``_family_matrix``, so a refusal carries its own sigma_min, and a
-    report that passes serves later families the same way.  H's system
-    H.T c = b is K.T c = b / q: one ``np.linalg.solve`` on the K entries
-    serves every passing family, its 15 right-hand sides divided by its
-    node weights (1 for K).  Nothing returned holds the N x N entries.
+    ``shared_step()`` runs once, at the first family, and
+    ``_family_verdicts`` decides every family from its K entries: each
+    family's matrix is K times a positive diagonal, 1 for K and the node
+    weights q for H.  H's system H.T c = b is K.T c = b / q, so one
+    ``np.linalg.solve`` on the K entries serves every passing family, its
+    15 right-hand sides divided by its node weights.  Nothing returned
+    holds the N x N entries.
     """
-    shared = None
-    known = []  # (sigma_min, sigma_max, weighted) bounds at these nodes
-    outcomes = []
-    for family, label in zip(bases, labels):
-        if progress:
+    if not bases:
+        return [], None
+    if progress:
+        progress(labels[0])
+    shared = shared_step()
+    if isinstance(shared, Exception):
+        outcomes = [shared] * len(bases)
+    else:
+        nodes, entries, weights, at_nodes = shared
+        families = [HexagonBasis(nodes.order, family) for family in bases]
+        verdicts = _family_verdicts(
+            _family_matrix(nodes, entries, HexagonBasis(nodes.order, "K")),
+            [weights if f.weighted else np.ones(len(weights)) for f in families],
+            lambda i: _family_matrix(nodes, entries, families[i]),
+        )
+        outcomes = [f if isinstance(v, tuple) else v for v, f in zip(verdicts, families)]
+    for i, (label, outcome) in enumerate(zip(labels, outcomes)):
+        if progress and i:
             progress(label)
-        if shared is None:
-            shared = shared_step()
-            if not isinstance(shared, Exception):
-                k_family = HexagonBasis(shared[0].order, "K")
-                bounds = _cholesky_bounds(_family_matrix(*shared[:2], k_family))
-                if bounds:
-                    known.append((*bounds, False))
-        outcome = shared
-        if not isinstance(shared, Exception):
-            nodes, entries, weights, _ = shared
-            outcome = basis = HexagonBasis(nodes.order, family)
-            try:
-                if not any(_certified(b, weights, basis) for b in known):
-                    report = require_nonsingular(_family_matrix(nodes, entries, basis))
-                    known.append((report.sigma_min, report.sigma_max, basis.weighted))
-            except ZernkitError as exc:
-                outcome = exc
         if isinstance(outcome, Exception):
             _report(progress, label, outcome)
-        outcomes.append(outcome)
     solved = [o for o in outcomes if not isinstance(o, Exception)]
     if not solved:
         return outcomes, None
-    _, entries, weights, at_nodes = shared
     rhs = np.concatenate([at_nodes / weights if b.weighted else at_nodes for b in solved])
     return outcomes, np.linalg.solve(entries.T, rhs.T).T
-
-
-def _certified(bounds, weights, basis):
-    """Whether ``scaled_nonsingular`` accepts ``basis``'s matrix from
-    ``bounds`` = (sigma_min, sigma_max, weighted) of the matrix of K, or of
-    H if ``weighted``, at the same nodes.  With H's node ``weights`` q,
-    ``basis``'s matrix is that one times q (H from K), 1/q (K from H) or 1."""
-    low, high, weighted = bounds
-    return scaled_nonsingular(low, high, weights ** (basis.weighted - weighted))
 
 
 def run_experiment(
@@ -404,8 +383,8 @@ def run_experiment(
     modes are evaluated at the moved nodes once.  H is K times a positive
     diagonal, so the node set pays for one LU, every passing family's
     coefficients from one solve on the K entries, and, where the Cholesky
-    bounds of the K entries decide every verdict, no SVD
-    (``_solve_families``).
+    certificate of the K entries decides every verdict, no SVD
+    (``_solve_families``); a family it leaves undecided takes its own.
     Their grid values come from one product with the first rows of one
     K-family grid table, evaluated once per call at ``max(orders)``; an H
     block is divided by R(theta), so no cell evaluates the grid or copies

@@ -636,21 +636,33 @@ HEXAGON_WEIGHTS = (1.0, 2.0 / math.sqrt(3.0))
 
 def _check_cholesky_bounds(matrix, rng):
     """The bounds of ``_cholesky_bounds`` bracket the SVD's sigma, up to
-    its backward error, and any verdict they give for the matrix, or for
-    it times hexagon node weights, is the rule's.  Returns the bounds."""
+    its backward error, and the verdicts of ``_family_verdicts`` on the
+    matrix, and on it times hexagon node weights, are the rule's: a
+    ``cholesky`` verdict passes the rule, an ``svd`` verdict or a refusal
+    is the rule's own on that matrix, sigma_min included.  Returns the
+    bounds."""
+    a, n = matrix.entries, matrix.size
+    scales = [np.ones(n), rng.uniform(*HEXAGON_WEIGHTS, n)]
+    families = [dataclasses.replace(matrix, entries=a * scale) for scale in scales]
+    verdicts = collocation._family_verdicts(matrix, scales, families.__getitem__)
     bounds = collocation._cholesky_bounds(matrix)
+    for family, verdict in zip(families, verdicts):
+        if isinstance(verdict, SingularMatrixError):
+            with pytest.raises(SingularMatrixError) as err:
+                require_nonsingular(family)
+            assert err.value.sigma_min == verdict.sigma_min
+        elif verdict[0] == "cholesky":
+            assert verdict[1:] == bounds
+            require_nonsingular(family)
+        else:
+            report = require_nonsingular(family)
+            assert verdict == ("svd", report.sigma_min, report.sigma_max)
     if bounds is None:
         return None
     low, high = bounds
-    a, n = matrix.entries, matrix.size
     sigma = np.linalg.svd(a, compute_uv=False)
     assert 0.0 < low <= sigma[-1] + n * np.finfo(float).eps * sigma[0]
     assert high >= sigma[0] * (1.0 - n * np.finfo(float).eps)
-    if scaled_nonsingular(low, high, np.ones(n)):
-        require_nonsingular(matrix)
-    scale = rng.uniform(*HEXAGON_WEIGHTS, n)
-    if scaled_nonsingular(low, high, scale):
-        require_nonsingular(dataclasses.replace(matrix, entries=a * scale))
     return bounds
 
 

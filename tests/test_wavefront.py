@@ -424,16 +424,14 @@ class TestSharedLocalSystem:
     def test_families_equal_assemble(self, monkeypatch, scheme):
         orders = range(1, 21)
         disk = {order: generate_nodes(scheme, order) for order in orders}
-        weighted = {}  # assemble's H matrix per order
+        assembled = {}  # assemble's matrix per (order, family)
         for order in orders:
             moved = transfer_nodes(HexagonMap(), disk[order])
             nodes, entries, weights = _local_system(disk[order])
             shared = entries.copy()
             for family in ("K", "H"):
                 basis = HexagonBasis(order, family)
-                want = assemble(basis, moved)
-                if basis.weighted:
-                    weighted[order] = want
+                want = assembled[order, family] = assemble(basis, moved)
                 got = _family_matrix(nodes, entries, basis)
                 assert np.array_equal(entries, shared)  # H weighs a copy
                 assert got.entries.tobytes() == want.entries.tobytes()
@@ -443,12 +441,11 @@ class TestSharedLocalSystem:
                 assert np.array_equal(got.mirror, want.mirror)
             # H's entries are K's times its node weights 1/R(theta_j)
             np.testing.assert_allclose(
-                weighted[order].entries, shared * weights,
+                assembled[order, "H"].entries, shared * weights,
                 rtol=2 * np.finfo(float).eps, atol=0.0,
             )
-        # without the Cholesky certificate, the matrix run_experiment hands
-        # to the SVD is assemble's, bit for bit: H's, the first family, at
-        # every node set
+        # without the Cholesky certificate, every family of every node set
+        # takes its own SVD, on assemble's matrix for that family, bit for bit
         seen = []
         condition_number = collocation.condition_number
 
@@ -457,15 +454,17 @@ class TestSharedLocalSystem:
             return condition_number(matrix)
 
         monkeypatch.setattr(collocation, "condition_number", recorded)
-        monkeypatch.setattr(wavefront, "_cholesky_bounds", lambda matrix: None)
+        monkeypatch.setattr(collocation, "_cholesky_bounds", lambda matrix: None)
         run_experiment(
             orders, 1, schemes=[scheme], bases=["H", "K"],
             node_provider=lambda s, order, seed: disk[order],
         )
         monkeypatch.undo()
-        assert [(m.order, m.basis) for m in seen] == [(n, "H") for n in orders]
+        assert [(m.order, m.basis) for m in seen] == [
+            (n, family) for n in orders for family in ("H", "K")
+        ]
         for matrix in seen:
-            want = weighted[matrix.order]
+            want = assembled[matrix.order, matrix.basis]
             assert matrix.entries.tobytes() == want.entries.tobytes()
 
     @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
@@ -492,7 +491,7 @@ class TestSharedLocalSystem:
         monkeypatch.setattr(collocation, "condition_number", counted)
         certified = cells()
         assert not {"ocs", "carnicer", "cuyt"} & set(calls)
-        monkeypatch.setattr(wavefront, "_cholesky_bounds", lambda matrix: None)
+        monkeypatch.setattr(collocation, "_cholesky_bounds", lambda matrix: None)
         assert cells() == certified
 
     def test_one_transfer_and_evaluation_per_node_set(self, monkeypatch):
@@ -562,7 +561,7 @@ class TestSharedLocalSystem:
 
         monkeypatch.setattr(collocation, "condition_number", counted)
         if not certificate:
-            monkeypatch.setattr(wavefront, "_cholesky_bounds", lambda matrix: None)
+            monkeypatch.setattr(collocation, "_cholesky_bounds", lambda matrix: None)
         cells = run_experiment(
             [disk_nodes.order], 2, bases=bases,
             node_provider=lambda scheme, order, seed: disk_nodes,
@@ -584,15 +583,49 @@ class TestSharedLocalSystem:
     @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K"), ("H",)])
     @pytest.mark.parametrize("order", [6, 12])
     def test_one_svd_per_well_conditioned_node_set(self, monkeypatch, bases, order):
-        # without the certificate, the first family's SVD (split by the
-        # mirror from order 11 on) certifies the other by the diagonal
-        # scaling bound; each cell still equals the one run alone
+        # without the certificate, each family takes its own SVD (split by
+        # the mirror from order 11 on), in order; each cell still equals
+        # the one run alone
         disk_nodes = generate_nodes("ocs", order)
         cells, calls = self._counted_svds(
             monkeypatch, disk_nodes, bases, certificate=False
         )
-        assert calls == [bases[0]]
+        assert calls == list(bases)
         assert cells == [run_experiment([order], 2, bases=[b])[0] for b in bases]
+
+    @pytest.mark.parametrize("bases", [("K", "H"), ("H", "K")])
+    def test_verdict_sources(self, monkeypatch, bases):
+        # every family of the five generated schemes at n = 2..20 takes its
+        # verdict from the Cholesky certificate of the K entries, but for
+        # random n = 20, which it leaves undecided: there each family takes
+        # its own SVD, and the cells equal single-family runs
+        schemes = ("ocs", "carnicer", "cuyt", "spiral", "random")
+        orders = range(2, 21)
+        sources, calls = {}, []
+        family_verdicts = wavefront._family_verdicts
+        condition_number = collocation.condition_number
+
+        def recorded(matrix, scales, family_matrix):
+            verdicts = family_verdicts(matrix, scales, family_matrix)
+            sources[matrix.order, matrix.scheme] = [
+                v[0] if isinstance(v, tuple) else type(v).__name__ for v in verdicts
+            ]
+            return verdicts
+
+        def counted(matrix):
+            calls.append((matrix.order, matrix.scheme, matrix.basis))
+            return condition_number(matrix)
+
+        monkeypatch.setattr(wavefront, "_family_verdicts", recorded)
+        monkeypatch.setattr(collocation, "condition_number", counted)
+        cells = run_experiment(orders, 1, schemes=schemes, bases=bases)
+        monkeypatch.undo()
+        want = {(n, s): ["cholesky"] * 2 for n in orders for s in schemes}
+        want[20, "random"] = ["svd"] * 2
+        assert sources == want
+        assert calls == [(20, "random", b) for b in bases]
+        alone = [run_experiment([20], 1, schemes=["random"], bases=[b])[0] for b in bases]
+        assert cells[-2:] == alone
 
     def test_inconclusive_bound_runs_the_rule_on_its_own_matrix(self, monkeypatch):
         # node 1 within 1e-13 of node 0: K passes the rule, but too close
@@ -817,8 +850,8 @@ class TestExperiment:
         ]
 
     def test_singular_set_marks_every_basis(self):
-        # K fails the rule, so no report certifies H: H runs the rule on its
-        # own matrix, and each reason follows its own label
+        # no certificate for a doubled node: each family runs the rule on
+        # its own matrix, and each reason follows its own label
         def doubled(scheme, order, seed):
             points = np.array(ocs_nodes(order).nodes)
             points[1] = points[0]
