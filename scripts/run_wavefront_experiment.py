@@ -3,10 +3,9 @@
 
 Produces the two error-versus-order curves: the stable schemes with both
 hexagon bases, and the unstable spiral/random baselines with the weighted
-basis.  With default settings (orders 2..20, 100 trials, 95 cells) the run
-took 0.38-0.44 s, mostly start-up, with a peak RSS of 45.9-46.1 MB on a
-shared 2-vCPU host with OPENBLAS_NUM_THREADS=1 (Python 3.11, numpy 2.4,
-scipy 1.17; wall time of the whole script, eight runs).
+basis.  The wall time and peak RSS of a run at the default settings
+(orders 2..20, 100 trials, 95 cells) are given in the README, under
+"Wavefront experiments".
 """
 
 import argparse

@@ -14,19 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here keeps that cost in
 # set-up rather than in the first run_experiment call
 import numpy.random  # noqa: F401
 
-from .collocation import CollocationMatrix, _family_verdicts
+from .collocation import _family_verdicts, assemble
 from .domains import HexagonBasis, HexagonMap, transfer_nodes
-from .errors import NonFiniteError, ZeroDenominatorError, ZernkitError
+from .errors import ZeroDenominatorError, ZernkitError
 from .samplings import generate_nodes, ocs_nodes
 # zernike_xy stays importable from this module for tools that wrap it here
-from .zernike import cartesian_to_polar, zernike_matrix, zernike_xy  # noqa: F401
+from .zernike import (  # noqa: F401
+    cartesian_to_polar, index_to_nm, zernike_matrix, zernike_xy,
+)
 
 __all__ = [
     "WAVEFRONT_MODES",
@@ -73,8 +75,6 @@ def kolmogorov_covariance():
     puts the tip/tilt variance at the textbook 0.449.  Piston (mode 0) is
     excluded.  Returned as a (13, 13) array for single indices 1..13.
     """
-    from .zernike import index_to_nm
-
     c0 = 0.0457654 * 0.5 ** (5.0 / 3.0) * math.pi ** (8.0 / 3.0) / 2.0
     modes = [index_to_nm(j) for j in range(1, WAVEFRONT_MODES)]
     cov = np.zeros((len(modes), len(modes)))
@@ -175,57 +175,16 @@ def _grid_table(order):
     return HexagonBasis(order, "K").matrix_xy(grid[:, 0], grid[:, 1])
 
 
-@lru_cache(maxsize=1)
-def _grid_radius():
-    """R(theta) at the hexagon_grid() points, read-only, by which
-    ``HexagonMap.weigh`` divides H's grid values."""
-    grid = hexagon_grid()
-    radius = HexagonMap().boundary_radius(cartesian_to_polar(grid[:, 0], grid[:, 1])[1])
-    radius.setflags(write=False)
-    return radius
-
-
-def _local_system(disk_nodes):
-    """The step every family of one disk node set shares: the set moved
-    onto the unit hexagon, the K family's collocation entries there,
-    (N, N), rows basis functions and columns nodes, and H's node weights
-    q = 1/R(theta_j), (N,): H's entries are K's times q, column by column.
-
-    The entries pass every check of ``assemble``: ``transfer_nodes``
-    labels the set with the hexagon domain, a NodeSet has basis_size(order)
-    nodes, ``matrix`` raises DomainError for a node outside the hexagon,
-    and non-finite entries raise NonFiniteError here.
-    """
-    nodes = transfer_nodes(HexagonMap(), disk_nodes)
-    entries = HexagonBasis(nodes.order, "K").matrix(nodes)
-    if not np.all(np.isfinite(entries)):
-        raise NonFiniteError("collocation matrix has non-finite entries")
-    weights = HexagonMap().weigh(np.ones(len(nodes)), nodes.rho, nodes.theta)
-    return nodes, entries, weights
-
-
-def _family_matrix(nodes, entries, basis):
-    """The collocation matrix of ``basis`` at the local nodes, from the K
-    entries of ``_local_system``, for ``_family_verdicts`` only: K's are
-    the entries, H weighs a copy by 1/R(theta) with the map's ``weigh``.
-    That is ``assemble``'s matrix bit for bit, since assemble weighs the
-    same K values the same way."""
-    if basis.weighted:
-        entries = basis.map.weigh(entries.copy(), nodes.rho, nodes.theta)
-    return CollocationMatrix(
-        entries, nodes.order, str(nodes.scheme), basis.family, nodes.mirror
-    )
-
-
-def _on_grid(coefficients, bases, rows):
+def _on_grid(coefficients, bases, rows, polar):
     """The interpolants with ``coefficients`` (F r, N), one block of r rows
     per family of ``bases``, on the evaluation grid, (F, r, M), from one
     product with ``rows``, the K family's rows of the grid table; a
-    weighted family's block is divided in place by R(theta)."""
+    weighted family's block is weighed in place by its map's ``weigh`` at
+    ``polar``, the grid's polar coordinates (rho, theta)."""
     values = (coefficients @ rows).reshape(len(bases), -1, rows.shape[1])
     for basis, block in zip(bases, values):
         if basis.weighted:
-            block /= _grid_radius()
+            basis.map.weigh(block, *polar)
     return values
 
 
@@ -291,19 +250,23 @@ def _mean_rrmse(error, local, truth_sq):
 
 
 def _shared_step(node_provider, scheme, order, seed):
-    """What every family of one (order, scheme) shares: ``_local_system``
-    and the 15 local modes at its nodes, (15, N).  Or the exception that
-    says why they cannot be had: a ZernkitError, OSError or ValueError
-    from ``node_provider``, a ZernkitError from the numerics."""
+    """What every family of one (order, scheme) shares: the node set moved
+    onto the unit hexagon, the K family's collocation matrix there from
+    ``assemble``, and the 15 local modes at its nodes, (15, N).  Or the
+    exception that says why they cannot be had: a ZernkitError, OSError or
+    ValueError from ``node_provider``, a ZernkitError from the transfer or
+    from ``assemble``'s checks (a set of another order than ``order`` has
+    the wrong node count)."""
     try:
         disk_nodes = node_provider(scheme, order, seed)
     except (ZernkitError, OSError, ValueError) as exc:
         return exc
     try:
-        nodes, entries, weights = _local_system(disk_nodes)
+        nodes = transfer_nodes(HexagonMap(), disk_nodes)
+        matrix = assemble(HexagonBasis(order, "K"), nodes)
     except ZernkitError as exc:
         return exc
-    return nodes, entries, weights, _local_modes(nodes.nodes)
+    return nodes, matrix, _local_modes(nodes.nodes)
 
 
 def _report(progress, label, failure):
@@ -311,47 +274,34 @@ def _report(progress, label, failure):
         progress(f"{label}: {type(failure).__name__}: {failure}")
 
 
-def _solve_families(shared_step, bases, labels, progress):
-    """Per family of ``bases``, in order, its basis or the exception that
-    fails its cell; and the coefficients (15 F, N) of the F passing
-    families' interpolants of the 15 local modes, 15 rows per family, or
-    None.  ``labels[i]`` goes to ``progress`` as family i starts, and the
-    reason of its failure right after.
+def _solve_families(nodes, matrix, at_nodes, bases):
+    """Per family of ``bases``, in order, its basis or the
+    SingularMatrixError that fails its cell; and the coefficients (15 F, N)
+    of the F passing families' interpolants of ``at_nodes``, the 15 local
+    modes at ``nodes`` (15, N), 15 rows per family, or None.
 
-    ``shared_step()`` runs once, at the first family, and
-    ``_family_verdicts`` decides every family from its K entries: each
-    family's matrix is K times a positive diagonal, 1 for K and the node
-    weights q for H.  H's system H.T c = b is K.T c = b / q, so one
-    ``np.linalg.solve`` on the K entries serves every passing family, its
-    15 right-hand sides divided by its node weights.  Nothing returned
-    holds the N x N entries.
+    ``matrix`` is the K family's collocation matrix at ``nodes``, and
+    ``_family_verdicts`` decides every family from it: each family's matrix
+    is K times a positive diagonal, 1 for K and the node weights
+    q = 1/R(theta_j) for H, and a family it leaves undecided has its own
+    matrix built by ``assemble``.  H's system H.T c = b is K.T c = b / q,
+    so one ``np.linalg.solve`` on the K entries serves every passing
+    family, its 15 right-hand sides divided by its node weights.  Nothing
+    returned holds the N x N entries.
     """
-    if not bases:
-        return [], None
-    if progress:
-        progress(labels[0])
-    shared = shared_step()
-    if isinstance(shared, Exception):
-        outcomes = [shared] * len(bases)
-    else:
-        nodes, entries, weights, at_nodes = shared
-        families = [HexagonBasis(nodes.order, family) for family in bases]
-        verdicts = _family_verdicts(
-            _family_matrix(nodes, entries, HexagonBasis(nodes.order, "K")),
-            [weights if f.weighted else np.ones(len(weights)) for f in families],
-            lambda i: _family_matrix(nodes, entries, families[i]),
-        )
-        outcomes = [f if isinstance(v, tuple) else v for v, f in zip(verdicts, families)]
-    for i, (label, outcome) in enumerate(zip(labels, outcomes)):
-        if progress and i:
-            progress(label)
-        if isinstance(outcome, Exception):
-            _report(progress, label, outcome)
+    families = [HexagonBasis(nodes.order, family) for family in bases]
+    weights = HexagonMap().weigh(np.ones(len(nodes)), nodes.rho, nodes.theta)
+    verdicts = _family_verdicts(
+        matrix,
+        [weights if f.weighted else np.ones(len(nodes)) for f in families],
+        lambda i: assemble(families[i], nodes),
+    )
+    outcomes = [f if isinstance(v, tuple) else v for v, f in zip(verdicts, families)]
     solved = [o for o in outcomes if not isinstance(o, Exception)]
     if not solved:
         return outcomes, None
     rhs = np.concatenate([at_nodes / weights if b.weighted else at_nodes for b in solved])
-    return outcomes, np.linalg.solve(entries.T, rhs.T).T
+    return outcomes, np.linalg.solve(matrix.entries.T, rhs.T).T
 
 
 def run_experiment(
@@ -379,25 +329,27 @@ def run_experiment(
     the error and truth sums on the grid are sums of 15 squares.
 
     Every family of one (order, scheme) shares one step: the node set is
-    transferred to the hexagon once, and the K family and the 15 local
-    modes are evaluated at the moved nodes once.  H is K times a positive
-    diagonal, so the node set pays for one LU, every passing family's
-    coefficients from one solve on the K entries, and, where the Cholesky
-    certificate of the K entries decides every verdict, no SVD
-    (``_solve_families``); a family it leaves undecided takes its own.
+    transferred to the hexagon once, the K family's collocation matrix is
+    assembled there once, and the 15 local modes are evaluated at the moved
+    nodes once (``_shared_step``).  H is K times a positive diagonal, so
+    the node set pays for one LU, every passing family's coefficients from
+    one solve on the K entries, and, where the Cholesky certificate of the
+    K entries decides every verdict, no SVD (``_solve_families``); a
+    family it leaves undecided takes its own.
     Their grid values come from one product with the first rows of one
     K-family grid table, evaluated once per call at ``max(orders)``; an H
-    block is divided by R(theta), so no cell evaluates the grid or copies
-    the table.  The N x N entries are freed before any cell's QR.
+    block is weighed by ``HexagonMap.weigh`` at the grid, so no cell
+    evaluates the grid or copies the table.  The N x N entries are freed
+    before any cell's QR.
 
     ``node_provider(scheme, order, seed)`` overrides how disk node sets are
     obtained, e.g. to load file-based schemes; it is called once per
     (order, scheme), and every basis's cell shares the set.  A cell whose
     node set cannot be had (``node_provider`` raises a ZernkitError,
     OSError or ValueError: a missing node file, an unknown scheme) or whose
-    numerics raise a ZernkitError (a singular local system) is recorded as
-    an error marker, not raised, and its reason goes to ``progress`` right
-    after the cell's label.  A failure of the shared step marks every
+    numerics raise a ZernkitError (a set of another order than the cell's,
+    a singular local system) is recorded as an error marker, not raised,
+    and its reason goes to ``progress`` right after the cell's label.  A failure of the shared step marks every
     basis's cell of that (order, scheme) with the same reason; a singular
     matrix marks its own family's cell.  A failure of the grid error (a
     wavefront that is zero on the grid) is reported after the last label
@@ -412,18 +364,21 @@ def run_experiment(
             "master seeds coincide"
         )
     orders = tuple(orders)
+    schemes = tuple(schemes)
     bases = tuple(bases)
-    if not orders:
-        return []
-    if min(orders) < 0:
+    if orders and min(orders) < 0:
         raise ValueError(f"orders must be >= 0, got {min(orders)}")
+    if not (orders and schemes and bases):
+        return []
     if node_provider is None:
         node_provider = generate_nodes
     stack = np.array([
         kolmogorov_wavefront(_trial_seed(master_seed, t))
         for t in range(trials)
     ])
-    grid_modes = _local_modes(hexagon_grid())
+    grid = hexagon_grid()
+    grid_polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
+    grid_modes = _local_modes(grid)
     translations = _translations(build_aperture())
     local = np.einsum("tj,kjl->tkl", stack, translations)  # (trials, segments, 15)
     truth_sq = _local_squares(local, np.linalg.qr(grid_modes.T, mode="r"))
@@ -432,14 +387,24 @@ def run_experiment(
     for order in orders:
         for scheme in schemes:
             labels = [f"n={order} scheme={scheme} basis={basis}" for basis in bases]
+            if progress:
+                progress(labels[0])
+            shared = _shared_step(node_provider, scheme, order, node_seed)
+            if isinstance(shared, Exception):
+                outcomes, coefficients = [shared] * len(bases), None
+            else:
+                outcomes, coefficients = _solve_families(*shared, bases)
             # the N x N entries are freed with the solve, before any QR
-            outcomes, coefficients = _solve_families(
-                partial(_shared_step, node_provider, scheme, order, node_seed),
-                bases, labels, progress,
-            )
+            shared = None
+            for i, (label, outcome) in enumerate(zip(labels, outcomes)):
+                if progress and i:
+                    progress(label)
+                if isinstance(outcome, Exception):
+                    _report(progress, label, outcome)
             solved = [o for o in outcomes if not isinstance(o, Exception)]
             if solved:
-                errors = _on_grid(coefficients, solved, table[: coefficients.shape[1]])
+                rows = table[: coefficients.shape[1]]
+                errors = _on_grid(coefficients, solved, rows, grid_polar)
                 errors -= grid_modes
                 errors = iter(errors)
             for basis, label, outcome in zip(bases, labels, outcomes):

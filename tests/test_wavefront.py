@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_translations, wavefront_sum, zernike_row, zonal_rrmse
-from zernkit import collocation, domains, wavefront
+from zernkit import cli, collocation, domains, wavefront
 from zernkit.collocation import assemble
 from zernkit.domains import (
     HexagonBasis,
@@ -20,13 +20,11 @@ from zernkit.samplings import GENERATORS, NodeSet, Scheme, generate_nodes, ocs_n
 from zernkit.zernike import basis_size, cartesian_to_polar, zernike_matrix
 from zernkit.wavefront import (
     ExperimentCell,
-    _family_matrix,
-    _grid_radius,
     _grid_table,
     _local_modes,
-    _local_system,
     _on_grid,
     _rrmse,
+    _shared_step,
     _solve_families,
     _translations,
     _trial_seed,
@@ -203,14 +201,22 @@ def solve_segments(disk_nodes, family, sample):
     """The basis and the coefficients (rows, N) of the interpolants of
     ``sample(local)`` (rows, N), one right-hand side per row, at the local
     hexagon nodes ``local`` (N, 2) of ``disk_nodes``, by run_experiment's
-    steps ``_local_system`` and ``_solve_families``."""
-    nodes, entries, weights = _local_system(disk_nodes)
+    steps ``_shared_step`` and ``_solve_families``."""
+    nodes, matrix, _ = _shared_step(
+        lambda *args: disk_nodes, None, disk_nodes.order, None
+    )
     (outcome,), coefficients = _solve_families(
-        lambda: (nodes, entries, weights, sample(nodes.nodes)), [family], [family], None
+        nodes, matrix, sample(nodes.nodes), [family]
     )
     if isinstance(outcome, Exception):
         raise outcome
     return outcome, coefficients
+
+
+def grid_polar():
+    """The polar coordinates (rho, theta) of the hexagon_grid() points."""
+    grid = hexagon_grid()
+    return cartesian_to_polar(grid[:, 0], grid[:, 1])
 
 
 def fixed_fronts(monkeypatch, coefficients):
@@ -302,7 +308,7 @@ class TestZonal:
                 return samples
 
             basis, coeffs = solve_segments(ocs_nodes(4), "K", sample)
-            (values,) = _on_grid(coeffs, [basis], table[: basis.size])
+            (values,) = _on_grid(coeffs, [basis], table[: basis.size], grid_polar())
             return values
 
         base_approx, approx = approximate(0.0), approximate(0.25)
@@ -341,7 +347,7 @@ class TestGridTable:
     @pytest.mark.parametrize("order,wider", [(2, 2), (5, 9), (11, 20), (20, 20)])
     def test_slice_is_the_basis_on_the_grid(self, family, order, wider):
         grid = hexagon_grid()
-        polar = cartesian_to_polar(grid[:, 0], grid[:, 1])
+        polar = grid_polar()
         table = _grid_table(wider)
         basis = HexagonBasis(order, family)
         rows = table[: basis.size]
@@ -358,7 +364,7 @@ class TestGridTable:
         # table: the same function
         coefficients = np.random.default_rng(order).standard_normal((6, basis.size))
         product = coefficients @ rows
-        values = _on_grid(coefficients, [HexagonBasis(order, "K"), basis], rows)
+        values = _on_grid(coefficients, [HexagonBasis(order, "K"), basis], rows, polar)
         assert values.shape == (2, 3, len(grid))
         assert np.array_equal(values[0], product[:3])
         assert np.array_equal(values[1], weigh(product[3:]))
@@ -367,11 +373,8 @@ class TestGridTable:
         table = _grid_table(8)
         before = table.copy()
         basis = HexagonBasis(8, "H")
-        _on_grid(np.ones((2, basis.size)), [basis], table[: basis.size])
+        _on_grid(np.ones((2, basis.size)), [basis], table[: basis.size], grid_polar())
         assert np.array_equal(table, before)
-        # R(theta) at the grid is computed once per process, read-only
-        assert _grid_radius() is _grid_radius()
-        assert not _grid_radius().flags.writeable
 
     def test_cells_read_one_table_in_place(self, monkeypatch):
         # the table is built once, at the highest order; the families of
@@ -384,9 +387,9 @@ class TestGridTable:
             tables.append(tables[0].copy())
             return tables[0]
 
-        def on_grid(coefficients, bases, rows):
+        def on_grid(coefficients, bases, rows, polar):
             reads.append(([b.family for b in bases], rows))
-            return _on_grid(coefficients, bases, rows)
+            return _on_grid(coefficients, bases, rows, polar)
 
         monkeypatch.setattr(wavefront, "_grid_table", built)
         monkeypatch.setattr(wavefront, "_on_grid", on_grid)
@@ -427,21 +430,22 @@ class TestSharedLocalSystem:
         assembled = {}  # assemble's matrix per (order, family)
         for order in orders:
             moved = transfer_nodes(HexagonMap(), disk[order])
-            nodes, entries, weights = _local_system(disk[order])
-            shared = entries.copy()
             for family in ("K", "H"):
-                basis = HexagonBasis(order, family)
-                want = assembled[order, family] = assemble(basis, moved)
-                got = _family_matrix(nodes, entries, basis)
-                assert np.array_equal(entries, shared)  # H weighs a copy
-                assert got.entries.tobytes() == want.entries.tobytes()
-                assert (got.order, got.scheme, got.basis) == (
-                    want.order, want.scheme, want.basis
-                )
-                assert np.array_equal(got.mirror, want.mirror)
+                assembled[order, family] = assemble(HexagonBasis(order, family), moved)
+            # the shared step's K matrix is assemble's, read-only, so no
+            # family can weigh the shared entries in place
+            _, got, _ = _shared_step(lambda *args: disk[order], scheme, order, 0)
+            want = assembled[order, "K"]
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert (got.order, got.scheme, got.basis) == (
+                want.order, want.scheme, want.basis
+            )
+            assert np.array_equal(got.mirror, want.mirror)
+            assert not got.entries.flags.writeable
             # H's entries are K's times its node weights 1/R(theta_j)
+            weights = HexagonMap().weigh(np.ones(len(moved)), moved.rho, moved.theta)
             np.testing.assert_allclose(
-                assembled[order, "H"].entries, shared * weights,
+                assembled[order, "H"].entries, want.entries * weights,
                 rtol=2 * np.finfo(float).eps, atol=0.0,
             )
         # without the Cholesky certificate, every family of every node set
@@ -629,8 +633,7 @@ class TestSharedLocalSystem:
 
     def test_inconclusive_bound_runs_the_rule_on_its_own_matrix(self, monkeypatch):
         # node 1 within 1e-13 of node 0: K passes the rule, but too close
-        # to it for the certificate, or for K's bound to speak for H, which
-        # then takes its own SVD
+        # to it for the certificate, so each family takes its own SVD
         points = np.array(ocs_nodes(2).nodes)
         points[1] = points[0] + [1e-13, 0.0]
         disk_nodes = NodeSet(2, Scheme.BOS_CUSTOM, points)
@@ -644,13 +647,12 @@ class TestSharedLocalSystem:
         points = np.array(ocs_nodes(4).nodes)
         points[1] = points[0]
         disk_nodes = NodeSet(4, Scheme.BOS_CUSTOM, points)
-        nodes, entries, weights = _local_system(disk_nodes)
+        nodes = transfer_nodes(HexagonMap(), disk_nodes)
         bases = ("K", "H")
-        matrices = [_family_matrix(nodes, entries, HexagonBasis(4, b)) for b in bases]
+        matrices = [assemble(HexagonBasis(4, b), nodes) for b in bases]
         assert collocation._cholesky_bounds(matrices[0]) is None
-        outcomes, _ = _solve_families(
-            lambda: (nodes, entries, weights, None), bases, bases, None
-        )
+        outcomes, coefficients = _solve_families(nodes, matrices[0], None, bases)
+        assert coefficients is None
         for matrix, outcome in zip(matrices, outcomes):
             assert isinstance(outcome, SingularMatrixError)
             assert outcome.sigma_min == collocation.condition_number(matrix).sigma_min
@@ -732,6 +734,20 @@ class TestExperiment:
     def test_no_orders_no_cells(self):
         assert run_experiment((), 1) == []
 
+    @pytest.mark.parametrize("schemes,bases", [((), ("K",)), (("ocs",), ())])
+    def test_no_schemes_or_bases_draw_and_evaluate_nothing(
+        self, monkeypatch, schemes, bases
+    ):
+        def refused(*args):
+            raise AssertionError("a sweep without cells evaluates nothing")
+
+        monkeypatch.setattr(wavefront, "kolmogorov_wavefront", refused)
+        monkeypatch.setattr(wavefront, "_grid_table", refused)
+        cells = run_experiment(
+            [20], 3, schemes=schemes, bases=bases, node_provider=refused
+        )
+        assert cells == []
+
     @pytest.mark.parametrize("scale", [0.37, 2.5, 1000.0])
     def test_error_does_not_depend_on_the_wavefront_scale(self, monkeypatch, scale):
         # a turbulence strength would scale every coefficient alike; the
@@ -752,6 +768,9 @@ class TestExperiment:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="orders must be >= 0"):
             run_experiment([3, -1], 1)
+        # also where no cell would be made
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            run_experiment([3, -1], 1, bases=())
 
     def test_deterministic_single_trial(self, aperture):
         a = run_experiment([3], 1, schemes=["ocs"], bases=["K"], master_seed=5)
@@ -874,14 +893,60 @@ class TestExperiment:
             "n=3 scheme=ocs basis=H: " + singular.format("H"),
         ]
 
+    def test_progress_transcript_of_a_mixed_run(self, tmp_path):
+        # a file scheme whose file is missing, a doubled-node set and a
+        # passing set, each with K and H: node set by node set, every label
+        # and each failure right after its own label
+        def provider(scheme, order, seed):
+            if scheme == "doubled":
+                points = np.array(ocs_nodes(order).nodes)
+                points[1] = points[0]
+                return NodeSet(order, Scheme.BOS_CUSTOM, points)
+            return cli._resolve_nodes(str(tmp_path), scheme, order, seed)
+
+        messages = []
+        cells = run_experiment(
+            [3], 1, schemes=["lebesgue", "doubled", "ocs"], bases=["K", "H"],
+            node_provider=provider, progress=messages.append,
+        )
+        assert [(c.scheme, c.basis, c.error) for c in cells] == [
+            ("lebesgue", "K", "FileNotFoundError"),
+            ("lebesgue", "H", "FileNotFoundError"),
+            ("doubled", "K", "SingularMatrixError"),
+            ("doubled", "H", "SingularMatrixError"),
+            ("ocs", "K", None),
+            ("ocs", "H", None),
+        ]
+        missing = "FileNotFoundError: [Errno 2] No such file or directory: " \
+            f"'{tmp_path / 'lebesgue_n3.txt'}'"
+        singular = "SingularMatrixError: collocation matrix (bos, {}, n=3) is " \
+            "singular to working precision"
+        assert messages == [
+            "n=3 scheme=lebesgue basis=K",
+            f"n=3 scheme=lebesgue basis=K: {missing}",
+            "n=3 scheme=lebesgue basis=H",
+            f"n=3 scheme=lebesgue basis=H: {missing}",
+            "n=3 scheme=doubled basis=K",
+            "n=3 scheme=doubled basis=K: " + singular.format("K"),
+            "n=3 scheme=doubled basis=H",
+            "n=3 scheme=doubled basis=H: " + singular.format("H"),
+            "n=3 scheme=ocs basis=K",
+            "n=3 scheme=ocs basis=H",
+        ]
+
     @pytest.mark.parametrize("broken,reason", [
         (2, "NonFiniteError: collocation matrix has non-finite entries"),
         (None, "DomainError: can only transfer disk node sets, got hexagon"),
+        ("order", "NodeCountError: basis of size 10 needs 10 nodes, got 6"),
     ])
     def test_failed_shared_step_marks_every_basis(self, monkeypatch, broken, reason):
         # a node with NaN coordinates fails the K entries; a set that is
-        # already on the hexagon fails the transfer
+        # already on the hexagon fails the transfer; a set of another order
+        # than the cell's fails the node count, rather than filling the
+        # cell with the other order's error
         def provider(scheme, order, seed):
+            if broken == "order":
+                return ocs_nodes(order - 1)
             points = np.array(ocs_nodes(order).nodes)
             if broken is None:
                 return NodeSet(order, Scheme.OCS, points, domain="hexagon")
@@ -900,7 +965,7 @@ class TestExperiment:
             [3], 1, bases=["K", "H"], node_provider=provider,
             progress=messages.append,
         )
-        assert transfers == [3]
+        assert transfers == [2 if broken == "order" else 3]
         error = reason.split(":")[0]
         assert [(c.basis, c.error) for c in cells] == [("K", error), ("H", error)]
         assert messages == [
